@@ -11,7 +11,6 @@ All spectra are computed on the symmetrized conjugate W_p^{1/2} L_p W_p^{-1/2}.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +99,10 @@ def adjoint_matrix(complex_: WeightedComplex, p: int) -> sp.csr_matrix:
     return sp.diags(1.0 / wp) @ B.T.astype(float) @ sp.diags(wq)
 
 
-def hodge_laplacian(complex_: WeightedComplex, p: int, symmetrized: bool = True) -> np.ndarray:
-    """Degree-p Laplacian, dense; symmetrized conjugate by default."""
+def _laplacian_csr(complex_: WeightedComplex, p: int, symmetrized: bool) -> sp.csr_matrix:
+    """Degree-p Laplacian as CSR in canonical form (no explicit zeros, sorted indices)."""
     m = complex_.dim(p)
-    out = np.zeros((m, m))
+    out = sp.csr_matrix((m, m))
     wp = complex_.mass_vector(p)
     if m == 0:
         return out
@@ -114,7 +113,7 @@ def hodge_laplacian(complex_: WeightedComplex, p: int, symmetrized: bool = True)
             A = sp.diags(np.sqrt(wp)) @ Bdn @ sp.diags(1.0 / wdn) @ Bdn.T @ sp.diags(np.sqrt(wp))
         else:
             A = Bdn @ sp.diags(1.0 / wdn) @ Bdn.T @ sp.diags(wp)
-        out += A.toarray()
+        out = out + A
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
         Bup = complex_.coboundary(p).matrix.astype(float)
         wup = complex_.mass_vector(p + 1)
@@ -122,29 +121,45 @@ def hodge_laplacian(complex_: WeightedComplex, p: int, symmetrized: bool = True)
             A = sp.diags(1.0 / np.sqrt(wp)) @ Bup.T @ sp.diags(wup) @ Bup @ sp.diags(1.0 / np.sqrt(wp))
         else:
             A = sp.diags(1.0 / wp) @ Bup.T @ sp.diags(wup) @ Bup
-        out += A.toarray()
+        out = out + A
     if symmetrized:
-        skew = np.abs(out - out.T).max(initial=0.0)
-        scale = max(np.abs(out).max(initial=0.0), 1.0)
+        skew = abs(out - out.T).max()
+        scale = max(abs(out).max(), 1.0)
         if skew > 1e-12 * scale:
             raise HodgeError(f"symmetrized Laplacian has asymmetry {skew:.3e}")
         out = 0.5 * (out + out.T)
+    out.eliminate_zeros()
+    out.sort_indices()
     return out
 
 
-def _low_spectrum(S: np.ndarray, k_hint: int = 16) -> tuple[np.ndarray, float]:
-    """Eigenvalues from the low end plus an upper bound on the largest one."""
+def hodge_laplacian(complex_: WeightedComplex, p: int, symmetrized: bool = True) -> np.ndarray:
+    """Dense copy of the degree-p Laplacian (symmetrized conjugate by default).
+
+    The spectral route keeps it sparse above DENSE_EIG_CUTOFF.
+    """
+    return _laplacian_csr(complex_, p, symmetrized).toarray()
+
+
+def _low_spectrum(S: sp.csr_matrix, k_hint: int = 16) -> tuple[np.ndarray, float]:
+    """Eigenvalues from the low end plus an upper bound on the largest one.
+
+    Above DENSE_EIG_CUTOFF, shift-invert `eigsh` starts from a fixed-seed
+    vector, so repeated runs give identical eigenvalues.
+    """
     m = S.shape[0]
     if m == 0:
         return np.empty(0), 0.0
-    gersh = float(np.abs(S).sum(axis=1).max())
-    if m <= DENSE_EIG_CUTOFF:
+    dense = m <= DENSE_EIG_CUTOFF
+    S = S.toarray() if dense else S
+    gersh = float(abs(S).sum(axis=1).max())
+    if dense:
         eigs = np.linalg.eigvalsh(S)
         return eigs, max(gersh, float(eigs[-1]))
     k = min(m - 1, k_hint)
-    sparse = sp.csr_matrix(S)
+    v0 = np.random.default_rng(0).standard_normal(m)
     while True:
-        vals = spla.eigsh(sparse, k=k, sigma=-1e-12, which="LM", return_eigenvectors=False)
+        vals = spla.eigsh(S, k=k, sigma=-1e-12, which="LM", v0=v0, return_eigenvectors=False)
         vals = np.sort(vals)
         tau = m * gersh * HARMONIC_TOL_FACTOR
         if vals[-1] > tau * GAP_AMBIGUITY_FACTOR or k == m - 1:
@@ -170,14 +185,11 @@ def harmonic_dimension(
     The threshold is dim * max_eig * 2^-45. A spectral gap of less than 10^3
     around the threshold flags the count; a provided exact oracle then wins.
     """
-    S = hodge_laplacian(complex_, p, symmetrized=True)
-    eigs, max_eig = _low_spectrum(S)
+    eigs, max_eig = _low_spectrum(_laplacian_csr(complex_, p, symmetrized=True))
     m = complex_.dim(p)
-    if m == 0:
-        return HarmonicCount(0, eigs, 0.0, 0.0, False)
     tau = m * max_eig * HARMONIC_TOL_FACTOR
     if max_eig == 0.0:
-        # identically zero operator: everything is harmonic
+        # identically zero operator (or no tuples): everything is harmonic
         return HarmonicCount(m, eigs, 0.0, 0.0, False)
     count = int(np.sum(eigs < tau))
     below = eigs[eigs < tau]
@@ -385,9 +397,3 @@ def multiplier_bound_check(
     lhs = float(np.sqrt(graph_chif))
     rhs = c * float(np.sqrt(graph_f))
     return MultiplierCheck(lhs <= rhs * (1.0 + 1e-12) + 1e-300, lhs, rhs, c)
-
-
-def save_report(report, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, sort_keys=True)
-        fh.write("\n")

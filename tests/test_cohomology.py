@@ -6,8 +6,11 @@ import scipy.sparse as sp
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF, ZZ
+from sympy.polys.matrices import DomainMatrix
 
-from nlhodge.space import gen_circle, gen_interval, gen_two_components
+from oracles import dense_rank_mod_p
+from nlhodge.space import gen_circle, gen_interval, gen_sphere, gen_two_components
 from nlhodge.neighborhoods import hausdorff_system, rips_system
 from nlhodge.kernels import constant_kernel, fractional_kernel
 from nlhodge.hodge import build_weighted_complex
@@ -77,6 +80,56 @@ def test_rank_invariants(seed):
 def test_rank_rejects_bad_shapes():
     with pytest.raises(ValueError, match="2-d"):
         rank_mod_p(np.zeros(4, dtype=int))
+
+
+_ENTRIES = {
+    "unit": st.sampled_from([-1, 0, 1]),
+    "small": st.integers(-4, 4),
+    # multiples of a prime vanish in its field but not over the rationals
+    "prime multiples": st.sampled_from(
+        [-1, 0, 1, 2, PRIME_MAIN, -PRIME_MAIN, 2 * PRIME_MAIN, PRIME_FALLBACK, -PRIME_FALLBACK]
+    ),
+}
+
+
+@st.composite
+def integer_matrices(draw):
+    entries = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = draw(st.lists(entries, min_size=m * n, max_size=m * n))
+    return np.array(values, dtype=np.int64).reshape(m, n)
+
+
+def sympy_rank_mod(A, prime):
+    rows = [[ZZ(int(v)) for v in row] for row in A]
+    return DomainMatrix(rows, A.shape, ZZ).convert_to(GF(prime)).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices(), st.booleans())
+def test_sparse_rank_matches_dense_elimination_and_sympy(A, as_csr):
+    M = sp.csr_matrix(A) if as_csr else A
+    for prime in (PRIME_MAIN, PRIME_FALLBACK):
+        r = rank_mod_p(M, prime)
+        assert r == dense_rank_mod_p(A, prime)
+        assert r == sympy_rank_mod(A, prime)
+
+
+_KERNEL = fractional_kernel(1.0, 0.5)
+_SUITE_COMPLEXES = {
+    "circle": lambda: (gen_circle(12), rips_system(1.1), _KERNEL, 2),
+    "interval": lambda: (gen_interval(10), hausdorff_system(0.2), _KERNEL, 1),
+    "two components": lambda: (gen_two_components(8, gap=3.0), rips_system(1.0), _KERNEL, 1),
+    "sphere": lambda: (gen_sphere(200), rips_system(0.45), fractional_kernel(2.0, 0.5), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUITE_COMPLEXES))
+def test_clearing_leaves_every_rank_unchanged(name):
+    complex_ = build_weighted_complex(*_SUITE_COMPLEXES[name]())
+    unclear = tuple(rank_mod_p(complex_.coboundary(p).matrix) for p in range(complex_.p_max + 1))
+    assert exact_betti(complex_).ranks == unclear
+    assert exact_betti(complex_, escalate=True).ranks == unclear
 
 
 # --- Betti numbers of known spaces ---------------------------------------------

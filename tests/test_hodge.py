@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import nlhodge.hodge as hodge
 
 from nlhodge.space import MetricMeasureSpace, gen_circle, gen_two_components
 from nlhodge.neighborhoods import full_system, rips_system
 from nlhodge.kernels import constant_kernel, fractional_kernel, kernel_matrix
 from nlhodge.cochains import Cochain
+from nlhodge.cohomology import exact_betti
 from nlhodge.hodge import (
     HodgeError,
     adjoint_matrix,
@@ -18,7 +22,6 @@ from nlhodge.hodge import (
     hodge_report,
     multiplier_bound_check,
     multiplier_constant,
-    save_report,
 )
 
 
@@ -204,14 +207,12 @@ def test_oracle_is_ignored_when_the_gap_is_clean(circle_complex):
     assert not hc.oracle_used
 
 
-def test_report_agreement_fields(circle_complex, tmp_path):
+def test_report_agreement_fields(circle_complex):
     report = hodge_report(circle_complex, 1, oracle=1)
     assert report.agree is True
     assert hodge_report(circle_complex, 1, oracle=3).agree is False
     assert hodge_report(circle_complex, 1).agree is None
-    path = tmp_path / "report.json"
-    save_report(report, path)
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(report.to_json(), sort_keys=True))
     assert data["schema"] == 1
     assert data["harmonic_dim"] == 1
     assert data["degree"] == 1
@@ -226,6 +227,41 @@ def test_empty_degree_is_harmless():
     hc = harmonic_dimension(complex_, 0)
     assert hc.dimension == 8
     assert harmonic_dimension(complex_, 1).dimension == 0
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_sparse_eigensolve_matches_the_dense_branch(circle_complex, monkeypatch, p):
+    dense = harmonic_dimension(circle_complex, p)
+    full = np.linalg.eigvalsh(hodge_laplacian(circle_complex, p))
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    sparse = harmonic_dimension(circle_complex, p)
+    assert sparse.eigenvalues.size < circle_complex.dim(p)  # only the low end was computed
+    assert sparse.dimension == dense.dimension
+    assert sparse.flagged == dense.flagged
+    assert np.allclose(sparse.eigenvalues, full[: sparse.eigenvalues.size], rtol=0, atol=1e-10)
+
+
+def test_sparse_eigensolve_is_deterministic(circle_complex, monkeypatch):
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    a = harmonic_dimension(circle_complex, 1).eigenvalues
+    b = harmonic_dimension(circle_complex, 1).eigenvalues
+    assert a.tobytes() == b.tobytes()
+
+
+def test_sparse_routes_never_densify(circle_complex, monkeypatch):
+    # The exact ranks and the sparse eigensolve must run on sparse data end to
+    # end; a dense copy of a coboundary or Laplacian is the memory wall at scale.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} densified")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
+        monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(cls, "todense", refuse)
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    with pytest.raises(AssertionError, match="densified"):
+        circle_complex.coboundary(0).matrix.toarray()
+    assert exact_betti(circle_complex).betti == (1, 1, 0)
+    assert [harmonic_dimension(circle_complex, p).dimension for p in range(3)] == [1, 1, 0]
 
 
 # --- decomposition ------------------------------------------------------------
