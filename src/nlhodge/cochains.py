@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .neighborhoods import TupleSet
+from .neighborhoods import TupleSet, check_face_closure, faces, insert_points
 
 
 class CochainError(ValueError):
@@ -189,22 +189,14 @@ def build_coboundary(source: TupleSet, target: TupleSet) -> CoboundaryOperator:
     """
     if target.degree != source.degree + 1:
         raise CochainError("coboundary needs consecutive degrees")
-    k = target.degree + 1
-    rows, cols, data = [], [], []
-    for r, row in enumerate(target.tuples.tolist()):
-        for i in range(k):
-            face = tuple(row[:i] + row[i + 1 :])
-            try:
-                c = source.index_of(face)
-            except KeyError:
-                raise CochainError(
-                    f"face {face} of tuple {tuple(row)} is missing: tuple sets not face-closed"
-                )
-            rows.append(r)
-            cols.append(c)
-            data.append(1 if i % 2 == 0 else -1)
+    cols = source.locate(faces(target.tuples))
+    if (cols < 0).any():
+        _, (row, face) = check_face_closure(source, target)
+        raise CochainError(f"face {face} of tuple {row} is missing: tuple sets not face-closed")
+    m, k = cols.shape
+    data = np.tile(np.where(np.arange(k) % 2 == 0, 1, -1), m)
     mat = sp.csr_matrix(
-        (np.array(data, dtype=np.int64), (rows, cols)),
+        (data, (np.repeat(np.arange(m), k), cols.ravel())),
         shape=(target.size, source.size),
     )
     return CoboundaryOperator(source.degree, source, target, mat)
@@ -246,17 +238,14 @@ def cone_contraction(F: Cochain, apex: int, lower: TupleSet) -> Cochain:
         raise CochainError("cannot contract a degree-0 cochain")
     if lower.degree != F.degree - 1:
         raise CochainError("lower tuple set must sit one degree below")
+    keys, sign, hit = (a[:, 0] for a in insert_points(lower.tuples, [apex]))
+    idx = F.tuple_set.locate(keys)
+    missing = np.flatnonzero(~hit & (idx < 0))
+    if missing.size:
+        raise CochainError(
+            f"augmented tuple {tuple(keys[missing[0]].tolist())} is not admissible; "
+            "cone contraction needs a full system"
+        )
     vals = np.zeros(lower.size)
-    for r, row in enumerate(lower.tuples.tolist()):
-        if apex in row:
-            vals[r] = 0.0
-            continue
-        key, sign = sign_sort((apex,) + tuple(row))
-        try:
-            idx = F.tuple_set.index_of(key)
-        except KeyError:
-            raise CochainError(
-                f"augmented tuple {key} is not admissible; cone contraction needs a full system"
-            )
-        vals[r] = sign * F.values[idx]
+    vals[~hit] = sign[~hit] * F.values[idx[~hit]]
     return Cochain(F.degree - 1, lower, vals)

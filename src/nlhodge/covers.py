@@ -10,14 +10,13 @@ and the local Poincare homotopy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 
 from .space import MetricMeasureSpace
-from .neighborhoods import NeighborhoodSystem, TupleSet
+from .neighborhoods import NeighborhoodSystem, TupleSet, insert_points
 from .cochains import build_coboundary
 from .cohomology import rank_exact, BettiReport, PRIME_MAIN
 from .hodge import WeightedComplex
@@ -126,10 +125,7 @@ def restrict_complex(cover: CoverSystem, complex_: WeightedComplex, alphas,
     tuple_sets, global_rows = [], []
     for p in range(max_degree + 1):
         ts = complex_.tuple_sets[p]
-        if ts.size == 0:
-            sel = np.empty(0, dtype=int)
-        else:
-            sel = np.nonzero(mask[ts.tuples].all(axis=1))[0]
+        sel = np.nonzero(mask[ts.tuples].all(axis=1))[0]
         tuple_sets.append(TupleSet(p, ts.tuples[sel].reshape(-1, p + 1)))
         global_rows.append(sel)
     return LocalComplex(alphas, mask, tuple_sets, global_rows)
@@ -222,23 +218,6 @@ def _cech_sign(alpha: int, rest: tuple) -> tuple[tuple, int]:
     return merged, (-1) ** pos
 
 
-def _simplex_coface_matrix(s: int, q: int) -> np.ndarray:
-    """Coface matrix of the full simplex on s vertices, level q to q+1.
-
-    Rows are (q+2)-subsets, columns (q+1)-subsets, both in lexicographic
-    order; dropping the i-th vertex of a row subset hits its face column
-    with sign (-1)^i.
-    """
-    los = list(combinations(range(s), q + 1))
-    his = list(combinations(range(s), q + 2))
-    lo_index = {c: k for k, c in enumerate(los)}
-    M = np.zeros((len(his), len(los)), dtype=np.int64)
-    for r, hi in enumerate(his):
-        for i in range(len(hi)):
-            M[r, lo_index[hi[:i] + hi[i + 1 :]]] += (-1) ** i
-    return M
-
-
 def _tuple_ball_membership(complex_: WeightedComplex, cover: CoverSystem, p: int) -> np.ndarray:
     """(n_balls, m) bool: tuple row fully inside the big ball."""
     ts = complex_.tuple_sets[p]
@@ -253,22 +232,17 @@ def _blockwise_ranks(s_counts: dict[int, int], q_max: int) -> tuple[list[int], l
     The restriction row splits as a direct sum over global tuples: the block
     of a tuple covered by s balls is the coface complex of the full simplex
     on those s balls (restriction maps are coordinate projections, so the
-    splitting is a permutation of the assembled matrices). Each distinct s is
-    eliminated once over the prime field and the ranks are summed.
+    splitting is a permutation of the assembled matrices). The full simplex
+    is contractible, so its level-q coface matrix has rank C(s-1, q+1); the
+    assembled crosscheck re-eliminates the whole matrices independently.
     """
     dims = [0] * (q_max + 2)
     ranks = [0] * (q_max + 1)
-    rank_cache: dict[tuple[int, int], int] = {}
     for s, count in s_counts.items():
         for q in range(q_max + 2):
             dims[q] += comb(s, q + 1) * count
         for q in range(q_max + 1):
-            if comb(s, q + 1) == 0 or comb(s, q + 2) == 0:
-                continue
-            key = (s, q)
-            if key not in rank_cache:
-                rank_cache[key] = rank_exact(sp.csr_matrix(_simplex_coface_matrix(s, q)))
-            ranks[q] += rank_cache[key] * count
+            ranks[q] += comb(s - 1, q + 1) * count
     return dims, ranks
 
 
@@ -296,15 +270,10 @@ def _assembled_matrices(levels, m_global, p):
             total += loc.dim(p)
         offsets.append((off, total))
 
-    rows, cols = [], []
-    off0, dim0 = offsets[0]
-    for combo, loc in levels[0]:
-        base = off0[combo]
-        for i, g in enumerate(loc.global_rows[p]):
-            rows.append(base + i)
-            cols.append(int(g))
+    dim0 = offsets[0][1]
+    cols = np.concatenate([np.empty(0, dtype=int)] + [loc.global_rows[p] for _, loc in levels[0]])
     R = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(dim0, m_global)
+        (np.ones(dim0, dtype=np.int64), (np.arange(dim0), cols)), shape=(dim0, m_global)
     )
 
     deltas = []
@@ -314,22 +283,17 @@ def _assembled_matrices(levels, m_global, p):
         lo_lookup = {combo: loc for combo, loc in levels[q]}
         rws, cls, dat = [], [], []
         for combo, loc in levels[q + 1]:
-            base_hi = off_hi[combo]
             t_hi = loc.tuple_sets[p].tuples
             for i in range(len(combo)):
                 face = combo[:i] + combo[i + 1 :]
                 # a tuple inside the full intersection is inside every face
-                floc = lo_lookup[face]
-                base_lo = off_lo[face]
-                sign = (-1) ** i
-                for r in range(t_hi.shape[0]):
-                    c = floc.tuple_sets[p].index_of(t_hi[r])
-                    rws.append(base_hi + r)
-                    cls.append(base_lo + c)
-                    dat.append(sign)
-        deltas.append(
-            sp.csr_matrix((np.array(dat, dtype=np.int64), (rws, cls)), shape=(dim_hi, dim_lo))
-        )
+                c = lo_lookup[face].tuple_sets[p].locate(t_hi)
+                rws.append(off_hi[combo] + np.arange(c.size))
+                cls.append(off_lo[face] + c)
+                dat.append(np.full(c.size, (-1) ** i, dtype=np.int64))
+        none = [np.empty(0, dtype=np.int64)]
+        rws, cls, dat = (np.concatenate(none + v) for v in (rws, cls, dat))
+        deltas.append(sp.csr_matrix((dat, (rws, cls)), shape=(dim_hi, dim_lo)))
     return offsets, R, deltas
 
 
@@ -407,8 +371,7 @@ def mayer_vietoris_check(
     )
 
 
-def _check_reconstructions(complex_, cover, pou, p, levels, rng,
-                           use_partition: bool = True) -> bool:
+def _check_reconstructions(complex_, cover, pou, p, levels, rng) -> bool:
     """Partition-of-unity preimage formula on random kernel elements.
 
     levels holds the (combo, LocalComplex) blocks for q = 0 .. q_max; the
@@ -430,8 +393,7 @@ def _check_reconstructions(complex_, cover, pou, p, levels, rng,
         for combo, loc in levels[0]:
             sel = loc.global_rows[p]
             covered[sel] = True
-            w = chi_global[combo[0], sel] if use_partition else 1.0
-            G[sel] += w * x[sel]
+            G[sel] += chi_global[combo[0], sel] * x[sel]
         resid = np.abs(G[covered] - x[covered]).max(initial=0.0)
         scale = max(np.abs(x).max(initial=0.0), 1.0)
         ok = ok and resid <= 1e-12 * scale
@@ -451,11 +413,7 @@ def _check_reconstructions(complex_, cover, pou, p, levels, rng,
             t_rows = loc.tuple_sets[p].tuples
             for i in range(len(combo)):
                 face = combo[:i] + combo[i + 1 :]
-                floc = lower_blocks[face]
-                vals = lower[face]
-                sign = (-1) ** i
-                for r in range(t_rows.shape[0]):
-                    out[r] += sign * vals[floc.tuple_sets[p].index_of(t_rows[r])]
+                out += (-1) ** i * lower[face][lower_blocks[face].tuple_sets[p].locate(t_rows)]
             return out
 
         Fvals = {
@@ -471,19 +429,12 @@ def _check_reconstructions(complex_, cover, pou, p, levels, rng,
                 merged, sign = _cech_sign(a, combo)
                 if sign == 0 or merged not in block_of[q]:
                     continue
-                src = block_of[q][merged]
-                src_vals = Fvals[merged]
-                chi_vals = chi_all[a] if use_partition else np.ones(len(tuples_loc))
-                for r in range(tuples_loc.shape[0]):
-                    if chi_vals[r] == 0.0:
-                        continue
-                    try:
-                        c = src.tuple_sets[p].index_of(tuples_loc[r])
-                    except KeyError:
-                        # chi vanishes outside the big ball, so this cannot
-                        # happen with the partition on; without it just skip.
-                        continue
-                    acc[r] += sign * chi_vals[r] * src_vals[c]
+                c = block_of[q][merged].tuple_sets[p].locate(tuples_loc)
+                # chi vanishes outside the big ball, so a tuple missing from
+                # the merged block has zero weight; a partition that is not
+                # supported on the balls puts weight there, and it is dropped.
+                use = (chi_all[a] != 0.0) & (c >= 0)
+                acc[use] += sign * chi_all[a][use] * Fvals[merged][c[use]]
             Gvals[combo] = acc
         resid, scale = 0.0, 1.0
         for combo, loc in levels[q]:
@@ -618,20 +569,12 @@ class HomotopyOperator:
             raise CoverError(f"Psi valid for degrees 1..{self.level}")
         src = self.local.tuple_sets[p]
         dst = self.local.tuple_sets[p - 1]
+        keys, sign, hit = insert_points(dst.tuples, self.W)
+        r, j = np.nonzero(~hit)
         out = np.zeros((dst.size, src.size))
-        for r, row in enumerate(dst.tuples.tolist()):
-            members = set(row)
-            for t, wt in zip(self.W.tolist(), self.weights.tolist()):
-                if t in members:
-                    continue
-                pos = sum(1 for v in row if v < t)
-                key = tuple(sorted(row + [t]))
-                c = src.index_of(key)
-                out[r, c] += ((-1) ** pos) * wt / self.mass
+        # distinct slice points give distinct augmented tuples: one term per entry
+        out[r, src.locate(keys[r, j])] = sign[r, j] * self.weights[j] / self.mass
         return out
-
-    def psi_apply(self, values: np.ndarray, p: int) -> np.ndarray:
-        return self.psi_matrix(p) @ values
 
 
 def build_slice_and_psi(
@@ -652,27 +595,15 @@ def build_slice_and_psi(
     pts = np.nonzero(loc.mask)[0]
     if pts.size == 0:
         raise CoverError(f"intersection {tuple(alphas)} is empty")
-    keep = []
-    for t in pts.tolist():
-        ok = True
-        for ell in range(1, level + 1):
-            ts = loc.tuple_sets[ell - 1]
-            upper = complex_.tuple_sets[ell]
-            for row in ts.tuples.tolist():
-                if t in row:
-                    continue
-                if not upper.contains(tuple(sorted(row + [t]))):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            keep.append(t)
-    if not keep:
+    keep = np.ones(pts.size, dtype=bool)
+    for ell in range(1, level + 1):
+        keys, _, hit = insert_points(loc.tuple_sets[ell - 1].tuples, pts)
+        keep &= (hit | (complex_.tuple_sets[ell].locate(keys) >= 0)).all(axis=0)
+    if not keep.any():
         raise SliceEmptyError(
             f"slice set empty for intersection {tuple(alphas)} at level {level}"
         )
-    W = np.array(keep, dtype=int)
+    W = pts[keep]
     weights = cover.space.weights[W]
     return HomotopyOperator(
         tuple(sorted(int(a) for a in alphas)), level, W, weights, float(weights.sum()), loc

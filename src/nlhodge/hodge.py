@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .space import MetricMeasureSpace
-from .neighborhoods import NeighborhoodSystem, TupleSet, enumerate_tuples, check_face_closure
+from .neighborhoods import NeighborhoodSystem, TupleSet, enumerate_tuples
 from .kernels import KernelModel, WeightAssignment, assemble_weights
 from .cochains import Cochain, CoboundaryOperator, build_coboundary
 

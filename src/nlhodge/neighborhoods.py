@@ -7,12 +7,11 @@ so repeated-index tuples are excluded by construction.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .space import MetricMeasureSpace
 
@@ -87,7 +86,10 @@ def cover_system(sets) -> NeighborhoodSystem:
 
 @dataclass(frozen=True, eq=False)
 class TupleSet:
-    """Strictly increasing (p+1)-tuples of point indices in lexicographic order."""
+    """Strictly increasing (p+1)-tuples of point indices in lexicographic order.
+
+    `locate` is the one batched map from tuple rows to row indices.
+    """
 
     degree: int
     tuples: np.ndarray  # shape (m, degree+1), int64
@@ -98,32 +100,48 @@ class TupleSet:
             raise AdmissibilityError(
                 f"tuple array shape {t.shape} does not match degree {self.degree}"
             )
-        if t.shape[0] > 0:
-            if not (np.diff(t, axis=1) > 0).all():
-                raise AdmissibilityError("tuples must be strictly increasing")
-            order = np.lexsort(t.T[::-1])
-            if not np.array_equal(order, np.arange(t.shape[0])):
-                raise AdmissibilityError("tuples must be lexicographically sorted")
-            flat = t.view([("", t.dtype)] * t.shape[1]).ravel()
-            if np.unique(flat).size != t.shape[0]:
-                raise AdmissibilityError("duplicate tuples")
+        # neighbours compared directly: np.diff overflows on wide int64 rows
+        if not (t[:, 1:] > t[:, :-1]).all():
+            raise AdmissibilityError("tuples must be strictly increasing")
+        keys = _sort_keys(t)
+        if (keys[1:] < keys[:-1]).any():
+            raise AdmissibilityError("tuples must be lexicographically sorted")
+        if (keys[1:] == keys[:-1]).any():
+            raise AdmissibilityError("duplicate tuples")
         t.setflags(write=False)
         object.__setattr__(self, "tuples", t)
+        object.__setattr__(self, "_keys", keys)
 
     @property
     def size(self) -> int:
         return self.tuples.shape[0]
 
-    @cached_property
-    def _index(self) -> dict:
-        return {tuple(row): i for i, row in enumerate(self.tuples.tolist())}
+    def locate(self, rows) -> np.ndarray:
+        """Row index of each query row, -1 where a row is absent.
+
+        rows has shape (..., degree+1); the result has shape rows.shape[:-1].
+        Rows are searched as byte strings that sort like the rows themselves
+        (see _sort_keys), so one binary search answers every query.
+        """
+        q = np.asarray(rows, dtype=np.int64)
+        k = self.degree + 1
+        if q.shape[-1:] != (k,) or self.size == 0:
+            return np.full(q.shape[:-1], -1, dtype=np.int64)
+        flat = q.reshape(-1, k)
+        pos = np.searchsorted(self._keys, _sort_keys(flat))
+        np.minimum(pos, self.size - 1, out=pos)
+        found = (self.tuples[pos] == flat).all(axis=1)
+        return np.where(found, pos, -1).reshape(q.shape[:-1])
 
     def index_of(self, sorted_tuple) -> int:
         """Row index of a strictly increasing tuple; KeyError if absent."""
-        return self._index[tuple(int(v) for v in sorted_tuple)]
+        row = int(self.locate(sorted_tuple))
+        if row < 0:
+            raise KeyError(tuple(int(v) for v in sorted_tuple))
+        return row
 
     def contains(self, sorted_tuple) -> bool:
-        return tuple(int(v) for v in sorted_tuple) in self._index
+        return bool(self.locate(sorted_tuple) >= 0)
 
     def to_json(self) -> dict:
         return {"schema": 1, "degree": self.degree, "tuples": self.tuples.tolist()}
@@ -134,85 +152,97 @@ class TupleSet:
             fh.write("\n")
 
 
-def _sorted_unique_rows(rows: list[tuple]) -> np.ndarray:
-    if not rows:
-        return np.empty((0, 0), dtype=np.int64)
-    return np.array(sorted(set(rows)), dtype=np.int64)
+def _sort_keys(rows: np.ndarray) -> np.ndarray:
+    """(m, k) int64 rows as m byte strings whose bytewise order is the rows'
+    lexicographic order: sign bit flipped, then big-endian. Unlike a mixed-radix
+    key these cannot overflow, and numpy compares them natively (memcmp).
+    """
+    return (rows ^ np.int64(-(2**63))).astype(">i8").view(f"S{8 * rows.shape[1]}").ravel()
 
 
-def _cliques(adj: np.ndarray, size: int) -> list[tuple]:
-    """All strictly increasing cliques of the given size in an adjacency matrix."""
-    n = adj.shape[0]
-    if size == 1:
-        return [(i,) for i in range(n)]
-    out: list[tuple] = []
-    neighbors = [np.nonzero(adj[i])[0] for i in range(n)]
+def faces(rows: np.ndarray) -> np.ndarray:
+    """(m, k) rows -> (m, k, k-1): entry [r, i] is row r without its i-th member."""
+    k = rows.shape[1]
+    j = np.arange(k - 1)
+    return rows[:, j + (j >= np.arange(k)[:, None])]
 
-    def grow(prefix: tuple, candidates: np.ndarray):
-        if len(prefix) == size:
-            out.append(prefix)
-            return
-        for v in candidates:
-            nxt = candidates[(candidates > v)]
-            nxt = nxt[adj[v, nxt]]
-            if len(prefix) + 1 + nxt.size >= size or len(prefix) + 1 == size:
-                grow(prefix + (int(v),), nxt)
 
-    for i in range(n):
-        cand = neighbors[i][neighbors[i] > i]
-        grow((i,), cand)
-    return out
+def insert_points(rows: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each strictly increasing row with each point put in its sorted place.
+
+    Returns (merged, sign, hit) of shapes (m, w, k+1), (m, w), (m, w): sign
+    (+-1.0) is the parity of moving the point from the front into place, and
+    hit marks points that are already members (their merged row has a repeat).
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    m, k = rows.shape
+    merged = np.empty((m, pts.size, k + 1), dtype=np.int64)
+    merged[:, :, :k] = rows[:, None, :]
+    merged[:, :, k] = pts
+    merged.sort(axis=2)
+    sign = np.where((rows[:, None, :] < pts[:, None]).sum(axis=2) % 2, -1.0, 1.0)
+    hit = (rows[:, None, :] == pts[:, None]).any(axis=2)
+    return merged, sign, hit
 
 
 def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: int) -> TupleSet:
-    """All admissible degree-p tuples, as sorted strictly increasing rows."""
+    """All admissible degree-p tuples, as sorted strictly increasing rows.
+
+    Starting from the empty row, each round extends every row by each point
+    above its last member that the row's witnesses allow. Clique rule (full,
+    rips): the witnesses are the points adjacent to every member, and they are
+    the allowed points. Set-family rule (hausdorff balls, cover sets): the
+    witnesses are the sets holding every member, and a point is allowed when
+    one of them holds it. Witnesses are sparse boolean rows, so memory follows
+    their count. Admissibility is closed under faces, so every tuple grows from
+    its own prefix, and the row-major nonzero order of the sorted candidate
+    matrix keeps the rows in lexicographic order.
+    """
     if p < 0:
         raise AdmissibilityError("degree must be nonnegative")
     n = space.n
-    k = p + 1
-    if k > n:
-        return TupleSet(p, np.empty((0, k), dtype=np.int64))
     if system.kind == "full":
-        rows = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-        return TupleSet(p, rows.reshape(-1, k))
-    if system.kind == "rips":
-        if k == 1:
-            return TupleSet(0, np.arange(n, dtype=np.int64)[:, None])
-        within = space.dist < system.eps if system.strict else space.dist <= system.eps
-        np.fill_diagonal(within, False)
-        rows = _cliques(within, k)
-        arr = _sorted_unique_rows(rows)
-        return TupleSet(p, arr.reshape(-1, k) if arr.size else np.empty((0, k), dtype=np.int64))
-    if system.kind == "hausdorff":
-        rows: set[tuple] = set()
-        for c in range(n):
-            ball = np.nonzero(space.dist[c] <= system.eps)[0]
-            if ball.size >= k:
-                rows.update(itertools.combinations(ball.tolist(), k))
-        arr = _sorted_unique_rows(sorted(rows))
-        return TupleSet(p, arr.reshape(-1, k) if arr.size else np.empty((0, k), dtype=np.int64))
-    rows = set()
-    for s in system.cover_sets:
-        members = sorted(s)
-        if len(members) >= k:
-            rows.update(itertools.combinations(members, k))
-    arr = _sorted_unique_rows(sorted(rows))
-    return TupleSet(p, arr.reshape(-1, k) if arr.size else np.empty((0, k), dtype=np.int64))
+        holds = np.ones((n, n), dtype=bool)
+    elif system.kind == "rips":
+        holds = space.dist < system.eps if system.strict else space.dist <= system.eps
+    elif system.kind == "hausdorff":
+        # balls around sample points, see NeighborhoodSystem.is_admissible
+        holds = space.dist <= system.eps
+    else:
+        holds = np.zeros((n, len(system.cover_sets)), dtype=bool)
+        for i, s in enumerate(system.cover_sets):
+            holds[sorted(s), i] = True
+    holds = sp.csr_matrix(holds)  # holds[v, w]: witness w admits point v
+    # sets[w, v] = holds[v, w]; a sparse boolean product ORs the sets holding a row
+    sets = None if system.kind in ("full", "rips") else holds.T.tocsr()
+    rows = np.empty((1, 0), dtype=np.int64)
+    witnesses = sp.csr_matrix(np.ones((1, holds.shape[1]), dtype=bool))
+    while True:
+        allowed = witnesses if sets is None else witnesses @ sets
+        allowed.sort_indices()
+        r, v = allowed.nonzero()
+        above = v > rows.max(axis=1, initial=-1)[r]
+        r, v = r[above], v[above]
+        rows = np.column_stack([rows[r], v])
+        if rows.shape[1] == p + 1:
+            return TupleSet(p, rows)
+        witnesses = witnesses[r].multiply(holds[v])
 
 
 def check_face_closure(lower: TupleSet, upper: TupleSet) -> tuple[bool, tuple | None]:
     """Every face of an upper tuple must be present in the lower set.
 
-    Returns (ok, witness): witness is (tuple, missing_face) on failure.
+    Returns (ok, witness): witness is (tuple, missing_face) on failure, for
+    the first missing face in row-major order.
     """
     if upper.degree != lower.degree + 1:
         raise AdmissibilityError("face closure needs consecutive degrees")
-    for row in upper.tuples.tolist():
-        for k in range(len(row)):
-            face = tuple(row[:k] + row[k + 1 :])
-            if not lower.contains(face):
-                return False, (tuple(row), face)
-    return True, None
+    missing = np.argwhere(lower.locate(faces(upper.tuples)) < 0)
+    if missing.size == 0:
+        return True, None
+    r, i = missing[0]
+    row = upper.tuples[r].tolist()
+    return False, (tuple(row), tuple(row[:i] + row[i + 1 :]))
 
 
 def system_dominates(

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlhodge.space import gen_interval
-from nlhodge.neighborhoods import TupleSet, enumerate_tuples, full_system, rips_system
+from nlhodge.space import gen_circle, gen_interval, gen_sphere, gen_two_components
+from nlhodge.neighborhoods import (
+    TupleSet,
+    cover_system,
+    enumerate_tuples,
+    full_system,
+    hausdorff_system,
+    rips_system,
+)
 from nlhodge.cochains import (
     Cochain,
     CochainError,
@@ -24,6 +31,8 @@ from nlhodge.cochains import (
     sym_project,
     tensor_evaluator,
 )
+
+from oracles import loop_coboundary
 
 
 def full_tuples(n, p):
@@ -198,6 +207,44 @@ def test_missing_face_is_reported():
     upper = TupleSet(1, np.array([[0, 2]]))
     with pytest.raises(CochainError, match="not face-closed"):
         build_coboundary(lower, upper)
+
+
+def _face_error(build, source, target):
+    try:
+        build(source, target)
+    except CochainError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize(
+    "space",
+    [gen_circle(12), gen_interval(10), gen_sphere(16), gen_two_components(5, 0.3)],
+    ids=["circle", "interval", "sphere", "two_components"],
+)
+def test_coboundary_matches_the_per_face_loop(space):
+    # same CSR bytes as one dict lookup per face, and the same first missing
+    # face named when a third of the source rows is dropped
+    scale = float(space.dist.max())
+    systems = [
+        full_system(),
+        rips_system(0.45 * scale),
+        rips_system(float(np.sort(space.dist[1])[6]), strict=False),
+        hausdorff_system(0.3 * scale),
+        cover_system([range(i, min(space.n, i + 5)) for i in range(0, space.n, 3)]),
+    ]
+    for system in systems:
+        sets = [enumerate_tuples(space, system, p) for p in range(5)]
+        for p in range(4):
+            got = build_coboundary(sets[p], sets[p + 1]).matrix
+            want = loop_coboundary(sets[p], sets[p + 1])
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+                assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+            holed = TupleSet(p, sets[p].tuples[np.arange(sets[p].size) % 3 != 1])
+            assert _face_error(build_coboundary, holed, sets[p + 1]) == _face_error(
+                loop_coboundary, holed, sets[p + 1]
+            )
 
 
 def test_apply_rejects_foreign_cochain():

@@ -13,7 +13,6 @@ from nlhodge.covers import (
     _cech_sign,
     _check_reconstructions,
     _enumerate_blocks,
-    _simplex_coface_matrix,
     build_slice_and_psi,
     cech_nerve_betti,
     default_cover,
@@ -26,6 +25,8 @@ from nlhodge.covers import (
     restrict_complex,
 )
 from nlhodge.cohomology import rank_exact
+
+from oracles import simplex_coface_matrix
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +158,8 @@ def test_cech_sign_hand_values():
 def test_simplex_coface_matrix_squares_to_zero():
     for s in range(2, 6):
         for q in range(s - 2):
-            lo = _simplex_coface_matrix(s, q)
-            hi = _simplex_coface_matrix(s, q + 1)
+            lo = simplex_coface_matrix(s, q)
+            hi = simplex_coface_matrix(s, q + 1)
             assert np.array_equal(hi @ lo, np.zeros((hi.shape[0], lo.shape[1]), dtype=np.int64))
 
 
@@ -169,7 +170,7 @@ def test_simplex_coface_ranks_kill_all_cohomology():
 
     for s in range(2, 7):
         for q in range(s - 1):
-            M = _simplex_coface_matrix(s, q)
+            M = simplex_coface_matrix(s, q)
             assert rank_exact(M) == comb(s - 1, q + 1)
 
 
@@ -201,15 +202,21 @@ def test_mayer_vietoris_crosscheck_on_a_small_cover():
 
 
 def test_reconstruction_negative_control(circle_setup):
-    # Dropping the partition weights breaks the preimage formula, so the
-    # reconstruction check must fail: the partition is load-bearing.
+    # Dropping the partition weights (a stand-in whose chi is all ones)
+    # breaks the preimage formula, so the reconstruction check must fail: the
+    # partition is load-bearing.
     _, _, complex_, cover = circle_setup
+
+    class Unweighted:
+        def chi(self, tuples):
+            return np.ones((cover.n_balls, len(tuples)))
+
     pou = PartitionOfUnity(cover)
     rng = np.random.default_rng(5)
     levels = _enumerate_blocks(complex_, cover, 1, 1)
-    assert _check_reconstructions(complex_, cover, pou, 1, levels, rng, use_partition=True)
+    assert _check_reconstructions(complex_, cover, pou, 1, levels, rng)
     assert not _check_reconstructions(
-        complex_, cover, pou, 1, levels, np.random.default_rng(5), use_partition=False
+        complex_, cover, Unweighted(), 1, levels, np.random.default_rng(5)
     )
 
 
@@ -300,7 +307,7 @@ def test_psi_annihilates_coboundaries_of_contracted_forms(circle_setup):
     loc = op.local
     f = rng.standard_normal(loc.dim(0))
     dF = loc.coboundary(0).astype(float) @ f
-    psi = op.psi_apply(dF, 1)
+    psi = op.psi_matrix(1) @ dF
     again = loc.coboundary(0).astype(float) @ psi
     assert np.allclose(again, dF, atol=1e-12 * max(np.abs(dF).max(), 1.0))
 

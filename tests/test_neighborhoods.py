@@ -18,6 +18,8 @@ from nlhodge.neighborhoods import (
     system_dominates,
 )
 
+from oracles import dict_locate
+
 
 def random_space(rng, n):
     x = np.sort(rng.uniform(0.0, 1.0, n))
@@ -35,14 +37,29 @@ def brute_force(space, system, p):
     return np.array(rows, dtype=np.int64).reshape(-1, p + 1)
 
 
-@pytest.mark.parametrize("kind", ["rips", "hausdorff"])
-@pytest.mark.parametrize("p", [0, 1, 2])
+def random_system(kind, space, eps, rng):
+    if kind == "rips":
+        return rips_system(eps)
+    if kind == "rips_closed":
+        # eps equal to a pairwise distance, so the closed rule admits a pair
+        # the strict one rejects
+        return rips_system(float(space.dist[0, rng.integers(1, space.n)]), strict=False)
+    if kind == "hausdorff":
+        return hausdorff_system(eps)
+    if kind == "full":
+        return full_system()
+    # some points may lie in no set at all
+    return cover_system([np.nonzero(rng.random(space.n) < 0.5)[0].tolist() for _ in range(3)])
+
+
+@pytest.mark.parametrize("kind", ["rips", "hausdorff", "full", "cover", "rips_closed"])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_enumeration_matches_brute_force(kind, p):
     rng = np.random.default_rng(11)
     for trial in range(5):
         space = random_space(rng, 8)
         eps = rng.uniform(0.1, 0.8)
-        system = rips_system(eps) if kind == "rips" else hausdorff_system(eps)
+        system = random_system(kind, space, eps, rng)
         got = enumerate_tuples(space, system, p)
         want = brute_force(space, system, p)
         assert np.array_equal(got.tuples, want), f"trial {trial} eps {eps}"
@@ -165,6 +182,29 @@ def test_tuple_set_round_trip_and_lookup(tmp_path):
     assert data["schema"] == 1
     assert data["degree"] == 1
     assert data["tuples"] == ts.tuples.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.data())
+def test_locate_matches_a_dict_lookup(degree, data):
+    # stored sets may be empty; queries may be empty, absent, above the
+    # largest stored entry, or repeated; entries are increasing labels that
+    # may be negative or need all eight bytes
+    k = degree + 1
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    int64 = st.integers(-(2**63), 2**63 - 1)
+    labels = sorted(data.draw(st.sets(int64, min_size=n + k + 3, max_size=n + k + 3)))
+    candidates = list(itertools.combinations(labels[:n], k))
+    stored = sorted(data.draw(st.sets(st.sampled_from(candidates)))) if candidates else []
+    ts = TupleSet(degree, np.array(stored, dtype=np.int64).reshape(-1, k))
+    any_row = st.lists(st.sampled_from(labels), min_size=k, max_size=k, unique=True).map(sorted)
+    rows = st.one_of(st.sampled_from(stored), any_row) if stored else any_row
+    queries = data.draw(st.lists(rows, max_size=10))
+    queries = np.array(queries + queries[:3], dtype=np.int64).reshape(-1, k)
+    got = ts.locate(queries)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, dict_locate(ts.tuples, queries))
+    assert np.array_equal(ts.locate(queries.reshape(-1, 1, k)), got.reshape(-1, 1))
 
 
 def test_eps_must_be_positive():
