@@ -5,9 +5,9 @@ agreement failures. Reports are JSON (schema 1) and CSV, written with sorted
 keys and fixed column order; repeated runs with the same configuration
 produce byte-identical files.
 
-NLH_THREADS caps internal parallelism. All kernels run on pinned
-single-threaded BLAS pools regardless, so results never depend on the cap;
-the variable is validated and recorded for forward compatibility.
+NLH_THREADS is validated (a positive integer, else exit 1) but not yet used:
+all kernels run on pinned single-threaded BLAS pools, so results never depend
+on it. Making the cap do something is item 4 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _build_system(args, eps=None):
     raise ValueError(f"unknown system {args.system!r}")
 
 
-def _build_kernel(args):
+def _build_kernel(args, n: int):
     from . import kernels as kn
 
     if args.kernel == "constant":
@@ -99,8 +99,7 @@ def _build_kernel(args):
     if args.kernel == "table":
         if not args.kernel_table:
             raise ValueError("table kernel needs --kernel-table PATH")
-        space = _build_space(args)
-        return kn.load_kernel_table(args.kernel_table, space.n)
+        return kn.load_kernel_table(args.kernel_table, n)
     raise ValueError(f"unknown kernel {args.kernel!r}")
 
 
@@ -117,7 +116,7 @@ def cmd_betti(args) -> int:
 
     space = _build_space(args)
     system = _build_system(args)
-    kernel = _build_kernel(args)
+    kernel = _build_kernel(args, space.n)
     cx = build_weighted_complex(space, system, kernel, args.pmax)
     params = {
         "space": args.space,

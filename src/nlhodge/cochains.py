@@ -99,19 +99,6 @@ def alt_project(evaluator, tuple_set: TupleSet) -> Cochain:
     return Cochain(p, tuple_set, vals)
 
 
-def sym_project(evaluator, tuple_set: TupleSet) -> Cochain:
-    """Symmetrize an evaluator: mean over all orderings of each tuple."""
-    p = tuple_set.degree
-    fact = math.factorial(p + 1)
-    vals = np.zeros(tuple_set.size)
-    for r, row in enumerate(tuple_set.tuples.tolist()):
-        acc = 0.0
-        for perm in itertools.permutations(row):
-            acc += evaluator(perm)
-        vals[r] = acc / fact
-    return Cochain(p, tuple_set, vals)
-
-
 def tensor_evaluator(fs):
     """Evaluator for f_0 x f_1 x ... x f_p acting on ordered index tuples."""
     fs = [np.asarray(f, dtype=float) for f in fs]

@@ -153,30 +153,25 @@ class PartitionOfUnity:
         return self.chi(tuples).sum(axis=0)
 
 
-def partition_supported(cover: CoverSystem, tuples: np.ndarray) -> bool:
-    """Whether every tuple lies wholly inside some small ball (sum-to-1 condition)."""
-    if tuples.size == 0:
-        return True
-    inside = cover.small_masks[:, tuples].all(axis=2)  # (n_balls, m)
-    return bool(inside.any(axis=0).all())
+def _nerve(cover: CoverSystem, depth: int) -> list[list[tuple]]:
+    """Nonempty big-ball intersections, levels 0..depth.
 
+    Level q lists the sorted center-index combos of size q+1, in lexicographic
+    order (the preorder of one depth-first search).
+    """
+    levels = [[] for _ in range(depth + 1)]
 
-def _nonempty_combos(cover: CoverSystem, depth: int) -> list[tuple]:
-    """Sorted center-index combos (size depth+1) with nonempty big-ball intersection."""
-    n = cover.n_balls
-    out = []
-
-    def grow(prefix: tuple, mask: np.ndarray, start: int):
-        if len(prefix) == depth + 1:
-            out.append(prefix)
-            return
-        for b in range(start, n):
+    def grow(prefix: tuple, mask: np.ndarray):
+        for b in range(prefix[-1] + 1 if prefix else 0, cover.n_balls):
             sub = mask & cover.big_masks[b]
             if sub.any():
-                grow(prefix + (b,), sub, b + 1)
+                levels[len(prefix)].append(prefix + (b,))
+                if len(prefix) < depth:
+                    grow(prefix + (b,), sub)
 
-    grow((), np.ones(cover.space.n, dtype=bool), 0)
-    return out
+    if levels:
+        grow((), np.ones(cover.space.n, dtype=bool))
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +204,39 @@ class MVCertificate:
         }
 
 
-def _cech_sign(alpha: int, rest: tuple) -> tuple[tuple, int]:
-    """Sorted index set and sign for the component F_{alpha, rest...}; 0 on repeats."""
-    if alpha in rest:
-        return (), 0
-    pos = sum(1 for r in rest if r < alpha)
-    merged = tuple(sorted((alpha,) + rest))
-    return merged, (-1) ** pos
+def _cech_differences(levels, size, face_index) -> list[sp.csr_matrix]:
+    """Signed Cech differences between consecutive levels, as int64 CSR matrices.
+
+    levels[k] lists (combo, block) pairs, combos in lexicographic order; the
+    coordinates of a level are its blocks' coordinates in that order, and
+    size(block) counts them. face_index(lower, upper) places each coordinate
+    of block `upper` in the block `lower` of one of its faces. Dropping the
+    i-th ball of a combo gives that face with sign (-1)^i; every face of a
+    block of level k+1 is a block of level k. Level sizes are the shapes.
+    """
+    starts = []
+    for blocks in levels:
+        start, total = {}, 0
+        for combo, block in blocks:
+            start[combo] = total
+            total += size(block)
+        starts.append((start, total))
+    deltas = []
+    for lower, upper, (lo_start, lo_dim), (up_start, up_dim) in zip(
+        levels, levels[1:], starts, starts[1:]
+    ):
+        faces = dict(lower)
+        rows, cols, data = ([np.empty(0, dtype=np.int64)] for _ in range(3))
+        for combo, block in upper:
+            for i in range(len(combo)):
+                face = combo[:i] + combo[i + 1 :]
+                c = face_index(faces[face], block)
+                rows.append(up_start[combo] + np.arange(c.size))
+                cols.append(lo_start[face] + c)
+                data.append(np.full(c.size, (-1) ** i, dtype=np.int64))
+        rows, cols, data = (np.concatenate(v) for v in (rows, cols, data))
+        deltas.append(sp.csr_matrix((data, (rows, cols)), shape=(up_dim, lo_dim)))
+    return deltas
 
 
 def _tuple_ball_membership(complex_: WeightedComplex, cover: CoverSystem, p: int) -> np.ndarray:
@@ -247,54 +268,21 @@ def _blockwise_ranks(s_counts: dict[int, int], q_max: int) -> tuple[list[int], l
 
 
 def _enumerate_blocks(complex_: WeightedComplex, cover: CoverSystem, p: int,
-                      q_max: int) -> list[list[tuple]]:
-    """Per level q <= q_max: (combo, LocalComplex) pairs with nonzero dim."""
-    levels = []
-    for q in range(q_max + 1):
-        blocks = []
-        for combo in _nonempty_combos(cover, q):
-            loc = restrict_complex(cover, complex_, combo, p)
-            if loc.dim(p) > 0:
-                blocks.append((combo, loc))
-        levels.append(blocks)
-    return levels
+                      depth: int) -> tuple[list[list[tuple]], list[sp.csr_matrix]]:
+    """Degree-p restriction row through nerve level `depth`: (levels, differences).
 
-
-def _assembled_matrices(levels, m_global, p):
-    """Global sparse restriction and Cech-difference matrices (crosscheck path)."""
-    offsets = []
-    for blocks in levels:
-        off, total = {}, 0
-        for combo, loc in blocks:
-            off[combo] = total
-            total += loc.dim(p)
-        offsets.append((off, total))
-
-    dim0 = offsets[0][1]
-    cols = np.concatenate([np.empty(0, dtype=int)] + [loc.global_rows[p] for _, loc in levels[0]])
-    R = sp.csr_matrix(
-        (np.ones(dim0, dtype=np.int64), (np.arange(dim0), cols)), shape=(dim0, m_global)
-    )
-
-    deltas = []
-    for q in range(len(levels) - 1):
-        off_lo, dim_lo = offsets[q]
-        off_hi, dim_hi = offsets[q + 1]
-        lo_lookup = {combo: loc for combo, loc in levels[q]}
-        rws, cls, dat = [], [], []
-        for combo, loc in levels[q + 1]:
-            t_hi = loc.tuple_sets[p].tuples
-            for i in range(len(combo)):
-                face = combo[:i] + combo[i + 1 :]
-                # a tuple inside the full intersection is inside every face
-                c = lo_lookup[face].tuple_sets[p].locate(t_hi)
-                rws.append(off_hi[combo] + np.arange(c.size))
-                cls.append(off_lo[face] + c)
-                dat.append(np.full(c.size, (-1) ** i, dtype=np.int64))
-        none = [np.empty(0, dtype=np.int64)]
-        rws, cls, dat = (np.concatenate(none + v) for v in (rws, cls, dat))
-        deltas.append(sp.csr_matrix((dat, (rws, cls)), shape=(dim_hi, dim_lo)))
-    return offsets, R, deltas
+    levels[0] is level -1, the global cochains as the one block ((), all rows);
+    levels[q + 1] holds the (combo, rows) blocks of level q with rows nonempty,
+    rows being the sorted global ids of the tuples inside the intersection.
+    differences[0] is the restriction R, differences[q + 1] the Cech
+    difference from level q to level q+1.
+    """
+    membership = _tuple_ball_membership(complex_, cover, p)
+    levels = [[((), np.arange(membership.shape[1]))]]
+    for combos in _nerve(cover, depth):
+        blocks = [(c, np.nonzero(membership[list(c)].all(axis=0))[0]) for c in combos]
+        levels.append([(c, rows) for c, rows in blocks if rows.size])
+    return levels, _cech_differences(levels, len, np.searchsorted)
 
 
 def mayer_vietoris_check(
@@ -311,12 +299,11 @@ def mayer_vietoris_check(
 
     Ranks are exact (prime-field elimination on the 0/+-1 matrices) and are
     computed per tuple block; when the assembled matrices stay below
-    crosscheck_cutoff rows they are also built explicitly and re-eliminated
-    as a whole, and the two routes must agree. Preimages are reconstructed
-    through the partition of unity and checked numerically.
+    crosscheck_cutoff rows they are also re-eliminated as a whole, and the two
+    routes must agree. Preimages are reconstructed through the partition of
+    unity and checked numerically.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    pou = PartitionOfUnity(cover)
     m_global = complex_.tuple_sets[p].size
 
     membership = _tuple_ball_membership(complex_, cover, p)
@@ -340,27 +327,15 @@ def mayer_vietoris_check(
             {"q": q, "dim": dims[q], "rank_in": rank_in, "dim_kernel": dim_ker, "exact": ok}
         )
 
-    levels = _enumerate_blocks(complex_, cover, p, q_max)
-    recon_ok = _check_reconstructions(complex_, cover, pou, p, levels, rng)
+    run_crosscheck = sum(dims) + m_global <= crosscheck_cutoff
+    levels, deltas = _enumerate_blocks(complex_, cover, p, q_max + run_crosscheck)
+    chi = PartitionOfUnity(cover).chi(complex_.tuple_sets[p].tuples)
+    recon_ok = _check_reconstructions(chi, levels, deltas[: q_max + 1], rng)
 
     crosscheck = "skipped"
-    if sum(dims) + m_global <= crosscheck_cutoff:
-        full_levels = levels + [
-            [
-                (combo, loc)
-                for combo in _nonempty_combos(cover, q_max + 1)
-                if (loc := restrict_complex(cover, complex_, combo, p)).dim(p) > 0
-            ]
-        ]
-        offsets, R, deltas = _assembled_matrices(full_levels, m_global, p)
-        whole_rank_R = rank_exact(R) if min(R.shape) else 0
+    if run_crosscheck:
         whole_ranks = [rank_exact(D) if min(D.shape) else 0 for D in deltas]
-        whole_dims = [total for _, total in offsets[: q_max + 2]]
-        agree = (
-            whole_rank_R == rank_R
-            and whole_ranks == ranks_delta
-            and whole_dims == dims
-        )
+        agree = whole_ranks == [rank_R] + ranks_delta and [D.shape[0] for D in deltas] == dims
         crosscheck = "pass" if agree else "fail"
         exact_all = exact_all and agree
 
@@ -371,77 +346,30 @@ def mayer_vietoris_check(
     )
 
 
-def _check_reconstructions(complex_, cover, pou, p, levels, rng) -> bool:
-    """Partition-of-unity preimage formula on random kernel elements.
+def _check_reconstructions(chi, levels, deltas, rng) -> bool:
+    """Partition-of-unity preimages of random Cech coboundaries.
 
-    levels holds the (combo, LocalComplex) blocks for q = 0 .. q_max; the
-    Cech values of a block are read off by restriction, so no assembled
-    matrices are needed.
+    chi holds the partition values on the global tuples, (n_balls, m); levels
+    and deltas come from `_enumerate_blocks`. For each difference D (level
+    q-1 to q, R for q = 0) the partition matrix K maps level q back:
+    (K F)_B = sum_a sign * chi_a * F_{a u B}. K is D transposed with each entry
+    scaled by chi_a of its tuple, a being the ball whose removal gives the
+    face (the difference of the two combos' index sums). Exactness of the row
+    makes D K F = F for F = D x, checked on a random x per level.
     """
-    global_ts = complex_.tuple_sets[p]
-    q_max = len(levels) - 1
-    block_of = [dict(blocks) for blocks in levels]
-    chi_global = pou.chi(global_ts.tuples) if global_ts.size else np.zeros((cover.n_balls, 0))
-
+    coords = []  # per level: global tuple id and combo index sum of each coordinate
+    for blocks in levels:
+        rows = [r for _, r in blocks]
+        sums = np.repeat([sum(combo) for combo, _ in blocks], [r.size for r in rows])
+        coords.append((np.concatenate([np.empty(0, dtype=np.int64)] + rows), sums.astype(np.int64)))
     ok = True
-    # q = 0: F = (x restricted per ball), reconstruct G = sum_a chi_a F_a and
-    # compare its restrictions back against F.
-    if global_ts.size and levels[0]:
-        x = rng.standard_normal(global_ts.size)
-        G = np.zeros(global_ts.size)
-        covered = np.zeros(global_ts.size, dtype=bool)
-        for combo, loc in levels[0]:
-            sel = loc.global_rows[p]
-            covered[sel] = True
-            G[sel] += chi_global[combo[0], sel] * x[sel]
-        resid = np.abs(G[covered] - x[covered]).max(initial=0.0)
-        scale = max(np.abs(x).max(initial=0.0), 1.0)
-        ok = ok and resid <= 1e-12 * scale
-
-    # q >= 1: x random on level q-1 blocks, F = Cech difference of x on level
-    # q blocks, then G_B = sum_a sign * chi_a * F_{a u B} must recover x up to
-    # a Cech coboundary; here exactness gives delta G = F, checked blockwise.
-    for q in range(1, q_max + 1):
-        if not block_of[q - 1] or not block_of[q]:
-            continue
-        xvals = {
-            combo: rng.standard_normal(loc.dim(p)) for combo, loc in levels[q - 1]
-        }
-
-        def cech_delta(combo, loc, lower, lower_blocks):
-            out = np.zeros(loc.dim(p))
-            t_rows = loc.tuple_sets[p].tuples
-            for i in range(len(combo)):
-                face = combo[:i] + combo[i + 1 :]
-                out += (-1) ** i * lower[face][lower_blocks[face].tuple_sets[p].locate(t_rows)]
-            return out
-
-        Fvals = {
-            combo: cech_delta(combo, loc, xvals, block_of[q - 1])
-            for combo, loc in levels[q]
-        }
-        Gvals = {}
-        for combo, loc in levels[q - 1]:
-            tuples_loc = loc.tuple_sets[p].tuples
-            chi_all = pou.chi(tuples_loc)
-            acc = np.zeros(loc.dim(p))
-            for a in range(cover.n_balls):
-                merged, sign = _cech_sign(a, combo)
-                if sign == 0 or merged not in block_of[q]:
-                    continue
-                c = block_of[q][merged].tuple_sets[p].locate(tuples_loc)
-                # chi vanishes outside the big ball, so a tuple missing from
-                # the merged block has zero weight; a partition that is not
-                # supported on the balls puts weight there, and it is dropped.
-                use = (chi_all[a] != 0.0) & (c >= 0)
-                acc[use] += sign * chi_all[a][use] * Fvals[merged][c[use]]
-            Gvals[combo] = acc
-        resid, scale = 0.0, 1.0
-        for combo, loc in levels[q]:
-            dG = cech_delta(combo, loc, Gvals, block_of[q - 1])
-            resid = max(resid, np.abs(dG - Fvals[combo]).max(initial=0.0))
-            scale = max(scale, np.abs(Fvals[combo]).max(initial=0.0))
-        ok = ok and resid <= 1e-12 * scale
+    for D, (_, lo_sum), (up_tuple, up_sum) in zip(deltas, coords, coords[1:]):
+        E = D.tocoo()
+        weights = E.data * chi[up_sum[E.row] - lo_sum[E.col], up_tuple[E.row]]
+        K = sp.csr_matrix((weights, (E.col, E.row)), shape=D.shape[::-1])
+        F = D @ rng.standard_normal(D.shape[1])
+        resid = np.abs(D @ (K @ F) - F).max(initial=0.0)
+        ok = ok and resid <= 1e-12 * max(np.abs(F).max(initial=0.0), 1.0)
     return bool(ok)
 
 
@@ -450,29 +378,45 @@ def _check_reconstructions(complex_, cover, pou, p, levels, rng) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _components(space: MetricMeasureSpace, points: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Connected components of a point set under the eps-connectivity graph."""
-    if points.size == 0:
-        return []
+def _components(space: MetricMeasureSpace, points: np.ndarray, eps: float) -> np.ndarray:
+    """Component label of each point under the eps-connectivity graph.
+
+    Labels count components in the order of their smallest point.
+    """
     sub = space.dist[np.ix_(points, points)] < eps
-    k = points.size
-    seen = np.zeros(k, dtype=bool)
-    comps = []
-    for s in range(k):
-        if seen[s]:
+    labels = np.full(points.size, -1)
+    count = 0
+    for s in range(points.size):
+        if labels[s] >= 0:
             continue
+        labels[s] = count
         stack = [s]
-        seen[s] = True
-        comp = []
         while stack:
             v = stack.pop()
-            comp.append(v)
-            for u in np.nonzero(sub[v] & ~seen)[0]:
-                seen[u] = True
+            for u in np.nonzero(sub[v] & (labels < 0))[0]:
+                labels[u] = count
                 stack.append(int(u))
-        comps.append(points[np.sort(np.array(comp))])
-    comps.sort(key=lambda c: int(c[0]))
-    return comps
+        count += 1
+    return labels
+
+
+def _component_faces(lower, upper) -> np.ndarray:
+    """Component of `lower` holding the smallest point of each component of `upper`."""
+    (lo_points, lo_labels), (points, labels) = lower, upper
+    first = np.unique(labels, return_index=True)[1]
+    return lo_labels[np.searchsorted(lo_points, points[first])]
+
+
+def _nerve_differences(cover: CoverSystem, q_max: int) -> list[sp.csr_matrix]:
+    """Nerve differences from level q to q+1, q = 0..q_max; each block is
+    (points, component labels) of one intersection."""
+    levels = []
+    for combos in _nerve(cover, q_max + 1):
+        points = [np.nonzero(cover.intersection_mask(c))[0] for c in combos]
+        levels.append(
+            [(c, (pts, _components(cover.space, pts, cover.eps))) for c, pts in zip(combos, points)]
+        )
+    return _cech_differences(levels, lambda block: int(block[1].max()) + 1, _component_faces)
 
 
 def cech_nerve_betti(cover: CoverSystem, q_max: int = 2) -> BettiReport:
@@ -482,60 +426,13 @@ def cech_nerve_betti(cover: CoverSystem, q_max: int = 2) -> BettiReport:
     connected component (eps-connectivity), so disconnected overlaps are
     handled correctly. Ranks of the Cech differentials are exact.
     """
-    eps = cover.eps
-    levels = []
-    for q in range(q_max + 2):
-        blocks = []
-        for combo in _nonempty_combos(cover, q):
-            pts = np.nonzero(cover.intersection_mask(combo))[0]
-            comps = _components(cover.space, pts, eps)
-            if comps:
-                blocks.append((combo, comps))
-        levels.append(blocks)
-
-    offsets = []
-    for blocks in levels:
-        off, total = {}, 0
-        for combo, comps in blocks:
-            off[combo] = total
-            total += len(comps)
-        offsets.append((off, total))
-
-    deltas = []
-    for q in range(q_max + 1):
-        off_lo, dim_lo = offsets[q]
-        off_hi, dim_hi = offsets[q + 1]
-        lo_lookup = dict(levels[q])
-        rws, cls, dat = [], [], []
-        for combo, comps in levels[q + 1]:
-            base_hi = off_hi[combo]
-            for ci, comp in enumerate(comps):
-                rep = int(comp[0])
-                for i in range(len(combo)):
-                    face = combo[:i] + combo[i + 1 :]
-                    if face not in lo_lookup:
-                        continue
-                    fcomps = lo_lookup[face]
-                    target = next(
-                        k for k, fc in enumerate(fcomps) if rep in set(fc.tolist())
-                    )
-                    rws.append(base_hi + ci)
-                    cls.append(off_lo[face] + target)
-                    dat.append((-1) ** i)
-        deltas.append(
-            sp.csr_matrix((np.array(dat, dtype=np.int64), (rws, cls)), shape=(dim_hi, dim_lo))
-        )
-
+    deltas = _nerve_differences(cover, q_max)
     ranks = [rank_exact(D) if min(D.shape) else 0 for D in deltas]
-    betti = []
-    for q in range(q_max + 1):
-        dim_q = offsets[q][1]
-        below = ranks[q - 1] if q >= 1 else 0
-        betti.append(dim_q - ranks[q] - below)
-    dims = tuple(offsets[q][1] for q in range(q_max + 1))
+    dims = [D.shape[1] for D in deltas]
+    betti = [dims[q] - ranks[q] - (ranks[q - 1] if q else 0) for q in range(q_max + 1)]
     return BettiReport(
         tuple(betti),
-        dims,
+        tuple(dims),
         tuple(ranks),
         PRIME_MAIN,
         {"route": "cech-nerve", "eps": cover.eps, "eta": cover.eta, "n_balls": cover.n_balls},
@@ -641,8 +538,8 @@ def poincare_suite(
     """Homotopy identity on every nonempty intersection up to max_depth balls."""
     out = []
     level = p_check + 1
-    for depth in range(max_depth):
-        for combo in _nonempty_combos(cover, depth):
+    for combos in _nerve(cover, max_depth - 1):
+        for combo in combos:
             op = build_slice_and_psi(cover, complex_, combo, level)
             residuals = tuple(
                 homotopy_identity_residual(op, p) for p in range(1, level)

@@ -128,21 +128,6 @@ def load_kernel_table(path, n: int) -> KernelModel:
     return custom_kernel(table)
 
 
-def eval_kernel(model: KernelModel, space: MetricMeasureSpace, i: int, j: int) -> float:
-    """Kernel value for one ordered pair of distinct points."""
-    if i == j:
-        raise KernelError("kernel is undefined on the diagonal")
-    rho = space.dist[i, j]
-    if model.kind == "constant":
-        return model.scale
-    if model.kind == "custom":
-        return float(model.table[i, j])
-    val = model.scale * rho ** (-(model.d + model.alpha))
-    if model.kind == "truncated_fractional" and rho >= model.eps_trunc:
-        return model.floor
-    return float(val)
-
-
 def kernel_matrix(model: KernelModel, space: MetricMeasureSpace) -> np.ndarray:
     """Dense kernel values with a zero diagonal (the diagonal is never used)."""
     if model.kind == "constant":

@@ -243,21 +243,3 @@ def check_face_closure(lower: TupleSet, upper: TupleSet) -> tuple[bool, tuple | 
     r, i = missing[0]
     row = upper.tuples[r].tolist()
     return False, (tuple(row), tuple(row[:i] + row[i + 1 :]))
-
-
-def system_dominates(
-    finer: NeighborhoodSystem,
-    coarser: NeighborhoodSystem,
-    space: MetricMeasureSpace,
-    p_max: int,
-) -> tuple[bool, tuple | None]:
-    """Whether every finer-admissible tuple (degree <= p_max) is coarser-admissible.
-
-    Returns (ok, witness tuple on failure).
-    """
-    for p in range(p_max + 1):
-        ts = enumerate_tuples(space, finer, p)
-        for row in ts.tuples.tolist():
-            if not coarser.is_admissible(space, row):
-                return False, tuple(row)
-    return True, None

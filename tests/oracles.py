@@ -5,16 +5,26 @@ used before ranks moved to sparse column reduction. `dict_locate` and
 `loop_coboundary` are the per-row dictionary lookup and coboundary loop that
 `TupleSet.locate` and `build_coboundary` replaced. `simplex_coface_matrix`
 spells out the coface matrices whose ranks `_blockwise_ranks` takes in
-closed form.
+closed form. `assembled_matrices` and `loop_nerve_differences` are the
+per-intersection Cech builders that `_cech_differences` replaced, and
+`cech_sign` the sign rule of the partition-of-unity preimage.
+`partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
+helpers that only the tests use.
 """
 
+import itertools
+import math
 from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from nlhodge.cochains import CochainError
+from nlhodge.cochains import Cochain, CochainError
 from nlhodge.cohomology import PRIME_MAIN
+from nlhodge.covers import restrict_complex
+from nlhodge.kernels import KernelError
+from nlhodge.neighborhoods import enumerate_tuples
 
 _CHUNK_ROWS = 1024
 
@@ -108,3 +118,158 @@ def simplex_coface_matrix(s: int, q: int) -> np.ndarray:
         for i in range(len(hi)):
             M[r, lo_index[hi[:i] + hi[i + 1 :]]] += (-1) ** i
     return M
+
+
+def nerve_combos(cover, q: int) -> list[tuple]:
+    """Every (q+1)-combo of balls with a nonempty big-ball intersection, by brute force."""
+    return [c for c in combinations(range(cover.n_balls), q + 1)
+            if cover.intersection_mask(c).any()]
+
+
+def assembled_matrices(complex_, cover, p: int, depth: int) -> list[sp.csr_matrix]:
+    """[R, delta_0, ..., delta_{depth-1}] of the degree-p restriction row.
+
+    Every intersection is restricted to its own tuple sets, and each face
+    coordinate is looked up in the face's tuple set.
+    """
+    levels = []
+    for q in range(depth + 1):
+        locs = [(c, restrict_complex(cover, complex_, c, p)) for c in nerve_combos(cover, q)]
+        levels.append([(c, loc) for c, loc in locs if loc.dim(p) > 0])
+    offsets = []
+    for blocks in levels:
+        off, total = {}, 0
+        for combo, loc in blocks:
+            off[combo] = total
+            total += loc.dim(p)
+        offsets.append((off, total))
+
+    dim0 = offsets[0][1]
+    cols = np.concatenate([np.empty(0, dtype=int)] + [loc.global_rows[p] for _, loc in levels[0]])
+    R = sp.csr_matrix(
+        (np.ones(dim0, dtype=np.int64), (np.arange(dim0), cols)),
+        shape=(dim0, complex_.tuple_sets[p].size),
+    )
+    deltas = []
+    for q in range(depth):
+        off_lo, dim_lo = offsets[q]
+        off_hi, dim_hi = offsets[q + 1]
+        lo_lookup = dict(levels[q])
+        rws, cls, dat = [], [], []
+        for combo, loc in levels[q + 1]:
+            t_hi = loc.tuple_sets[p].tuples
+            for i in range(len(combo)):
+                face = combo[:i] + combo[i + 1 :]
+                c = lo_lookup[face].tuple_sets[p].locate(t_hi)
+                rws.append(off_hi[combo] + np.arange(c.size))
+                cls.append(off_lo[face] + c)
+                dat.append(np.full(c.size, (-1) ** i, dtype=np.int64))
+        none = [np.empty(0, dtype=np.int64)]
+        rws, cls, dat = (np.concatenate(none + v) for v in (rws, cls, dat))
+        deltas.append(sp.csr_matrix((dat, (rws, cls)), shape=(dim_hi, dim_lo)))
+    return [R] + deltas
+
+
+def loop_nerve_differences(cover, q_max: int) -> list[sp.csr_matrix]:
+    """Nerve differences on locally constant cochains, levels 0..q_max+1.
+
+    Components come from scipy's connected_components, ordered by their
+    smallest point; each component's smallest point is searched for in the
+    components of every face.
+    """
+    levels = []
+    for q in range(q_max + 2):
+        blocks = []
+        for combo in nerve_combos(cover, q):
+            pts = np.nonzero(cover.intersection_mask(combo))[0]
+            graph = sp.csr_matrix(cover.space.dist[np.ix_(pts, pts)] < cover.eps)
+            k, labels = connected_components(graph, directed=False)
+            comps = sorted((pts[labels == j] for j in range(k)), key=lambda c: int(c[0]))
+            blocks.append((combo, comps))
+        levels.append(blocks)
+    offsets = []
+    for blocks in levels:
+        off, total = {}, 0
+        for combo, comps in blocks:
+            off[combo] = total
+            total += len(comps)
+        offsets.append((off, total))
+    deltas = []
+    for q in range(q_max + 1):
+        off_lo, dim_lo = offsets[q]
+        off_hi, dim_hi = offsets[q + 1]
+        lo_lookup = dict(levels[q])
+        rws, cls, dat = [], [], []
+        for combo, comps in levels[q + 1]:
+            for ci, comp in enumerate(comps):
+                rep = int(comp[0])
+                for i in range(len(combo)):
+                    face = combo[:i] + combo[i + 1 :]
+                    target = next(
+                        k for k, fc in enumerate(lo_lookup[face]) if rep in set(fc.tolist())
+                    )
+                    rws.append(off_hi[combo] + ci)
+                    cls.append(off_lo[face] + target)
+                    dat.append((-1) ** i)
+        deltas.append(
+            sp.csr_matrix((np.array(dat, dtype=np.int64), (rws, cls)), shape=(dim_hi, dim_lo))
+        )
+    return deltas
+
+
+def cech_sign(alpha: int, rest: tuple) -> tuple[tuple, int]:
+    """Sorted index set and sign for the component F_{alpha, rest...}; 0 on repeats."""
+    if alpha in rest:
+        return (), 0
+    pos = sum(1 for r in rest if r < alpha)
+    merged = tuple(sorted((alpha,) + rest))
+    return merged, (-1) ** pos
+
+
+def partition_supported(cover, tuples: np.ndarray) -> bool:
+    """Whether every tuple lies wholly inside some small ball (sum-to-1 condition)."""
+    if tuples.size == 0:
+        return True
+    inside = cover.small_masks[:, tuples].all(axis=2)  # (n_balls, m)
+    return bool(inside.any(axis=0).all())
+
+
+def system_dominates(finer, coarser, space, p_max: int) -> tuple[bool, tuple | None]:
+    """Whether every finer-admissible tuple (degree <= p_max) is coarser-admissible.
+
+    Returns (ok, witness tuple on failure).
+    """
+    for p in range(p_max + 1):
+        ts = enumerate_tuples(space, finer, p)
+        for row in ts.tuples.tolist():
+            if not coarser.is_admissible(space, row):
+                return False, tuple(row)
+    return True, None
+
+
+def sym_project(evaluator, tuple_set) -> Cochain:
+    """Symmetrize an evaluator: mean over all orderings of each tuple."""
+    p = tuple_set.degree
+    fact = math.factorial(p + 1)
+    vals = np.zeros(tuple_set.size)
+    for r, row in enumerate(tuple_set.tuples.tolist()):
+        acc = 0.0
+        for perm in itertools.permutations(row):
+            acc += evaluator(perm)
+        vals[r] = acc / fact
+    return Cochain(p, tuple_set, vals)
+
+
+def eval_kernel(model, space, i: int, j: int) -> float:
+    """Kernel value for one ordered pair of distinct points."""
+    if i == j:
+        raise KernelError("kernel is undefined on the diagonal")
+    rho = space.dist[i, j]
+    if model.kind == "constant":
+        return model.scale
+    if model.kind == "custom":
+        return float(model.table[i, j])
+    val = model.scale * rho ** (-(model.d + model.alpha))
+    if model.kind == "truncated_fractional" and rho >= model.eps_trunc:
+        return model.floor
+    return float(val)

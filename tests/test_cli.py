@@ -84,6 +84,32 @@ def test_reports_are_byte_identical_across_thread_caps(tmp_path):
         assert a.endswith(b"\n")
 
 
+def test_table_kernel_validates_the_space_once(tmp_path, monkeypatch, capsys):
+    from nlhodge import cli
+    from nlhodge.space import MetricMeasureSpace
+
+    n = 6
+    table = tmp_path / "pairs.txt"
+    table.write_text("".join(f"{i}, {j}, 1.0\n" for i in range(n) for j in range(i + 1, n)))
+    calls = []
+    validate = MetricMeasureSpace.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(MetricMeasureSpace, "__post_init__", counted)
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    rc = cli.main([
+        "betti", "--space", "circle", "--n", str(n), "--system", "rips", "--eps", "1.1",
+        "--kernel", "table", "--kernel-table", str(table), "--pmax", "1",
+    ])
+    assert rc == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "p=0 betti=1" in out and "p=1 betti=1" in out
+
+
 # --- sweep ----------------------------------------------------------------------
 
 

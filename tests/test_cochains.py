@@ -28,11 +28,10 @@ from nlhodge.cochains import (
     elementary_form,
     multiply_power,
     sign_sort,
-    sym_project,
     tensor_evaluator,
 )
 
-from oracles import loop_coboundary
+from oracles import loop_coboundary, sym_project
 
 
 def full_tuples(n, p):

@@ -10,23 +10,30 @@ from nlhodge.covers import (
     CoverSystem,
     PartitionOfUnity,
     SliceEmptyError,
-    _cech_sign,
     _check_reconstructions,
     _enumerate_blocks,
+    _nerve,
+    _nerve_differences,
     build_slice_and_psi,
     cech_nerve_betti,
     default_cover,
     derham_recovery_report,
     homotopy_identity_residual,
     mayer_vietoris_check,
-    partition_supported,
     poincare_suite,
     reference_betti,
     restrict_complex,
 )
 from nlhodge.cohomology import rank_exact
 
-from oracles import simplex_coface_matrix
+from oracles import (
+    assembled_matrices,
+    cech_sign,
+    loop_nerve_differences,
+    nerve_combos,
+    partition_supported,
+    simplex_coface_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +52,35 @@ def interval_setup():
     complex_ = build_weighted_complex(space, system, fractional_kernel(1.0, 0.5), 2)
     cover = default_cover(space, system)
     return space, system, complex_, cover
+
+
+def _small_setup(space, system, eta, centers):
+    complex_ = build_weighted_complex(space, system, fractional_kernel(1.0, 0.5), 2)
+    cover = CoverSystem(space, system, eps=system.eps, eta=eta, centers=np.array(centers))
+    return space, system, complex_, cover
+
+
+SMALL_SETUPS = {
+    "two_balls": lambda: _small_setup(gen_interval(16), rips_system(0.3), 0.45, [3, 12]),
+    "fat_four": lambda: _small_setup(gen_circle(32), rips_system(0.3), 0.8, [0, 8, 16, 24]),
+    "single_ball": lambda: _small_setup(gen_interval(12), rips_system(0.4), 1.1, [6]),
+}
+
+
+@pytest.fixture(params=["circle", "interval", *SMALL_SETUPS])
+def any_setup(request):
+    """The two gluing setups (nerve depth 2) and the small covers (depth 3)."""
+    if request.param in SMALL_SETUPS:
+        return SMALL_SETUPS[request.param](), 3
+    return request.getfixturevalue(f"{request.param}_setup"), 2
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype, attr
+        assert a.tobytes() == b.tobytes(), attr
 
 
 # --- cover construction -------------------------------------------------------
@@ -149,10 +185,10 @@ def test_restrict_complex_matches_brute_force(circle_setup):
 
 
 def test_cech_sign_hand_values():
-    assert _cech_sign(2, (0, 1)) == ((0, 1, 2), 1)
-    assert _cech_sign(0, (1, 2)) == ((0, 1, 2), 1)
-    assert _cech_sign(1, (0, 2)) == ((0, 1, 2), -1)
-    assert _cech_sign(1, (1, 2)) == ((), 0)
+    assert cech_sign(2, (0, 1)) == ((0, 1, 2), 1)
+    assert cech_sign(0, (1, 2)) == ((0, 1, 2), 1)
+    assert cech_sign(1, (0, 2)) == ((0, 1, 2), -1)
+    assert cech_sign(1, (1, 2)) == ((), 0)
 
 
 def test_simplex_coface_matrix_squares_to_zero():
@@ -213,11 +249,64 @@ def test_reconstruction_negative_control(circle_setup):
 
     pou = PartitionOfUnity(cover)
     rng = np.random.default_rng(5)
-    levels = _enumerate_blocks(complex_, cover, 1, 1)
-    assert _check_reconstructions(complex_, cover, pou, 1, levels, rng)
+    tuples = complex_.tuple_sets[1].tuples
+    levels, deltas = _enumerate_blocks(complex_, cover, 1, 1)
+    assert _check_reconstructions(pou.chi(tuples), levels, deltas, rng)
     assert not _check_reconstructions(
-        complex_, cover, Unweighted(), 1, levels, np.random.default_rng(5)
+        Unweighted().chi(tuples), levels, deltas, np.random.default_rng(5)
     )
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_reconstruction_negative_control_at_q_max_two(circle_setup, p):
+    # Through level 2 the preimage formula holds with the partition and fails
+    # without it, also on the top level alone (levels 1 and 2).
+    _, _, complex_, cover = circle_setup
+    tuples = complex_.tuple_sets[p].tuples
+    levels, deltas = _enumerate_blocks(complex_, cover, p, 2)
+    assert len(deltas) == 3 and min(deltas[2].shape) > 0
+    chi = PartitionOfUnity(cover).chi(tuples)
+    ones = np.ones_like(chi)
+    for lv, ds in ((levels, deltas), (levels[2:], deltas[2:])):
+        assert _check_reconstructions(chi, lv, ds, np.random.default_rng(5))
+        assert not _check_reconstructions(ones, lv, ds, np.random.default_rng(5))
+
+
+def test_restriction_row_matches_the_assembled_oracle(any_setup):
+    # R and every Cech difference equal the per-intersection builder's
+    # matrices, byte for byte.
+    (_, _, complex_, cover), depth = any_setup
+    for p in range(3):
+        levels, deltas = _enumerate_blocks(complex_, cover, p, depth)
+        want = assembled_matrices(complex_, cover, p, depth)
+        assert len(deltas) == len(want) == depth + 1
+        for got, ref in zip(deltas, want):
+            assert_same_csr(got, ref)
+        # level -1 holds the global cochains; each block lists the global
+        # rows of the tuples inside its intersection
+        assert [c for c, _ in levels[0]] == [()]
+        tuples = complex_.tuple_sets[p].tuples
+        for blocks in levels[1:]:
+            for combo, rows in blocks:
+                inside = cover.intersection_mask(combo)[tuples].all(axis=1)
+                assert np.array_equal(rows, np.nonzero(inside)[0])
+
+
+def test_nerve_differences_match_the_loop_oracle(any_setup):
+    (_, _, _, cover), depth = any_setup
+    for q_max in range(1, depth):
+        got = _nerve_differences(cover, q_max)
+        want = loop_nerve_differences(cover, q_max)
+        assert len(got) == len(want) == q_max + 1
+        for g, w in zip(got, want):
+            assert_same_csr(g, w)
+
+
+def test_nerve_levels_match_brute_force(any_setup):
+    (_, _, _, cover), depth = any_setup
+    for d in range(depth + 2):
+        assert _nerve(cover, d) == [nerve_combos(cover, q) for q in range(d + 1)]
+    assert _nerve(cover, -1) == []
 
 
 def test_certificate_json_shape(circle_setup):
@@ -287,6 +376,11 @@ def test_homotopy_identity_on_single_balls(circle_setup):
     assert op.W.size > 0
     assert op.mass == pytest.approx(float(op.weights.sum()))
     assert homotopy_identity_residual(op, 1) <= 1e-12
+
+
+def test_poincare_suite_of_depth_zero_is_empty(circle_setup):
+    _, _, complex_, cover = circle_setup
+    assert poincare_suite(cover, complex_, p_check=1, max_depth=0) == []
 
 
 def test_poincare_suite_on_circle_and_interval(circle_setup, interval_setup):

@@ -13,12 +13,13 @@ from nlhodge.kernels import (
     check_kernel_conditions,
     constant_kernel,
     custom_kernel,
-    eval_kernel,
     fractional_kernel,
     kernel_matrix,
     load_kernel_table,
     truncated_fractional_kernel,
 )
+
+from oracles import eval_kernel
 
 
 def unit_triangle(side=1.0):

@@ -15,10 +15,9 @@ from nlhodge.neighborhoods import (
     full_system,
     hausdorff_system,
     rips_system,
-    system_dominates,
 )
 
-from oracles import dict_locate
+from oracles import dict_locate, system_dominates
 
 
 def random_space(rng, n):
