@@ -81,20 +81,21 @@ def _build_system(args, eps=None):
     raise ValueError(f"unknown system {args.system!r}")
 
 
-def _build_kernel(args, n: int):
+def _build_kernel(args, n: int, alpha=None):
     from . import kernels as kn
 
+    alpha = args.alpha if alpha is None else alpha
     if args.kernel == "constant":
         return kn.constant_kernel(args.scale)
     if args.kernel == "fractional":
-        if args.alpha is None:
+        if alpha is None:
             raise ValueError("fractional kernel needs --alpha")
-        return kn.fractional_kernel(args.d, args.alpha, scale=args.scale)
+        return kn.fractional_kernel(args.d, alpha, scale=args.scale)
     if args.kernel == "truncated":
-        if args.alpha is None or args.eps_trunc is None:
+        if alpha is None or args.eps_trunc is None:
             raise ValueError("truncated kernel needs --alpha and --eps-trunc")
         return kn.truncated_fractional_kernel(
-            args.d, args.alpha, args.eps_trunc, scale=args.scale, floor=args.floor
+            args.d, alpha, args.eps_trunc, scale=args.scale, floor=args.floor
         )
     if args.kernel == "table":
         if not args.kernel_table:
@@ -160,7 +161,6 @@ def cmd_sweep(args) -> int:
 
     from .hodge import build_weighted_complex, hodge_report
     from .cohomology import exact_betti
-    from . import kernels as kn
 
     space = _build_space(args)
     eps_grid = [float(v) for v in args.eps_grid.split(",")]
@@ -174,7 +174,7 @@ def cmd_sweep(args) -> int:
     for eps in eps_grid:
         system = _build_system(args, eps=eps)
         for alpha in alpha_grid:
-            kernel = kn.fractional_kernel(args.d, alpha, scale=args.scale)
+            kernel = _build_kernel(args, space.n, alpha=alpha)
             cx = build_weighted_complex(space, system, kernel, args.pmax)
             betti = exact_betti(cx)
             row = [f"{eps:.17g}", f"{alpha:.17g}"]

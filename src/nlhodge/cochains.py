@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -75,11 +74,6 @@ class Cochain:
             "tuple_set_sha256": digest,
             "values": self.values.tolist(),
         }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
 
 
 def alt_project(evaluator, tuple_set: TupleSet) -> Cochain:

@@ -10,7 +10,6 @@ checked against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,11 +124,6 @@ class BettiReport:
             "prime": self.prime,
             "parameters": self.parameters,
         }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
 
 
 def exact_betti(complex_, escalate: bool = False, parameters: dict | None = None) -> BettiReport:

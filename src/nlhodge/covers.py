@@ -16,8 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .space import MetricMeasureSpace
-from .neighborhoods import NeighborhoodSystem, TupleSet, insert_points
-from .cochains import build_coboundary
+from .neighborhoods import NeighborhoodSystem, insert_points
 from .cohomology import rank_exact, BettiReport, PRIME_MAIN
 from .hodge import WeightedComplex
 
@@ -100,35 +99,36 @@ def default_cover(space: MetricMeasureSpace, system: NeighborhoodSystem, every: 
 
 @dataclass(eq=False)
 class LocalComplex:
-    """Tuple sets of a weighted complex restricted to an intersection."""
+    """A weighted complex restricted to an intersection.
+
+    global_rows[p] holds the sorted global ids of the degree-p tuples inside
+    the intersection; local degree-p coordinates follow that order.
+    """
 
     alphas: tuple
     mask: np.ndarray
-    tuple_sets: list[TupleSet]
+    complex_: WeightedComplex
     global_rows: list[np.ndarray]
-    _cobs: dict = field(default_factory=dict)
 
     def dim(self, p: int) -> int:
-        return self.tuple_sets[p].size if p < len(self.tuple_sets) else 0
+        return self.global_rows[p].size if p < len(self.global_rows) else 0
 
     def coboundary(self, p: int) -> sp.csr_matrix:
-        if p not in self._cobs:
-            self._cobs[p] = build_coboundary(self.tuple_sets[p], self.tuple_sets[p + 1]).matrix
-        return self._cobs[p]
+        """Slice of the global coboundary: every face of an inside tuple is inside."""
+        rows = self.global_rows
+        return self.complex_.coboundary(p).matrix[rows[p + 1]][:, rows[p]]
 
 
 def restrict_complex(cover: CoverSystem, complex_: WeightedComplex, alphas,
                      max_degree: int) -> LocalComplex:
-    """Restrict global tuple sets to tuples supported inside an intersection."""
+    """Restrict a complex to the tuples supported inside an intersection."""
     alphas = tuple(sorted(int(a) for a in alphas))
     mask = cover.intersection_mask(alphas)
-    tuple_sets, global_rows = [], []
-    for p in range(max_degree + 1):
-        ts = complex_.tuple_sets[p]
-        sel = np.nonzero(mask[ts.tuples].all(axis=1))[0]
-        tuple_sets.append(TupleSet(p, ts.tuples[sel].reshape(-1, p + 1)))
-        global_rows.append(sel)
-    return LocalComplex(alphas, mask, tuple_sets, global_rows)
+    global_rows = [
+        np.nonzero(mask[complex_.tuple_sets[p].tuples].all(axis=1))[0]
+        for p in range(max_degree + 1)
+    ]
+    return LocalComplex(alphas, mask, complex_, global_rows)
 
 
 @dataclass(eq=False)
@@ -451,6 +451,7 @@ class HomotopyOperator:
     (Psi F)(x_0..x_{p-1}) = (1/mass(W)) * sum_{t in W} w_t F(t, x_0..x_{p-1});
     valid whenever prepending any t in W to an admissible tuple with at most
     `level` points stays admissible (checked constructively at build time).
+    psi[p - 1] is the dense matrix of Psi from local degree p to p-1.
     """
 
     alphas: tuple
@@ -459,26 +460,20 @@ class HomotopyOperator:
     weights: np.ndarray
     mass: float
     local: LocalComplex
+    psi: list[np.ndarray]
 
     def psi_matrix(self, p: int) -> np.ndarray:
         """Matrix of Psi: local degree p -> degree p-1 (1 <= p <= level)."""
         if not (1 <= p <= self.level):
             raise CoverError(f"Psi valid for degrees 1..{self.level}")
-        src = self.local.tuple_sets[p]
-        dst = self.local.tuple_sets[p - 1]
-        keys, sign, hit = insert_points(dst.tuples, self.W)
-        r, j = np.nonzero(~hit)
-        out = np.zeros((dst.size, src.size))
-        # distinct slice points give distinct augmented tuples: one term per entry
-        out[r, src.locate(keys[r, j])] = sign[r, j] * self.weights[j] / self.mass
-        return out
+        return self.psi[p - 1]
 
 
 def build_slice_and_psi(
     cover: CoverSystem, complex_: WeightedComplex, alphas, level: int
 ) -> HomotopyOperator:
     """Brute-force slice: keep t if every admissible local tuple of at most
-    `level` points stays admissible when t is prepended.
+    `level` points stays admissible when t is prepended; then Psi_1..Psi_level.
 
     Raises SliceEmptyError when no such t exists (the contractibility
     assumption fails at this scale for this intersection).
@@ -493,18 +488,29 @@ def build_slice_and_psi(
     if pts.size == 0:
         raise CoverError(f"intersection {tuple(alphas)} is empty")
     keep = np.ones(pts.size, dtype=bool)
+    augmented = []  # per degree ell: global id, sign and hit of each (tuple, point) pair
     for ell in range(1, level + 1):
-        keys, _, hit = insert_points(loc.tuple_sets[ell - 1].tuples, pts)
-        keep &= (hit | (complex_.tuple_sets[ell].locate(keys) >= 0)).all(axis=0)
+        rows = complex_.tuple_sets[ell - 1].tuples[loc.global_rows[ell - 1]]
+        keys, sign, hit = insert_points(rows, pts)
+        ids = complex_.tuple_sets[ell].locate(keys)
+        keep &= (hit | (ids >= 0)).all(axis=0)
+        augmented.append((ids, sign, hit))
     if not keep.any():
         raise SliceEmptyError(
             f"slice set empty for intersection {tuple(alphas)} at level {level}"
         )
     W = pts[keep]
     weights = cover.space.weights[W]
-    return HomotopyOperator(
-        tuple(sorted(int(a) for a in alphas)), level, W, weights, float(weights.sum()), loc
-    )
+    mass = float(weights.sum())
+    psi = []
+    for ell, (ids, sign, hit) in enumerate(augmented, 1):
+        ids, sign, hit = ids[:, keep], sign[:, keep], hit[:, keep]
+        r, j = np.nonzero(~hit)
+        out = np.zeros((loc.dim(ell - 1), loc.dim(ell)))
+        # distinct slice points give distinct augmented tuples: one term per entry
+        out[r, np.searchsorted(loc.global_rows[ell], ids[r, j])] = sign[r, j] * weights[j] / mass
+        psi.append(out)
+    return HomotopyOperator(loc.alphas, level, W, weights, mass, loc, psi)
 
 
 def homotopy_identity_residual(op: HomotopyOperator, p: int) -> float:

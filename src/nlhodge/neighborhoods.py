@@ -7,7 +7,6 @@ so repeated-index tuples are excluded by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +144,6 @@ class TupleSet:
 
     def to_json(self) -> dict:
         return {"schema": 1, "degree": self.degree, "tuples": self.tuples.tolist()}
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
 
 
 def _sort_keys(rows: np.ndarray) -> np.ndarray:

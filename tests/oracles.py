@@ -8,6 +8,9 @@ spells out the coface matrices whose ranks `_blockwise_ranks` takes in
 closed form. `assembled_matrices` and `loop_nerve_differences` are the
 per-intersection Cech builders that `_cech_differences` replaced, and
 `cech_sign` the sign rule of the partition-of-unity preimage.
+`restrict_tuple_sets` and `poincare_check` are the per-intersection
+restriction (its own tuple sets and coboundaries) and the dense slice
+homotopy on it that the global-row slices of `restrict_complex` replaced.
 `partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
 helpers that only the tests use.
 """
@@ -20,11 +23,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from nlhodge.cochains import Cochain, CochainError
+from nlhodge.cochains import Cochain, CochainError, build_coboundary
 from nlhodge.cohomology import PRIME_MAIN
-from nlhodge.covers import restrict_complex
 from nlhodge.kernels import KernelError
-from nlhodge.neighborhoods import enumerate_tuples
+from nlhodge.neighborhoods import TupleSet, enumerate_tuples, insert_points
 
 _CHUNK_ROWS = 1024
 
@@ -126,6 +128,63 @@ def nerve_combos(cover, q: int) -> list[tuple]:
             if cover.intersection_mask(c).any()]
 
 
+def restrict_tuple_sets(cover, complex_, alphas, max_degree: int):
+    """(tuple sets, global rows) of an intersection, degrees 0..max_degree.
+
+    Each degree gets its own TupleSet of the tuples inside the intersection;
+    global rows are the ids of those tuples in the complex.
+    """
+    mask = cover.intersection_mask(alphas)
+    sets, rows = [], []
+    for p in range(max_degree + 1):
+        ts = complex_.tuple_sets[p]
+        sel = np.nonzero(mask[ts.tuples].all(axis=1))[0]
+        sets.append(TupleSet(p, ts.tuples[sel].reshape(-1, p + 1)))
+        rows.append(sel)
+    return sets, rows
+
+
+def poincare_check(cover, complex_, alphas, level: int):
+    """(|W|, residuals at degrees 1..level-1) of the slice homotopy, None for an empty slice.
+
+    The slice keeps each intersection point whose prepending keeps every
+    local tuple of at most `level` points admissible. Psi and the local
+    coboundaries are built on the intersection's own tuple sets, densely,
+    and the residual is max |Psi delta + delta Psi - id|.
+    """
+    sets, _ = restrict_tuple_sets(cover, complex_, alphas, level)
+    pts = np.nonzero(cover.intersection_mask(alphas))[0]
+    keep = np.ones(pts.size, dtype=bool)
+    for ell in range(1, level + 1):
+        keys, _, hit = insert_points(sets[ell - 1].tuples, pts)
+        keep &= (hit | (complex_.tuple_sets[ell].locate(keys) >= 0)).all(axis=0)
+    if not keep.any():
+        return None
+    W = pts[keep]
+    weights = cover.space.weights[W]
+    mass = float(weights.sum())
+
+    def psi(p):
+        src, dst = sets[p], sets[p - 1]
+        keys, sign, hit = insert_points(dst.tuples, W)
+        r, j = np.nonzero(~hit)
+        out = np.zeros((dst.size, src.size))
+        out[r, src.locate(keys[r, j])] = sign[r, j] * weights[j] / mass
+        return out
+
+    residuals = []
+    for p in range(1, level):
+        m = sets[p].size
+        if m == 0:
+            residuals.append(0.0)
+            continue
+        up = build_coboundary(sets[p], sets[p + 1]).matrix.astype(float).toarray()
+        down = build_coboundary(sets[p - 1], sets[p]).matrix.astype(float).toarray()
+        lhs = psi(p + 1) @ up + down @ psi(p)
+        residuals.append(float(np.abs(lhs - np.eye(m)).max()))
+    return int(W.size), residuals
+
+
 def assembled_matrices(complex_, cover, p: int, depth: int) -> list[sp.csr_matrix]:
     """[R, delta_0, ..., delta_{depth-1}] of the degree-p restriction row.
 
@@ -134,18 +193,18 @@ def assembled_matrices(complex_, cover, p: int, depth: int) -> list[sp.csr_matri
     """
     levels = []
     for q in range(depth + 1):
-        locs = [(c, restrict_complex(cover, complex_, c, p)) for c in nerve_combos(cover, q)]
-        levels.append([(c, loc) for c, loc in locs if loc.dim(p) > 0])
+        blocks = [(c, restrict_tuple_sets(cover, complex_, c, p)) for c in nerve_combos(cover, q)]
+        levels.append([(c, (sets[p], rows[p])) for c, (sets, rows) in blocks if sets[p].size])
     offsets = []
     for blocks in levels:
         off, total = {}, 0
-        for combo, loc in blocks:
+        for combo, (ts, _) in blocks:
             off[combo] = total
-            total += loc.dim(p)
+            total += ts.size
         offsets.append((off, total))
 
     dim0 = offsets[0][1]
-    cols = np.concatenate([np.empty(0, dtype=int)] + [loc.global_rows[p] for _, loc in levels[0]])
+    cols = np.concatenate([np.empty(0, dtype=int)] + [rows for _, (_, rows) in levels[0]])
     R = sp.csr_matrix(
         (np.ones(dim0, dtype=np.int64), (np.arange(dim0), cols)),
         shape=(dim0, complex_.tuple_sets[p].size),
@@ -156,11 +215,10 @@ def assembled_matrices(complex_, cover, p: int, depth: int) -> list[sp.csr_matri
         off_hi, dim_hi = offsets[q + 1]
         lo_lookup = dict(levels[q])
         rws, cls, dat = [], [], []
-        for combo, loc in levels[q + 1]:
-            t_hi = loc.tuple_sets[p].tuples
+        for combo, (ts, _) in levels[q + 1]:
             for i in range(len(combo)):
                 face = combo[:i] + combo[i + 1 :]
-                c = lo_lookup[face].tuple_sets[p].locate(t_hi)
+                c = lo_lookup[face][0].locate(ts.tuples)
                 rws.append(off_hi[combo] + np.arange(c.size))
                 cls.append(off_lo[face] + c)
                 dat.append(np.full(c.size, (-1) ** i, dtype=np.int64))

@@ -4,6 +4,7 @@ import pytest
 from nlhodge.space import MetricMeasureSpace, gen_interval
 from nlhodge.neighborhoods import rips_system
 from nlhodge.kernels import fractional_kernel
+from nlhodge import capacity as capacity_module
 from nlhodge.capacity import (
     CapacityError,
     RemovabilityReport,
@@ -66,6 +67,23 @@ def test_capacity_value_matches_dense_quadratic_minimum():
     want = float(u @ A @ u)
     assert result.value == pytest.approx(want, rel=1e-10)
     assert np.allclose(result.potential, u, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, alpha", [(200, 0.5), (400, 1.5)])
+def test_cg_branch_matches_the_direct_solve(monkeypatch, n, alpha):
+    # With the cutoff at 0 every free set goes through CG.
+    direct = capacity_of_hole(n, 0.25, alpha)
+    calls = []
+    cg_solve = capacity_module.spla.cg
+    monkeypatch.setattr(capacity_module, "DIRECT_SOLVE_CUTOFF", 0)
+    monkeypatch.setattr(
+        capacity_module.spla, "cg", lambda *a, **k: calls.append(1) or cg_solve(*a, **k)
+    )
+    cg = capacity_of_hole(n, 0.25, alpha)
+    assert calls == [1]
+    assert cg.max_principle_ok
+    assert abs(cg.value - direct.value) <= 1e-9 * direct.value
+    assert np.abs(cg.potential - direct.potential).max() <= 1e-8
 
 
 def test_minimizer_beats_other_feasible_candidates():

@@ -133,6 +133,21 @@ def test_sweep_writes_csv(tmp_path):
     assert first[2] == "1"  # connected at every scale in the grid
 
 
+def test_sweep_honours_the_kernel(monkeypatch, capsys):
+    from nlhodge import cli
+
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    grid = ["sweep", "--space", "circle", "--n", "10", "--system", "rips",
+            "--eps-grid", "0.8,1.2", "--alpha-grid", "0.5", "--pmax", "1"]
+    csvs = {}
+    for kernel in ("fractional", "constant"):
+        assert cli.main(grid + ["--kernel", kernel]) == 0
+        csvs[kernel] = capsys.readouterr().out
+    assert csvs["constant"] != csvs["fractional"]
+    assert cli.main(grid + ["--kernel", "truncated"]) == 1
+    assert "--eps-trunc" in capsys.readouterr().err
+
+
 # --- verify ---------------------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from nlhodge.covers import (
     reference_betti,
     restrict_complex,
 )
+from nlhodge.cochains import build_coboundary
 from nlhodge.cohomology import rank_exact
 
 from oracles import (
@@ -32,6 +33,8 @@ from oracles import (
     loop_nerve_differences,
     nerve_combos,
     partition_supported,
+    poincare_check,
+    restrict_tuple_sets,
     simplex_coface_matrix,
 )
 
@@ -170,15 +173,21 @@ def test_partition_fails_for_tuples_wider_than_the_cover_scale():
 
 
 def test_restrict_complex_matches_brute_force(circle_setup):
+    # Local rows are the global ids of the inside tuples; each local
+    # coboundary equals the one built on the intersection's own tuple sets.
     _, _, complex_, cover = circle_setup
     loc = restrict_complex(cover, complex_, (0, 1), 2)
     mask = cover.big_masks[0] & cover.big_masks[1]
     assert np.array_equal(loc.mask, mask)
+    sets, _ = restrict_tuple_sets(cover, complex_, (0, 1), 2)
     for p in range(3):
         ts = complex_.tuple_sets[p]
         keep = [r for r, row in enumerate(ts.tuples.tolist()) if all(mask[v] for v in row)]
-        assert np.array_equal(loc.tuple_sets[p].tuples, ts.tuples[keep].reshape(-1, p + 1))
         assert np.array_equal(loc.global_rows[p], np.array(keep, dtype=int))
+        assert loc.dim(p) == len(keep) == sets[p].size
+    for p in range(2):
+        want = build_coboundary(sets[p], sets[p + 1]).matrix
+        assert (loc.coboundary(p) != want).nnz == 0
 
 
 # --- Mayer-Vietoris -----------------------------------------------------------
@@ -390,6 +399,37 @@ def test_poincare_suite_on_circle_and_interval(circle_setup, interval_setup):
         assert checks
         worst = max(c.max_residual for c in checks)
         assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("p_check", [1, 2])
+def test_poincare_residuals_match_the_oracle(any_setup, p_check):
+    # Slice sizes and residuals, as float hex, equal the homotopy rebuilt on
+    # each intersection's own tuple sets; an empty slice is empty in both.
+    (_, _, complex_, cover), _ = any_setup
+    level = p_check + 1
+    combos = nerve_combos(cover, 0) + nerve_combos(cover, 1)
+    want = {}
+    for combo in combos:
+        ref = poincare_check(cover, complex_, combo, level)
+        want[combo] = None if ref is None else (ref[0], [r.hex() for r in ref[1]])
+    for combo, ref in want.items():
+        if ref is None:
+            with pytest.raises(SliceEmptyError):
+                build_slice_and_psi(cover, complex_, combo, level)
+            continue
+        op = build_slice_and_psi(cover, complex_, combo, level)
+        got = [homotopy_identity_residual(op, p).hex() for p in range(1, level)]
+        assert (op.W.size, got) == ref, combo
+    for max_depth in (1, 2):
+        expect = [c for c in combos if len(c) <= max_depth]
+        if any(want[c] is None for c in expect):
+            with pytest.raises(SliceEmptyError):
+                poincare_suite(cover, complex_, p_check, max_depth)
+            continue
+        checks = poincare_suite(cover, complex_, p_check, max_depth)
+        assert [c.alphas for c in checks] == expect
+        got = [(c.w_size, [r.hex() for r in c.residuals]) for c in checks]
+        assert got == [want[c] for c in expect]
 
 
 def test_psi_annihilates_coboundaries_of_contracted_forms(circle_setup):

@@ -1,0 +1,56 @@
+"""The benchmark's tracer patches nlhodge functions by name from outside.
+
+A refactor that renames or drops a traced function fails here, in the test
+suite, instead of only in a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import os
+import types
+
+from nlhodge.space import gen_interval
+from nlhodge.neighborhoods import hausdorff_system
+from nlhodge.kernels import fractional_kernel
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODULES = ("space", "neighborhoods", "kernels", "cochains", "hodge", "cohomology",
+           "covers", "capacity", "cli")
+
+
+def load_tracing():
+    path = os.path.join(REPO, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_traced_name_and_restores_it():
+    tracing = load_tracing()
+    nl = types.SimpleNamespace(**{m: importlib.import_module(f"nlhodge.{m}") for m in MODULES})
+    names = [(owner, attr) for owner, attr, _ in tracing._traced(nl) + tracing._counted(nl)]
+    originals = [getattr(owner, attr) for owner, attr in names]
+    homes = list(vars(nl).values()) + [owner for owner, _ in names]
+
+    def snapshot():
+        return {(id(home), key): value for home in homes for key, value in vars(home).items()}
+
+    before = snapshot()
+    rec = tracing.Recorder()
+    uninstall = tracing.install(nl, rec)
+    try:
+        for (owner, attr), original in zip(names, originals):
+            assert getattr(owner, attr) is not original, attr
+        # a small traced Poincare run maps every span to a layer metric
+        space = gen_interval(16)
+        system = hausdorff_system(0.3)
+        cx = nl.hodge.build_weighted_complex(space, system, fractional_kernel(1.0, 0.5), 1)
+        checks = nl.covers.poincare_suite(nl.covers.default_cover(space, system), cx, 1, 1)
+        metrics = tracing.layer_metrics(rec)
+        assert metrics["covers.intersections"] == len(checks) > 0
+    finally:
+        uninstall()
+    after = snapshot()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
