@@ -117,7 +117,10 @@ def capacity_of_hole(
 
     hole_radius = 0 clamps the single grid point nearest the center.
     """
-    space = gen_interval(n)
+    return _hole_capacity(gen_interval(n), eps, alpha, hole_center, hole_radius, scale)
+
+
+def _hole_capacity(space, eps, alpha, hole_center, hole_radius, scale=1.0) -> CapacityResult:
     x = space.metadata["points"]
     if hole_radius > 0:
         target = np.nonzero(np.abs(x - hole_center) <= hole_radius)[0]
@@ -182,11 +185,12 @@ def removability_sweep(
     slope_threshold, 'non-removable' when max/min stays under ratio_threshold,
     'inconclusive' otherwise.
     """
+    spaces = [gen_interval(n) for n in resolutions]
     rows = []
     for alpha in alphas:
         caps = np.array(
-            [capacity_of_hole(n, eps, alpha, hole_center, hole_radius).value
-             for n in resolutions]
+            [_hole_capacity(space, eps, alpha, hole_center, hole_radius).value
+             for space in spaces]
         )
         slope = float(
             np.polyfit(np.log(np.asarray(resolutions, dtype=float)), np.log(caps), 1)[0]

@@ -170,12 +170,16 @@ def cmd_sweep(args) -> int:
     for p in range(args.pmax + 1):
         header += [f"betti_{p}", f"harmonic_{p}", f"min_pos_eig_{p}"]
     lines.append(",".join(header))
+    # constant and table kernels ignore alpha, so one build serves the whole grid
+    if args.kernel in ("constant", "table"):
+        kernels = dict.fromkeys(alpha_grid, _build_kernel(args, space.n))
+    else:
+        kernels = {alpha: _build_kernel(args, space.n, alpha=alpha) for alpha in alpha_grid}
     rc = 0
     for eps in eps_grid:
         system = _build_system(args, eps=eps)
         for alpha in alpha_grid:
-            kernel = _build_kernel(args, space.n, alpha=alpha)
-            cx = build_weighted_complex(space, system, kernel, args.pmax)
+            cx = build_weighted_complex(space, system, kernels[alpha], args.pmax)
             betti = exact_betti(cx)
             row = [f"{eps:.17g}", f"{alpha:.17g}"]
             for p in range(args.pmax + 1):

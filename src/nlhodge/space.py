@@ -1,4 +1,16 @@
-"""Finite metric measure spaces: validated distance matrices plus point weights."""
+"""Finite metric measure spaces: validated distance matrices plus point weights.
+
+Every distance matrix is checked exactly, up to METRIC_TOL roundoff: square,
+finite, symmetric, zero diagonal, positive off the diagonal, and the triangle
+inequality fl(fl(d_ij + d_jk) - d_ik) >= -tol for every triple. The triangle
+check is a blocked min-plus scan (`_triangle_holds`): d is a metric iff
+d_ik <= min_j (d_ij + d_jk), and rounding is monotone, so testing the minimum
+decides exactly what testing every j does. It scans only the upper triangle
+k >= i, and only when d is exactly symmetric; a matrix that is symmetric only
+within tolerance gets the full square. On a violation the one-point-per-pass
+scan runs again to name the first intermediate point j with a violation and
+its most negative (i, k).
+"""
 
 from __future__ import annotations
 
@@ -9,6 +21,10 @@ import numpy as np
 
 METRIC_TOL = 1e-12
 MIN_SEPARATION_WARN = 1e-9
+# Tiling of the triangle scan: rows per block and intermediate points per
+# NumPy call; the scratch buffers hold (_J_CHUNK + 2) * _ROW_BLOCK * n entries.
+_ROW_BLOCK = 16
+_J_CHUNK = 8
 
 
 class SpaceValidationError(ValueError):
@@ -25,7 +41,8 @@ def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
         bad = np.argwhere(~np.isfinite(dist))[0]
         raise SpaceValidationError(f"non-finite distance at ({bad[0]}, {bad[1]})")
     asym = np.abs(dist - dist.T)
-    if asym.max(initial=0.0) > tol:
+    worst = asym.max(initial=0.0)
+    if worst > tol:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         raise SpaceValidationError(
             f"asymmetric distances at ({i}, {j}): {dist[i, j]!r} vs {dist[j, i]!r}"
@@ -34,21 +51,19 @@ def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
     if diag.max(initial=0.0) > tol:
         i = int(np.argmax(diag))
         raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {dist[i, i]!r}")
-    off = dist + np.eye(n)  # mask the diagonal when checking positivity
-    if off.min() <= 0.0:
-        i, j = np.unravel_index(np.argmin(off), off.shape)
-        raise SpaceValidationError(f"non-positive distance between distinct points ({i}, {j})")
-    # Triangle inequality, one intermediate point per pass to keep memory at O(n^2).
-    for j in range(n):
-        slack = dist[:, j, None] + dist[None, j, :] - dist
-        if slack.min() < -tol:
-            i, k = np.unravel_index(np.argmin(slack), slack.shape)
-            raise SpaceValidationError(
-                f"triangle inequality violated for ({i}, {j}, {k}): "
-                f"d({i},{k})={dist[i, k]!r} > d({i},{j})+d({j},{k})={dist[i, j] + dist[j, k]!r}"
-            )
     if n > 1:
-        min_sep = np.min(dist + np.eye(n) * dist.max())
+        # Entry (r, c) of this view is flat entry 1 + r*(n+1) + c: every off-diagonal
+        # entry once, in row-major order.
+        off = dist.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+        min_off = off.min()
+        if min_off <= 0.0:
+            r, c = np.unravel_index(np.argmin(off), off.shape)
+            i, j = divmod(1 + int(r) * (n + 1) + int(c), n)
+            raise SpaceValidationError(f"non-positive distance between distinct points ({i}, {j})")
+    if not _triangle_holds(dist, tol, symmetric=worst == 0):
+        raise SpaceValidationError(_triangle_violation(dist, tol))
+    if n > 1:
+        min_sep = min(min_off, np.min(np.diagonal(dist) + dist.max()))
         if min_sep < MIN_SEPARATION_WARN:
             warnings.warn(
                 f"minimum point separation {min_sep:.3e} below {MIN_SEPARATION_WARN:.0e}; "
@@ -56,6 +71,53 @@ def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
                 RuntimeWarning,
                 stacklevel=3,
             )
+
+
+def _triangle_holds(dist: np.ndarray, tol: float, symmetric: bool) -> bool:
+    """Whether fl(fl(d_ij + d_jk) - d_ik) >= -tol for every triple (i, j, k).
+
+    Each block of _ROW_BLOCK rows keeps best[i, k] = min_j fl(d_ij + d_jk),
+    adding _J_CHUNK intermediate points per NumPy call, and tests best - d
+    against -tol once. With `symmetric` a block scans only the columns k >= its
+    first row: there (k, j, i) gives the same sums as (i, j, k).
+    """
+    n = dist.shape[0]
+    rows, chunk = min(_ROW_BLOCK, n), min(_J_CHUNK, n)
+    sums = np.empty(chunk * rows * n, dtype=dist.dtype)
+    acc = np.empty(rows * n, dtype=dist.dtype)
+    part = np.empty(rows * n, dtype=dist.dtype)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        k0 = i0 if symmetric else 0
+        shape = (i1 - i0, n - k0)
+        size = shape[0] * shape[1]
+        best, tmp = acc[:size].reshape(shape), part[:size].reshape(shape)
+        for j0 in range(0, n, chunk):
+            j1 = min(j0 + chunk, n)
+            block = sums[: (j1 - j0) * size].reshape(j1 - j0, *shape)
+            np.add(dist[i0:i1, j0:j1].T[:, :, None], dist[j0:j1, None, k0:], out=block)
+            if j0 == 0:
+                np.minimum.reduce(block, axis=0, out=best)
+            else:
+                np.minimum.reduce(block, axis=0, out=tmp)
+                np.minimum(best, tmp, out=best)
+        np.subtract(best, dist[i0:i1, k0:], out=tmp)
+        if tmp.min() < -tol:
+            return False
+    return True
+
+
+def _triangle_violation(dist: np.ndarray, tol: float) -> str:
+    """Name the most negative slack at the first intermediate point j that has one."""
+    for j in range(dist.shape[0]):
+        slack = dist[:, j, None] + dist[None, j, :] - dist
+        if slack.min() < -tol:
+            i, k = np.unravel_index(np.argmin(slack), slack.shape)
+            return (
+                f"triangle inequality violated for ({i}, {j}, {k}): "
+                f"d({i},{k})={dist[i, k]!r} > d({i},{j})+d({j},{k})={dist[i, j] + dist[j, k]!r}"
+            )
+    raise AssertionError("the min-plus scan found a violation the per-j scan does not")
 
 
 def _check_weights(weights: np.ndarray, n: int) -> None:

@@ -11,6 +11,8 @@ per-intersection Cech builders that `_cech_differences` replaced, and
 `restrict_tuple_sets` and `poincare_check` are the per-intersection
 restriction (its own tuple sets and coboundaries) and the dense slice
 homotopy on it that the global-row slices of `restrict_complex` replaced.
+`triangle_scan` is the one-intermediate-point-per-pass triangle check that
+the blocked min-plus scan of `_check_metric` replaced.
 `partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
 helpers that only the tests use.
 """
@@ -27,6 +29,7 @@ from nlhodge.cochains import Cochain, CochainError, build_coboundary
 from nlhodge.cohomology import PRIME_MAIN
 from nlhodge.kernels import KernelError
 from nlhodge.neighborhoods import TupleSet, enumerate_tuples, insert_points
+from nlhodge.space import METRIC_TOL, SpaceValidationError
 
 _CHUNK_ROWS = 1024
 
@@ -76,6 +79,20 @@ def dense_rank_mod_p(matrix, prime: int = PRIME_MAIN) -> int:
         if rank == m:
             break
     return rank
+
+
+def triangle_scan(dist, tol: float = METRIC_TOL) -> None:
+    """Raise on the most negative slack at the first intermediate point j that has one."""
+    n = dist.shape[0]
+    # Triangle inequality, one intermediate point per pass to keep memory at O(n^2).
+    for j in range(n):
+        slack = dist[:, j, None] + dist[None, j, :] - dist
+        if slack.min() < -tol:
+            i, k = np.unravel_index(np.argmin(slack), slack.shape)
+            raise SpaceValidationError(
+                f"triangle inequality violated for ({i}, {j}, {k}): "
+                f"d({i},{k})={dist[i, k]!r} > d({i},{j})+d({j},{k})={dist[i, j] + dist[j, k]!r}"
+            )
 
 
 def dict_locate(stored, queries) -> np.ndarray:

@@ -148,6 +148,35 @@ def test_sweep_honours_the_kernel(monkeypatch, capsys):
     assert "--eps-trunc" in capsys.readouterr().err
 
 
+def test_sweep_parses_the_kernel_table_once(tmp_path, monkeypatch, capsys):
+    from nlhodge import cli, kernels
+
+    n = 6
+    table = tmp_path / "pairs.txt"
+    table.write_text("".join(f"{i}, {j}, 1.0\n" for i in range(n) for j in range(i + 1, n)))
+    calls = []
+    load = kernels.load_kernel_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "load_kernel_table", counted)
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    rc = cli.main([
+        "sweep", "--space", "circle", "--n", str(n), "--system", "rips",
+        "--eps-grid", "1.1,1.5", "--alpha-grid", "0.5,1.0,1.5",
+        "--kernel", "table", "--kernel-table", str(table), "--pmax", "1",
+    ])
+    assert rc == 0
+    assert len(calls) == 1
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 6
+    # the table ignores alpha: rows of one eps differ only in the alpha column
+    for first, *rest in (rows[:3], rows[3:]):
+        assert all(r[:1] + r[2:] == first[:1] + first[2:] for r in rest)
+
+
 # --- verify ---------------------------------------------------------------------
 
 

@@ -1,11 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlhodge.space import (
+    _ROW_BLOCK,
+    METRIC_TOL,
+    MIN_SEPARATION_WARN,
     MetricMeasureSpace,
     SpaceValidationError,
+    _check_metric,
     gen_circle,
     gen_interval,
     gen_punctured_interval,
@@ -13,6 +19,7 @@ from nlhodge.space import (
     gen_two_components,
     load_distance_matrix,
 )
+from oracles import triangle_scan
 
 
 def test_circle_distances_follow_arc_law_exactly():
@@ -183,3 +190,136 @@ def test_loader_rejects_bad_weights(tmp_path):
     wfile.write_text("0.25\n0.25\n-0.25\n0.25\n")
     with pytest.raises(SpaceValidationError, match="non-positive weight at 2"):
         load_distance_matrix(mat, wfile)
+
+
+SIZES = [1, 2, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3]
+
+
+def _edge(d, a, b):
+    """Largest d[a, b] whose slack through every other point stays >= -METRIC_TOL."""
+    s = min(d[a, j] + d[j, b] for j in range(d.shape[0]) if j not in (a, b))
+    if d.dtype.kind == "i":
+        return s
+    c = s + METRIC_TOL
+    while s - c < -METRIC_TOL:
+        c = np.nextafter(c, -np.inf)
+    while s - np.nextafter(c, np.inf) >= -METRIC_TOL:
+        c = np.nextafter(c, np.inf)
+    return c
+
+
+def _past(d, c):
+    return c + 1 if d.dtype.kind == "i" else np.nextafter(c, np.inf)
+
+
+def _case_matrix(n, seed, integer, mode, edit, last, dip):
+    """A near-metric with one edited pair (a, b).
+
+    mode "sym" keeps d exactly symmetric. "lower" and "noise" put the edit at
+    a > b only and give (b, a) its own boundary value, so d is symmetric only
+    within tolerance; "noise" also perturbs the upper triangle by up to 2e-13.
+    "at" puts d[a, b] on the tolerance boundary, "past" one step beyond it and
+    "big" far beyond it. "exact_at" makes a, b and a third point a cluster
+    whose slack is exactly -METRIC_TOL; "exact_past" one step beyond it.
+    dip then sets the diagonal to small negatives within tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    if integer:
+        cells = rng.choice(40 * 40, size=n, replace=False)
+        pts = np.stack(np.divmod(cells, 40), axis=1)
+        d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    else:
+        pts = rng.random((n, 2))
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        if mode == "noise":
+            d = d + np.triu(rng.uniform(-2e-13, 2e-13, (n, n)), 1)
+    if edit != "none":
+        _edit(d, rng, mode, edit, last)
+    if dip:
+        np.fill_diagonal(d, -METRIC_TOL * rng.choice([0.0, 0.5, 1.0], n))
+    return d
+
+
+def _edit(d, rng, mode, edit, last):
+    n = d.shape[0]
+    a, b = (n - 1, n - 2) if last else (int(v) for v in rng.choice(n, 2, replace=False))
+    if mode != "sym":
+        a, b = max(a, b), min(a, b)
+        ab, ba = _edge(d, a, b), _edge(d, b, a)
+        d[a, b], d[b, a] = (ab if edit == "at" else _past(d, ab)), ba
+    elif edit.startswith("exact"):
+        j = next(x for x in rng.permutation(n) if x not in (a, b))
+        for x in (b, j):
+            d[x, :] = d[a, :]
+            d[:, x] = d[:, a]
+        c = 1.5e-12
+        half = (c - METRIC_TOL) / 2
+        d[a, j] = d[j, a] = d[j, b] = d[b, j] = half
+        d[a, b] = d[b, a] = c if edit == "exact_at" else np.nextafter(c, 1.0)
+    else:
+        c = _edge(d, a, b)
+        d[a, b] = d[b, a] = {"at": c, "past": _past(d, c), "big": 2 * c + 1}[edit]
+
+
+def _outcome(check, d):
+    """(error text or None, warning texts) of one validation call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check(d)
+            error = None
+        except SpaceValidationError as exc:
+            error = str(exc)
+    return error, [str(w.message) for w in caught]
+
+
+def _oracle(d):
+    error, _ = _outcome(triangle_scan, d)
+    notes = []
+    if error is None and d.shape[0] > 1:
+        min_sep = np.min(d + np.eye(d.shape[0]) * d.max())
+        if min_sep < MIN_SEPARATION_WARN:
+            notes.append(
+                f"minimum point separation {min_sep:.3e} below {MIN_SEPARATION_WARN:.0e}; "
+                "kernel weights may overflow"
+            )
+    return error, notes
+
+
+@st.composite
+def metric_cases(draw):
+    n = draw(st.sampled_from(SIZES))
+    integer = draw(st.booleans())
+    mode = "sym" if integer else draw(st.sampled_from(["sym", "lower", "noise"]))
+    edits = ["none"]
+    if n >= 3:
+        edits += ["at", "past"]
+        if mode == "sym":
+            edits += ["big"] if integer else ["big", "exact_at", "exact_past"]
+    edit = draw(st.sampled_from(edits))
+    dip = not integer and draw(st.booleans())
+    return (n, draw(st.integers(0, 2**32 - 1)), integer, mode, edit, draw(st.booleans()), dip,
+            draw(st.sampled_from("CF")))
+
+
+@settings(max_examples=120, deadline=None)
+@given(metric_cases())
+@example((2 * _ROW_BLOCK + 3, 0, False, "lower", "past", True, False, "C"))
+@example((_ROW_BLOCK + 1, 1, False, "noise", "past", True, False, "F"))
+@example((2 * _ROW_BLOCK + 3, 2, False, "sym", "past", True, False, "C"))
+@example((_ROW_BLOCK, 3, True, "sym", "past", True, False, "C"))
+@example((_ROW_BLOCK - 1, 4, False, "sym", "exact_at", False, False, "C"))
+@example((2 * _ROW_BLOCK + 3, 5, False, "sym", "exact_past", True, False, "F"))
+@example((_ROW_BLOCK + 1, 6, False, "sym", "none", False, True, "C"))
+def test_triangle_check_matches_the_per_j_oracle(case):
+    n, seed, integer, mode, edit, last, dip, order = case
+    d = _case_matrix(n, seed, integer, mode, edit, last, dip)
+    if order == "F":
+        d = np.asfortranarray(d)
+    expected = _oracle(d)
+    assert _outcome(_check_metric, d) == expected
+    # without the dip the edits land where they are meant to, so both outcomes occur
+    if not dip and edit in ("at", "exact_at"):
+        assert expected[0] is None
+    elif not dip and edit != "none":
+        assert expected[0] is not None
