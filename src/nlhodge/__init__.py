@@ -5,6 +5,8 @@ pools before numpy loads; import what you need from the submodules, or rely
 on the lazy attribute forwarding below for the common entry points.
 """
 
+import os
+
 __version__ = "0.1.0"
 
 _FORWARD = {
@@ -42,7 +44,29 @@ _FORWARD = {
     "removability_sweep": "capacity",
 }
 
-__all__ = sorted(_FORWARD) + ["__version__"]
+__all__ = sorted(_FORWARD) + ["__version__", "thread_cap"]
+
+
+def thread_cap() -> int:
+    """Most worker threads one stage may run, from NLH_THREADS.
+
+    Unset means every CPU this process may run on (its affinity set, or
+    os.cpu_count() where that is unavailable). Anything but a positive
+    integer raises ValueError.
+    """
+    raw = os.environ.get("NLH_THREADS")
+    if raw is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"NLH_THREADS must be a positive integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"NLH_THREADS must be >= 1, got {cap}")
+    return cap
 
 
 def __getattr__(name):

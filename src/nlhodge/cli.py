@@ -5,9 +5,11 @@ agreement failures. Reports are JSON (schema 1) and CSV, written with sorted
 keys and fixed column order; repeated runs with the same configuration
 produce byte-identical files.
 
-NLH_THREADS is validated (a positive integer, else exit 1) but not yet used:
-all kernels run on pinned single-threaded BLAS pools, so results never depend
-on it. Making the cap do something is item 4 of ROADMAP.md.
+NLH_THREADS caps the worker threads of the exact triangle scan that checks
+every input metric (row blocks split across threads); unset, the cap is the
+number of CPUs the process may run on. It must be a positive integer, else
+exit 1. BLAS pools stay pinned to one thread and the scan's verdict does not
+depend on the cap, so every report is byte-identical at any cap.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import argparse
 import json
 import os
 import sys
+
+from . import thread_cap
 
 USAGE_EXIT = 1
 VERIFY_EXIT = 2
@@ -29,14 +33,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _pin_threads() -> int:
-    """Resolve NLH_THREADS and pin BLAS pools before numpy loads."""
-    raw = os.environ.get("NLH_THREADS", "1")
+    """Resolve NLH_THREADS (exit 1 if invalid) and pin BLAS pools before numpy loads."""
     try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"error: NLH_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit(f"error: NLH_THREADS must be >= 1, got {cap}")
+        cap = thread_cap()
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         os.environ[var] = "1"
@@ -178,9 +179,11 @@ def cmd_sweep(args) -> int:
     rc = 0
     for eps in eps_grid:
         system = _build_system(args, eps=eps)
+        betti = None
         for alpha in alpha_grid:
             cx = build_weighted_complex(space, system, kernels[alpha], args.pmax)
-            betti = exact_betti(cx)
+            if betti is None:  # exact ranks read only the integer coboundaries
+                betti = exact_betti(cx)
             row = [f"{eps:.17g}", f"{alpha:.17g}"]
             for p in range(args.pmax + 1):
                 rep = hodge_report(cx, p, oracle=betti.betti[p])

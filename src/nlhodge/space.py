@@ -9,7 +9,10 @@ decides exactly what testing every j does. It scans only the upper triangle
 k >= i, and only when d is exactly symmetric; a matrix that is symmetric only
 within tolerance gets the full square. On a violation the one-point-per-pass
 scan runs again to name the first intermediate point j with a violation and
-its most negative (i, k).
+its most negative (i, k). The row blocks run on min(NLH_THREADS, blocks)
+worker threads (`nlhodge.thread_cap`; unset, one per CPU the process may run
+on); a single block of n <= 16 rows starts none. The verdict does not depend
+on the thread count.
 """
 
 from __future__ import annotations
@@ -19,10 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import thread_cap
+
 METRIC_TOL = 1e-12
 MIN_SEPARATION_WARN = 1e-9
 # Tiling of the triangle scan: rows per block and intermediate points per
-# NumPy call; the scratch buffers hold (_J_CHUNK + 2) * _ROW_BLOCK * n entries.
+# NumPy call; each worker's scratch buffers hold (_J_CHUNK + 2) * _ROW_BLOCK * n
+# entries.
 _ROW_BLOCK = 16
 _J_CHUNK = 8
 
@@ -76,17 +82,50 @@ def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
 def _triangle_holds(dist: np.ndarray, tol: float, symmetric: bool) -> bool:
     """Whether fl(fl(d_ij + d_jk) - d_ik) >= -tol for every triple (i, j, k).
 
-    Each block of _ROW_BLOCK rows keeps best[i, k] = min_j fl(d_ij + d_jk),
-    adding _J_CHUNK intermediate points per NumPy call, and tests best - d
-    against -tol once. With `symmetric` a block scans only the columns k >= its
-    first row: there (k, j, i) gives the same sums as (i, j, k).
+    The blocks of _ROW_BLOCK rows are dealt round-robin to min(thread_cap(),
+    number of blocks) workers, so each gets a like share of the shrinking
+    upper-triangle widths; NumPy's add and minimum release the GIL, so the
+    workers overlap. The first violating block sets `stop`, which is also the
+    verdict, and the other workers stop at their next block.
+    """
+    import threading
+
+    n = dist.shape[0]
+    rows, chunk = min(_ROW_BLOCK, n), min(_J_CHUNK, n)
+    starts = range(0, n, rows)
+    workers = min(thread_cap(), len(starts))
+    # Allocated in the calling thread: a buffer a worker thread allocates stays
+    # in that thread's malloc arena and raised peak RSS by about 3 MB at n=1024.
+    scratch = np.empty((workers, (chunk + 2) * rows * n), dtype=dist.dtype)
+    stop = threading.Event()
+    if workers == 1:
+        _scan_rows(dist, tol, symmetric, starts, stop, scratch[0])
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            # list() re-raises a worker's exception here
+            list(pool.map(
+                lambda w: _scan_rows(dist, tol, symmetric, starts[w::workers], stop, scratch[w]),
+                range(workers),
+            ))
+    return not stop.is_set()
+
+
+def _scan_rows(dist: np.ndarray, tol: float, symmetric: bool, starts, stop, scratch) -> None:
+    """Scan the row blocks beginning at `starts`; set `stop` at the first violation.
+
+    Each block keeps best[i, k] = min_j fl(d_ij + d_jk), adding _J_CHUNK
+    intermediate points per NumPy call into this worker's `scratch`, and tests
+    best - d against -tol once. With `symmetric` a block scans only the
+    columns k >= its first row: there (k, j, i) gives the same sums as (i, j, k).
     """
     n = dist.shape[0]
     rows, chunk = min(_ROW_BLOCK, n), min(_J_CHUNK, n)
-    sums = np.empty(chunk * rows * n, dtype=dist.dtype)
-    acc = np.empty(rows * n, dtype=dist.dtype)
-    part = np.empty(rows * n, dtype=dist.dtype)
-    for i0 in range(0, n, rows):
+    sums, acc, part = np.split(scratch, [chunk * rows * n, (chunk + 1) * rows * n])
+    for i0 in starts:
+        if stop.is_set():
+            return
         i1 = min(i0 + rows, n)
         k0 = i0 if symmetric else 0
         shape = (i1 - i0, n - k0)
@@ -103,8 +142,8 @@ def _triangle_holds(dist: np.ndarray, tol: float, symmetric: bool) -> bool:
                 np.minimum(best, tmp, out=best)
         np.subtract(best, dist[i0:i1, k0:], out=tmp)
         if tmp.min() < -tol:
-            return False
-    return True
+            stop.set()
+            return
 
 
 def _triangle_violation(dist: np.ndarray, tol: float) -> str:

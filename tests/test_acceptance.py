@@ -424,17 +424,26 @@ def test_9_byte_identical_determinism(tmp_path):
             "sweep", "--space", "circle", "--n", "12", "--eps-grid", "0.8,1.2",
             "--alpha-grid", "0.5,1.5", "--pmax", "1",
         ]
+        # circle n=48 has three row blocks: cap 4 validates it on three threads, cap 1 on one
+        threaded_args = [
+            "betti", "--space", "circle", "--n", "48", "--eps", "0.3",
+            "--alpha", "0.5", "--pmax", "1",
+        ]
         runs = {}
         for tag, threads in (("a", 1), ("b", 1), ("c", 4)):
             out = tmp_path / f"run_{tag}"
             out.mkdir()
             stdout_b = _run_cli(betti_args, out, threads)
             stdout_s = _run_cli(sweep_args, out, threads)
+            stdout_t = _run_cli(threaded_args, out / "n48", threads)
             runs[tag] = (
                 stdout_b,
                 stdout_s,
+                stdout_t,
                 (out / "betti_report.json").read_bytes(),
                 (out / "hodge_report.json").read_bytes(),
                 (out / "sweep.csv").read_bytes(),
+                (out / "n48" / "betti_report.json").read_bytes(),
+                (out / "n48" / "hodge_report.json").read_bytes(),
             )
         assert runs["a"] == runs["b"] == runs["c"]

@@ -67,21 +67,24 @@ def test_betti_on_a_file_space(tmp_path):
 
 
 def test_reports_are_byte_identical_across_thread_caps(tmp_path):
-    outs = []
-    for label, threads in (("a", "1"), ("b", "4")):
-        out = tmp_path / label
-        proc = run_cli(
-            "betti", "--space", "circle", "--n", "12", "--system", "rips",
-            "--eps", "1.1", "--alpha", "0.5", "--pmax", "1", "--out", str(out),
-            env_extra={"NLH_THREADS": threads},
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    for name in ("betti_report.json", "hodge_report.json"):
-        a = (outs[0] / name).read_bytes()
-        b = (outs[1] / name).read_bytes()
-        assert a == b, f"{name} differs between thread caps"
-        assert a.endswith(b"\n")
+    # n=48 has three row blocks, so cap 4 scans the metric on three threads
+    for n, eps in (("12", "1.1"), ("48", "0.3")):
+        outs = []
+        for label, threads in (("a", "1"), ("b", "4")):
+            out = tmp_path / f"{label}{n}"
+            proc = run_cli(
+                "betti", "--space", "circle", "--n", n, "--system", "rips",
+                "--eps", eps, "--alpha", "0.5", "--pmax", "1", "--out", str(out),
+                env_extra={"NLH_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "p=1 betti=1" in proc.stdout
+            outs.append(out)
+        for name in ("betti_report.json", "hodge_report.json"):
+            a = (outs[0] / name).read_bytes()
+            b = (outs[1] / name).read_bytes()
+            assert a == b, f"{name} differs between thread caps at n={n}"
+            assert a.endswith(b"\n")
 
 
 def test_table_kernel_validates_the_space_once(tmp_path, monkeypatch, capsys):
@@ -146,6 +149,28 @@ def test_sweep_honours_the_kernel(monkeypatch, capsys):
     assert csvs["constant"] != csvs["fractional"]
     assert cli.main(grid + ["--kernel", "truncated"]) == 1
     assert "--eps-trunc" in capsys.readouterr().err
+
+
+def test_sweep_runs_exact_betti_once_per_eps(monkeypatch, capsys):
+    from nlhodge import cli, cohomology
+
+    calls = []
+    exact = cohomology.exact_betti
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "exact_betti", counted)
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    rc = cli.main([
+        "sweep", "--space", "circle", "--n", "10", "--system", "rips",
+        "--eps-grid", "0.8,1.2", "--alpha-grid", "0.5,1.0,1.5", "--pmax", "1",
+    ])
+    assert rc == 0
+    assert len(calls) == 2
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 6 and all(row.split(",")[2] == "1" for row in rows)
 
 
 def test_sweep_parses_the_kernel_table_once(tmp_path, monkeypatch, capsys):
@@ -233,6 +258,26 @@ def test_bad_thread_cap_exits_one():
         env_extra={"NLH_THREADS": "0"},
     )
     assert proc.returncode == 1
+
+
+def test_library_thread_cap_matches_the_cli(monkeypatch):
+    from nlhodge import thread_cap
+
+    texts = {
+        "zzz": "NLH_THREADS must be a positive integer, got 'zzz'",
+        "0": "NLH_THREADS must be >= 1, got 0",
+    }
+    for raw, text in texts.items():
+        monkeypatch.setenv("NLH_THREADS", raw)
+        with pytest.raises(ValueError) as exc:
+            thread_cap()
+        assert str(exc.value) == text
+        proc = run_cli("verify", "--suite", "identity", env_extra={"NLH_THREADS": raw})
+        assert (proc.returncode, proc.stderr) == (1, f"error: {text}\n")
+    monkeypatch.setenv("NLH_THREADS", "3")
+    assert thread_cap() == 3
+    monkeypatch.delenv("NLH_THREADS")
+    assert thread_cap() == len(os.sched_getaffinity(0))
 
 
 def test_missing_file_exits_one(tmp_path):

@@ -1,11 +1,18 @@
+import itertools
+import os
+import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nlhodge import space as space_module
 from nlhodge.space import (
+    _J_CHUNK,
     _ROW_BLOCK,
     METRIC_TOL,
     MIN_SEPARATION_WARN,
@@ -311,15 +318,77 @@ def metric_cases(draw):
 @example((_ROW_BLOCK - 1, 4, False, "sym", "exact_at", False, False, "C"))
 @example((2 * _ROW_BLOCK + 3, 5, False, "sym", "exact_past", True, False, "F"))
 @example((_ROW_BLOCK + 1, 6, False, "sym", "none", False, True, "C"))
+# the only violation is in the last of three row blocks, which cap 3 gives to worker 2
+@example((2 * _ROW_BLOCK + 3, 7, False, "sym", "big", True, False, "C"))
 def test_triangle_check_matches_the_per_j_oracle(case):
     n, seed, integer, mode, edit, last, dip, order = case
     d = _case_matrix(n, seed, integer, mode, edit, last, dip)
     if order == "F":
         d = np.asfortranarray(d)
     expected = _oracle(d)
-    assert _outcome(_check_metric, d) == expected
+    # hypothesis forbids function-scoped fixtures, so the caps are set here
+    for cap in ("1", "2", "3"):
+        with mock.patch.dict(os.environ, {"NLH_THREADS": cap}):
+            assert _outcome(_check_metric, d) == expected, f"NLH_THREADS={cap}"
     # without the dip the edits land where they are meant to, so both outcomes occur
     if not dip and edit in ("at", "exact_at"):
         assert expected[0] is None
     elif not dip and edit != "none":
         assert expected[0] is not None
+
+
+@pytest.mark.parametrize("n", [3, _ROW_BLOCK, 3 * _ROW_BLOCK])
+def test_thread_cap_sets_the_worker_count(n, monkeypatch):
+    shares, buffers = [], []
+    scan = space_module._scan_rows
+
+    def spy(dist, tol, symmetric, starts, stop, scratch):
+        shares.append(list(starts))
+        buffers.append(scratch)
+        scan(dist, tol, symmetric, starts, stop, scratch)
+
+    monkeypatch.setattr(space_module, "_scan_rows", spy)
+    d = gen_circle(n).dist
+    blocks = -(-n // _ROW_BLOCK)
+    for cap in (1, 2, 3, 4):
+        monkeypatch.setenv("NLH_THREADS", str(cap))
+        shares.clear()
+        buffers.clear()
+        _check_metric(d)
+        assert len(shares) == min(cap, blocks)
+        assert sorted(sum(shares, [])) == list(range(0, n, _ROW_BLOCK))
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
+
+
+def test_a_set_stop_event_ends_a_workers_scan():
+    d = gen_circle(3 * _ROW_BLOCK).dist
+    stop = threading.Event()
+    stop.set()  # another worker found a violation
+    seen = []
+
+    def starts():
+        for i0 in range(0, d.shape[0], _ROW_BLOCK):
+            seen.append(i0)
+            yield i0
+
+    scratch = np.empty((_J_CHUNK + 2) * _ROW_BLOCK * d.shape[0])
+    space_module._scan_rows(d, METRIC_TOL, True, starts(), stop, scratch)
+    assert seen == [0]
+
+
+def test_more_workers_than_cores_find_a_violation_in_any_block(monkeypatch):
+    n = 8 * _ROW_BLOCK
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for a in [None, *range(0, n - 1, 11)]:
+            d = gen_interval(n).dist.copy()
+            if a is not None:  # the only violating triples are (a, j, n-1), in a's row block
+                d[a, n - 1] = d[n - 1, a] = 2.0
+            expected = _oracle(d)
+            assert (expected[0] is None) == (a is None)
+            for cap in ("1", "8"):
+                monkeypatch.setenv("NLH_THREADS", cap)
+                assert _outcome(_check_metric, d) == expected, (a, cap)
+    finally:
+        sys.setswitchinterval(switch)
