@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .space import MetricMeasureSpace
-from .neighborhoods import NeighborhoodSystem, insert_points
+from .neighborhoods import NeighborhoodSystem
 from .cohomology import rank_exact, BettiReport, PRIME_MAIN
 from .hodge import WeightedComplex
 
@@ -109,14 +109,41 @@ class LocalComplex:
     mask: np.ndarray
     complex_: WeightedComplex
     global_rows: list[np.ndarray]
+    _entries: dict = field(default_factory=dict, init=False, repr=False)
 
     def dim(self, p: int) -> int:
         return self.global_rows[p].size if p < len(self.global_rows) else 0
 
-    def coboundary(self, p: int) -> sp.csr_matrix:
-        """Slice of the global coboundary: every face of an inside tuple is inside."""
-        rows = self.global_rows
-        return self.complex_.coboundary(p).matrix[rows[p + 1]][:, rows[p]]
+    def coboundary_entries(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Entries of delta_p restricted here: (row, col, sign, removed point).
+
+        Read from the global CSR rows of the inside (p+1)-tuples, which hold
+        one entry per face; every face of an inside tuple is inside, so each
+        global column has a local one. The removed point is the member sum of
+        the row's tuple minus that of the column's, exact in int64. Memoized.
+        """
+        if p not in self._entries:
+            rows, cols = self.global_rows[p + 1], self.global_rows[p]
+            mat = self.complex_.coboundary(p).matrix
+            k = p + 2
+            faces = mat.indices.reshape(-1, k)[rows]
+            sign = mat.data.reshape(-1, k)[rows]
+            ts = self.complex_.tuple_sets
+            removed = ts[p + 1].tuples[rows].sum(axis=1)[:, None] - ts[p].tuples[faces].sum(axis=2)
+            self._entries[p] = (
+                np.repeat(np.arange(rows.size), k),
+                np.searchsorted(cols, faces.ravel()),
+                sign.ravel(),
+                removed.ravel(),
+            )
+        return self._entries[p]
+
+    def coboundary(self, p: int) -> np.ndarray:
+        """Dense float matrix of delta_p restricted here, scattered from its entries."""
+        row, col, sign, _ = self.coboundary_entries(p)
+        out = np.zeros((self.dim(p + 1), self.dim(p)))
+        out[row, col] = sign
+        return out
 
 
 def restrict_complex(cover: CoverSystem, complex_: WeightedComplex, alphas,
@@ -451,7 +478,9 @@ class HomotopyOperator:
     (Psi F)(x_0..x_{p-1}) = (1/mass(W)) * sum_{t in W} w_t F(t, x_0..x_{p-1});
     valid whenever prepending any t in W to an admissible tuple with at most
     `level` points stays admissible (checked constructively at build time).
-    psi[p - 1] is the dense matrix of Psi from local degree p to p-1.
+    psi[p - 1] is the dense matrix of Psi from local degree p to p-1: the
+    transpose of the local delta_{p-1}, each entry weighted by w_t/mass of its
+    removed point t and kept only for t in W.
     """
 
     alphas: tuple
@@ -472,8 +501,17 @@ class HomotopyOperator:
 def build_slice_and_psi(
     cover: CoverSystem, complex_: WeightedComplex, alphas, level: int
 ) -> HomotopyOperator:
-    """Brute-force slice: keep t if every admissible local tuple of at most
-    `level` points stays admissible when t is prepended; then Psi_1..Psi_level.
+    """Slice W and Psi_1..Psi_level, read from the local coboundary entries.
+
+    t is in W when prepending it keeps every local tuple of at most `level`
+    points admissible. An entry of the local delta_{ell-1} joins an ell-tuple
+    to its face without the removed point t, so the entries removing t are the
+    admissible augmentations of the local (ell-1)-tuples that avoid t. t is
+    kept when, at every ell, they number all (ell-1)-tuples avoiding t.
+
+    Psi_ell is delta_{ell-1}^T weighted by w_t/mass of the removed point t,
+    keeping the entries with t in W; an entry's sign is the insertion parity
+    of its t.
 
     Raises SliceEmptyError when no such t exists (the contractibility
     assumption fails at this scale for this intersection).
@@ -484,31 +522,28 @@ def build_slice_and_psi(
             f"rebuild the complex with p_max >= {level - 1}"
         )
     loc = restrict_complex(cover, complex_, alphas, level)
-    pts = np.nonzero(loc.mask)[0]
-    if pts.size == 0:
+    if not loc.mask.any():
         raise CoverError(f"intersection {tuple(alphas)} is empty")
-    keep = np.ones(pts.size, dtype=bool)
-    augmented = []  # per degree ell: global id, sign and hit of each (tuple, point) pair
+    n = cover.space.n
+    in_W = loc.mask.copy()
     for ell in range(1, level + 1):
-        rows = complex_.tuple_sets[ell - 1].tuples[loc.global_rows[ell - 1]]
-        keys, sign, hit = insert_points(rows, pts)
-        ids = complex_.tuple_sets[ell].locate(keys)
-        keep &= (hit | (ids >= 0)).all(axis=0)
-        augmented.append((ids, sign, hit))
-    if not keep.any():
+        removed = loc.coboundary_entries(ell - 1)[3]
+        members = complex_.tuple_sets[ell - 1].tuples[loc.global_rows[ell - 1]]
+        avoiding = loc.dim(ell - 1) - np.bincount(members.ravel(), minlength=n)
+        in_W &= np.bincount(removed, minlength=n) == avoiding
+    if not in_W.any():
         raise SliceEmptyError(
             f"slice set empty for intersection {tuple(alphas)} at level {level}"
         )
-    W = pts[keep]
+    W = np.nonzero(in_W)[0]
     weights = cover.space.weights[W]
     mass = float(weights.sum())
     psi = []
-    for ell, (ids, sign, hit) in enumerate(augmented, 1):
-        ids, sign, hit = ids[:, keep], sign[:, keep], hit[:, keep]
-        r, j = np.nonzero(~hit)
+    for ell in range(1, level + 1):
+        row, col, sign, removed = loc.coboundary_entries(ell - 1)
+        hit = in_W[removed]
         out = np.zeros((loc.dim(ell - 1), loc.dim(ell)))
-        # distinct slice points give distinct augmented tuples: one term per entry
-        out[r, np.searchsorted(loc.global_rows[ell], ids[r, j])] = sign[r, j] * weights[j] / mass
+        out[col[hit], row[hit]] = sign[hit] * cover.space.weights[removed[hit]] / mass
         psi.append(out)
     return HomotopyOperator(loc.alphas, level, W, weights, mass, loc, psi)
 
@@ -520,10 +555,10 @@ def homotopy_identity_residual(op: HomotopyOperator, p: int) -> float:
     m = op.local.dim(p)
     if m == 0:
         return 0.0
-    up = op.local.coboundary(p).astype(float)
-    down = op.local.coboundary(p - 1).astype(float)
-    lhs = op.psi_matrix(p + 1) @ up.toarray() + down.toarray() @ op.psi_matrix(p)
-    return float(np.abs(lhs - np.eye(m)).max())
+    loc = op.local
+    lhs = op.psi_matrix(p + 1) @ loc.coboundary(p) + loc.coboundary(p - 1) @ op.psi_matrix(p)
+    lhs.flat[:: m + 1] -= 1.0
+    return float(np.abs(lhs).max())
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,9 @@ class MetricMeasureSpace:
 
     The distance matrix must be a genuine metric up to 1e-12 roundoff:
     symmetric, zero diagonal, positive off the diagonal, triangle inequality.
+    `dist` and `weights` are read-only views; a C-contiguous float64 input
+    shares its buffer with them (no copy), so writing to it later changes
+    the space.
     """
 
     dist: np.ndarray
@@ -183,8 +186,9 @@ class MetricMeasureSpace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        dist = np.ascontiguousarray(np.asarray(self.dist, dtype=float))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
+        # views: read-only here, while the caller's own array stays writable
+        dist = np.ascontiguousarray(np.asarray(self.dist, dtype=float)).view()
+        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float)).view()
         _check_metric(dist)
         _check_weights(weights, dist.shape[0])
         dist.setflags(write=False)

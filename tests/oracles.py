@@ -10,7 +10,9 @@ per-intersection Cech builders that `_cech_differences` replaced, and
 `cech_sign` the sign rule of the partition-of-unity preimage.
 `restrict_tuple_sets` and `poincare_check` are the per-intersection
 restriction (its own tuple sets and coboundaries) and the dense slice
-homotopy on it that the global-row slices of `restrict_complex` replaced.
+homotopy on it that the global-row slices of `restrict_complex` replaced;
+`slice_oracle` and `psi_oracle` are its point-by-point slice test and
+insertion-built Psi, which the local coboundary entries replaced.
 `triangle_scan` is the one-intermediate-point-per-pass triangle check that
 the blocked min-plus scan of `_check_metric` replaced.
 `partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
@@ -161,13 +163,11 @@ def restrict_tuple_sets(cover, complex_, alphas, max_degree: int):
     return sets, rows
 
 
-def poincare_check(cover, complex_, alphas, level: int):
-    """(|W|, residuals at degrees 1..level-1) of the slice homotopy, None for an empty slice.
+def slice_oracle(cover, complex_, alphas, level: int):
+    """(local tuple sets, W, weights of W, mass of W) of an intersection, None for an empty slice.
 
     The slice keeps each intersection point whose prepending keeps every
-    local tuple of at most `level` points admissible. Psi and the local
-    coboundaries are built on the intersection's own tuple sets, densely,
-    and the residual is max |Psi delta + delta Psi - id|.
+    local tuple of at most `level` points admissible, tried point by point.
     """
     sets, _ = restrict_tuple_sets(cover, complex_, alphas, level)
     pts = np.nonzero(cover.intersection_mask(alphas))[0]
@@ -179,15 +179,32 @@ def poincare_check(cover, complex_, alphas, level: int):
         return None
     W = pts[keep]
     weights = cover.space.weights[W]
-    mass = float(weights.sum())
+    return sets, W, weights, float(weights.sum())
+
+
+def psi_oracle(sets, W, weights, mass, p: int) -> np.ndarray:
+    """Dense Psi from local degree p to p-1: each slice point inserted into each lower tuple."""
+    src, dst = sets[p], sets[p - 1]
+    keys, sign, hit = insert_points(dst.tuples, W)
+    r, j = np.nonzero(~hit)
+    out = np.zeros((dst.size, src.size))
+    out[r, src.locate(keys[r, j])] = sign[r, j] * weights[j] / mass
+    return out
+
+
+def poincare_check(cover, complex_, alphas, level: int):
+    """(|W|, residuals at degrees 1..level-1) of the slice homotopy, None for an empty slice.
+
+    Psi and the local coboundaries are built on the intersection's own tuple
+    sets, densely, and the residual is max |Psi delta + delta Psi - id|.
+    """
+    found = slice_oracle(cover, complex_, alphas, level)
+    if found is None:
+        return None
+    sets, W, weights, mass = found
 
     def psi(p):
-        src, dst = sets[p], sets[p - 1]
-        keys, sign, hit = insert_points(dst.tuples, W)
-        r, j = np.nonzero(~hit)
-        out = np.zeros((dst.size, src.size))
-        out[r, src.locate(keys[r, j])] = sign[r, j] * weights[j] / mass
-        return out
+        return psi_oracle(sets, W, weights, mass, p)
 
     residuals = []
     for p in range(1, level):

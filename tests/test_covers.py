@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import nlhodge.cochains
+import nlhodge.neighborhoods
 from nlhodge.space import MetricMeasureSpace, gen_circle, gen_interval
-from nlhodge.neighborhoods import full_system, hausdorff_system, rips_system
+from nlhodge.neighborhoods import TupleSet, full_system, hausdorff_system, rips_system
 from nlhodge.kernels import fractional_kernel
 from nlhodge.hodge import build_weighted_complex
 from nlhodge.covers import (
@@ -34,8 +37,10 @@ from oracles import (
     nerve_combos,
     partition_supported,
     poincare_check,
+    psi_oracle,
     restrict_tuple_sets,
     simplex_coface_matrix,
+    slice_oracle,
 )
 
 
@@ -174,7 +179,9 @@ def test_partition_fails_for_tuples_wider_than_the_cover_scale():
 
 def test_restrict_complex_matches_brute_force(circle_setup):
     # Local rows are the global ids of the inside tuples; each local
-    # coboundary equals the one built on the intersection's own tuple sets.
+    # coboundary, as entries and as their dense scatter, equals the one built
+    # on the intersection's own tuple sets, and each entry's removed point is
+    # the member of its row tuple missing from its column tuple.
     _, _, complex_, cover = circle_setup
     loc = restrict_complex(cover, complex_, (0, 1), 2)
     mask = cover.big_masks[0] & cover.big_masks[1]
@@ -187,7 +194,14 @@ def test_restrict_complex_matches_brute_force(circle_setup):
         assert loc.dim(p) == len(keep) == sets[p].size
     for p in range(2):
         want = build_coboundary(sets[p], sets[p + 1]).matrix
-        assert (loc.coboundary(p) != want).nnz == 0
+        row, col, sign, removed = loc.coboundary_entries(p)
+        got = sp.csr_matrix((sign, (row, col)), shape=want.shape)
+        assert got.nnz == row.size == want.nnz
+        assert (got != want).nnz == 0
+        assert np.array_equal(loc.coboundary(p), want.astype(float).toarray())
+        for r, c, t in zip(row, col, removed):
+            y, x = sets[p + 1].tuples[r].tolist(), sets[p].tuples[c].tolist()
+            assert sorted(x + [t]) == y
 
 
 # --- Mayer-Vietoris -----------------------------------------------------------
@@ -432,6 +446,73 @@ def test_poincare_residuals_match_the_oracle(any_setup, p_check):
         assert got == [want[c] for c in expect]
 
 
+def test_psi_matches_the_insertion_oracle(any_setup):
+    # Psi_1..Psi_3 read from the local coboundary entries equal, bit for bit,
+    # the matrices built by inserting each slice point into each lower tuple
+    # of the intersection's own tuple sets, and the slices agree.
+    (_, _, complex_, cover), _ = any_setup
+    level = 3
+    for combo in nerve_combos(cover, 0) + nerve_combos(cover, 1):
+        ref = slice_oracle(cover, complex_, combo, level)
+        if ref is None:
+            with pytest.raises(SliceEmptyError):
+                build_slice_and_psi(cover, complex_, combo, level)
+            continue
+        op = build_slice_and_psi(cover, complex_, combo, level)
+        assert np.array_equal(op.W, ref[1]), combo
+        assert op.mass == ref[3]
+        for ell in range(1, level + 1):
+            assert np.array_equal(op.psi_matrix(ell), psi_oracle(*ref, ell)), (combo, ell)
+
+
+def _record_calls(monkeypatch, calls):
+    """Wrap the insertion/lookup brute force and every CSR slice or densify
+    so that each call is appended to `calls`."""
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (nlhodge.neighborhoods, nlhodge.cochains):
+        monkeypatch.setattr(module, "insert_points", spy("insert_points", module.insert_points))
+    monkeypatch.setattr(TupleSet, "locate", spy("TupleSet.locate", TupleSet.locate))
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        for attr in ("__getitem__", "toarray"):
+            monkeypatch.setattr(cls, attr, spy(f"{cls.__name__}.{attr}", getattr(cls, attr)))
+
+
+def test_slices_read_coboundary_entries_only(monkeypatch):
+    # No insertion, tuple lookup, CSR slicing or densifying while building
+    # slices and residuals, also with an empty degree (no triangles: Psi_2 is
+    # 1x0 on two neighbours) and for an intersection whose slice is empty.
+    space = gen_interval(12)
+    system = rips_system(0.1)  # neighbours only: degree 2 is empty
+    complex_ = build_weighted_complex(space, system, fractional_kernel(1.0, 0.5), 1)
+    cover = CoverSystem(space, system, eps=0.1, eta=0.01, centers=np.arange(12))
+    assert complex_.dim(2) == 0
+    combos = nerve_combos(cover, 0) + nerve_combos(cover, 1)
+    want = {c: poincare_check(cover, complex_, c, 2) for c in combos}
+    wide = (gen_interval(32), rips_system(0.2))
+    wide_complex = build_weighted_complex(*wide, fractional_kernel(1.0, 0.5), 1)
+    wide_cover = default_cover(*wide)
+    calls = []
+    _record_calls(monkeypatch, calls)
+    for combo in combos:
+        op = build_slice_and_psi(cover, complex_, combo, 2)
+        got = (op.W.size, [homotopy_identity_residual(op, 1)])
+        assert want[combo] == got, combo
+    op = build_slice_and_psi(cover, complex_, (3, 4), 2)
+    assert [op.local.dim(p) for p in range(3)] == [2, 1, 0]
+    assert op.psi_matrix(2).shape == (1, 0)
+    with pytest.raises(SliceEmptyError) as err:
+        build_slice_and_psi(wide_cover, wide_complex, (15,), 2)
+    assert str(err.value) == "slice set empty for intersection (15,) at level 2"
+    assert calls == []
+
+
 def test_psi_annihilates_coboundaries_of_contracted_forms(circle_setup):
     # On a single ball, Psi delta + delta Psi = id implies delta Psi delta F =
     # delta F: the reconstructed potential reproduces any coboundary.
@@ -440,9 +521,9 @@ def test_psi_annihilates_coboundaries_of_contracted_forms(circle_setup):
     op = build_slice_and_psi(cover, complex_, (3,), 2)
     loc = op.local
     f = rng.standard_normal(loc.dim(0))
-    dF = loc.coboundary(0).astype(float) @ f
+    dF = loc.coboundary(0) @ f
     psi = op.psi_matrix(1) @ dF
-    again = loc.coboundary(0).astype(float) @ psi
+    again = loc.coboundary(0) @ psi
     assert np.allclose(again, dF, atol=1e-12 * max(np.abs(dF).max(), 1.0))
 
 

@@ -142,6 +142,24 @@ def test_arrays_are_read_only():
         space.weights[0] = 7.0
 
 
+def test_callers_arrays_stay_writable_and_are_shared():
+    # The space holds read-only views of the caller's C-contiguous float64
+    # arrays: no copy is made, and the caller's own arrays stay writable.
+    x = np.array([0.0, 0.5, 2.0])
+    d = np.abs(x[:, None] - x[None, :])
+    w = np.ones(3)
+    space = MetricMeasureSpace(d, w)
+    assert np.shares_memory(space.dist, d) and np.shares_memory(space.weights, w)
+    assert d.flags.writeable and w.flags.writeable
+    assert not space.dist.flags.writeable and not space.weights.flags.writeable
+    d[1, 1] = 0.0
+    w[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        space.dist[1, 1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        space.weights[0] = 1.0
+
+
 def test_permuted_preserves_intrinsic_quantities():
     space = gen_circle(12)
     rng = np.random.default_rng(3)
