@@ -158,10 +158,13 @@ def cmd_betti(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from dataclasses import replace
+
     import numpy as np
 
     from .hodge import build_weighted_complex, hodge_report
     from .cohomology import exact_betti
+    from .kernels import assemble_weights
 
     space = _build_space(args)
     eps_grid = [float(v) for v in args.eps_grid.split(",")]
@@ -178,12 +181,15 @@ def cmd_sweep(args) -> int:
         kernels = {alpha: _build_kernel(args, space.n, alpha=alpha) for alpha in alpha_grid}
     rc = 0
     for eps in eps_grid:
+        # one complex per eps, reweighted per alpha; exact ranks read only its coboundaries
         system = _build_system(args, eps=eps)
-        betti = None
+        base = build_weighted_complex(space, system, kernels[alpha_grid[0]], args.pmax)
+        betti = exact_betti(base)
         for alpha in alpha_grid:
-            cx = build_weighted_complex(space, system, kernels[alpha], args.pmax)
-            if betti is None:  # exact ranks read only the integer coboundaries
-                betti = exact_betti(cx)
+            k = kernels[alpha]
+            cx = base if k is base.kernel else replace(
+                base, kernel=k, weights=[assemble_weights(k, space, ts) for ts in base.tuple_sets]
+            )
             row = [f"{eps:.17g}", f"{alpha:.17g}"]
             for p in range(args.pmax + 1):
                 rep = hodge_report(cx, p, oracle=betti.betti[p])

@@ -10,13 +10,14 @@ and the local Poincare homotopy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 
 from .space import MetricMeasureSpace
-from .neighborhoods import NeighborhoodSystem
+from .neighborhoods import NeighborhoodSystem, TupleSet, _row_rounds, faces
 from .cohomology import rank_exact, BettiReport, PRIME_MAIN
 from .hodge import WeightedComplex
 
@@ -180,25 +181,16 @@ class PartitionOfUnity:
         return self.chi(tuples).sum(axis=0)
 
 
-def _nerve(cover: CoverSystem, depth: int) -> list[list[tuple]]:
+def _nerve(cover: CoverSystem, depth: int) -> list[np.ndarray]:
     """Nonempty big-ball intersections, levels 0..depth.
 
-    Level q lists the sorted center-index combos of size q+1, in lexicographic
-    order (the preorder of one depth-first search).
+    Level q is the (K, q+1) int64 array of sorted center-index combos, in
+    lexicographic order: the admissible (q+1)-tuples of balls under the
+    set-family rule whose sets are the sample points, each holding the balls
+    that contain it.
     """
-    levels = [[] for _ in range(depth + 1)]
-
-    def grow(prefix: tuple, mask: np.ndarray):
-        for b in range(prefix[-1] + 1 if prefix else 0, cover.n_balls):
-            sub = mask & cover.big_masks[b]
-            if sub.any():
-                levels[len(prefix)].append(prefix + (b,))
-                if len(prefix) < depth:
-                    grow(prefix + (b,), sub)
-
-    if levels:
-        grow((), np.ones(cover.space.n, dtype=bool))
-    return levels
+    rounds = _row_rounds(sp.csr_matrix(cover.big_masks), set_family=True)
+    return list(islice(rounds, max(depth + 1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,47 +223,40 @@ class MVCertificate:
         }
 
 
-def _cech_differences(levels, size, face_index) -> list[sp.csr_matrix]:
+def _cech_differences(levels) -> list[sp.csr_matrix]:
     """Signed Cech differences between consecutive levels, as int64 CSR matrices.
 
-    levels[k] lists (combo, block) pairs, combos in lexicographic order; the
-    coordinates of a level are its blocks' coordinates in that order, and
-    size(block) counts them. face_index(lower, upper) places each coordinate
-    of block `upper` in the block `lower` of one of its faces. Dropping the
-    i-th ball of a combo gives that face with sign (-1)^i; every face of a
-    block of level k+1 is a block of level k. Level sizes are the shapes.
+    levels[k] is (combos, inside): combos a (K, k) int64 array in lexicographic
+    order and inside a (K, m) bool CSR matrix, inside[c, j] saying that item j
+    lies in every ball of combo c. The level's coordinates are the nonzeros of
+    inside in row-major order. Every face of a combo of level k+1 is a combo
+    of level k, whose inside holds every item of the combo's. Coordinate
+    (c, j) maps to (face, j) for each face, found by one `TupleSet.locate` of
+    all faces and one `np.searchsorted` of the flat keys row*m + item.
+    Dropping the i-th ball gives sign (-1)^i; a combo of one ball has the
+    level of width 0 as its only face. Level sizes are the shapes.
     """
-    starts = []
-    for blocks in levels:
-        start, total = {}, 0
-        for combo, block in blocks:
-            start[combo] = total
-            total += size(block)
-        starts.append((start, total))
     deltas = []
-    for lower, upper, (lo_start, lo_dim), (up_start, up_dim) in zip(
-        levels, levels[1:], starts, starts[1:]
-    ):
-        faces = dict(lower)
-        rows, cols, data = ([np.empty(0, dtype=np.int64)] for _ in range(3))
-        for combo, block in upper:
-            for i in range(len(combo)):
-                face = combo[:i] + combo[i + 1 :]
-                c = face_index(faces[face], block)
-                rows.append(up_start[combo] + np.arange(c.size))
-                cols.append(lo_start[face] + c)
-                data.append(np.full(c.size, (-1) ** i, dtype=np.int64))
-        rows, cols, data = (np.concatenate(v) for v in (rows, cols, data))
-        deltas.append(sp.csr_matrix((data, (rows, cols)), shape=(up_dim, lo_dim)))
+    for (lo_combos, lo_inside), (up_combos, up_inside) in zip(levels, levels[1:]):
+        K, k = up_combos.shape
+        m = up_inside.shape[1]
+        if k == 1:
+            face_rows = np.zeros((K, 1), dtype=np.int64)
+        else:
+            face_rows = TupleSet(k - 2, lo_combos).locate(faces(up_combos))
+        lo_r, lo_j = lo_inside.nonzero()
+        up_r, up_j = up_inside.nonzero()
+        lo_keys = lo_r.astype(np.int64) * m + lo_j
+        cols = np.searchsorted(lo_keys, face_rows[up_r] * m + up_j[:, None])
+        rows = np.repeat(np.arange(up_r.size), k)
+        data = np.tile((-1) ** np.arange(k, dtype=np.int64), up_r.size)
+        deltas.append(sp.csr_matrix((data, (rows, cols.ravel())), shape=(up_r.size, lo_r.size)))
     return deltas
 
 
 def _tuple_ball_membership(complex_: WeightedComplex, cover: CoverSystem, p: int) -> np.ndarray:
     """(n_balls, m) bool: tuple row fully inside the big ball."""
-    ts = complex_.tuple_sets[p]
-    if ts.size == 0:
-        return np.zeros((cover.n_balls, 0), dtype=bool)
-    return cover.big_masks[:, ts.tuples].all(axis=2)
+    return cover.big_masks[:, complex_.tuple_sets[p].tuples].all(axis=2)
 
 
 def _blockwise_ranks(s_counts: dict[int, int], q_max: int) -> tuple[list[int], list[int]]:
@@ -295,21 +280,19 @@ def _blockwise_ranks(s_counts: dict[int, int], q_max: int) -> tuple[list[int], l
 
 
 def _enumerate_blocks(complex_: WeightedComplex, cover: CoverSystem, p: int,
-                      depth: int) -> tuple[list[list[tuple]], list[sp.csr_matrix]]:
+                      depth: int) -> tuple[list[tuple], list[sp.csr_matrix]]:
     """Degree-p restriction row through nerve level `depth`: (levels, differences).
 
-    levels[0] is level -1, the global cochains as the one block ((), all rows);
-    levels[q + 1] holds the (combo, rows) blocks of level q with rows nonempty,
-    rows being the sorted global ids of the tuples inside the intersection.
-    differences[0] is the restriction R, differences[q + 1] the Cech
-    difference from level q to level q+1.
+    levels[0] is level -1, the global cochains: one combo of width 0 holding
+    every tuple. levels[q + 1] is level q, whose inside[c, t] says that global
+    tuple t lies in intersection c. differences[0] is the restriction R,
+    differences[q + 1] the Cech difference from level q to level q+1.
     """
     membership = _tuple_ball_membership(complex_, cover, p)
-    levels = [[((), np.arange(membership.shape[1]))]]
-    for combos in _nerve(cover, depth):
-        blocks = [(c, np.nonzero(membership[list(c)].all(axis=0))[0]) for c in combos]
-        levels.append([(c, rows) for c, rows in blocks if rows.size])
-    return levels, _cech_differences(levels, len, np.searchsorted)
+    everything = sp.csr_matrix(np.ones((1, membership.shape[1]), dtype=bool))
+    levels = [(np.empty((1, 0), dtype=np.int64), everything)]
+    levels += [(c, sp.csr_matrix(membership[c].all(axis=1))) for c in _nerve(cover, depth)]
+    return levels, _cech_differences(levels)
 
 
 def mayer_vietoris_check(
@@ -385,10 +368,9 @@ def _check_reconstructions(chi, levels, deltas, rng) -> bool:
     makes D K F = F for F = D x, checked on a random x per level.
     """
     coords = []  # per level: global tuple id and combo index sum of each coordinate
-    for blocks in levels:
-        rows = [r for _, r in blocks]
-        sums = np.repeat([sum(combo) for combo, _ in blocks], [r.size for r in rows])
-        coords.append((np.concatenate([np.empty(0, dtype=np.int64)] + rows), sums.astype(np.int64)))
+    for combos, inside in levels:
+        r, t = inside.nonzero()
+        coords.append((t, combos.sum(axis=1)[r]))
     ok = True
     for D, (_, lo_sum), (up_tuple, up_sum) in zip(deltas, coords, coords[1:]):
         E = D.tocoo()
@@ -405,45 +387,41 @@ def _check_reconstructions(chi, levels, deltas, rng) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _components(space: MetricMeasureSpace, points: np.ndarray, eps: float) -> np.ndarray:
-    """Component label of each point under the eps-connectivity graph.
-
-    Labels count components in the order of their smallest point.
-    """
-    sub = space.dist[np.ix_(points, points)] < eps
-    labels = np.full(points.size, -1)
-    count = 0
-    for s in range(points.size):
-        if labels[s] >= 0:
-            continue
-        labels[s] = count
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in np.nonzero(sub[v] & (labels < 0))[0]:
-                labels[u] = count
-                stack.append(int(u))
-        count += 1
-    return labels
-
-
-def _component_faces(lower, upper) -> np.ndarray:
-    """Component of `lower` holding the smallest point of each component of `upper`."""
-    (lo_points, lo_labels), (points, labels) = lower, upper
-    first = np.unique(labels, return_index=True)[1]
-    return lo_labels[np.searchsorted(lo_points, points[first])]
-
-
 def _nerve_differences(cover: CoverSystem, q_max: int) -> list[sp.csr_matrix]:
-    """Nerve differences from level q to q+1, q = 0..q_max; each block is
-    (points, component labels) of one intersection."""
-    levels = []
-    for combos in _nerve(cover, q_max + 1):
-        points = [np.nonzero(cover.intersection_mask(c))[0] for c in combos]
-        levels.append(
-            [(c, (pts, _components(cover.space, pts, cover.eps))) for c, pts in zip(combos, points)]
+    """Nerve differences from level q to q+1, q = 0..q_max, on locally constant cochains.
+
+    The point-level row (inside = the intersection masks) is compressed to
+    one coordinate per eps-connected component. One connected_components call
+    per level, on the eps-graphs of all its intersections kept apart, labels
+    the components by combo and then by smallest point. A component's row is
+    the point difference at its smallest point, with columns read through
+    the lower level's labels.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    near = sp.csr_matrix(cover.space.dist < cover.eps)
+    nerve = _nerve(cover, q_max + 1)
+    levels = [(c, sp.csr_matrix(cover.big_masks[c].all(axis=1))) for c in nerve]
+    components = []
+    for _, inside in levels:
+        r, x = inside.nonzero()
+        index = np.full(inside.shape, -1)
+        index[r, x] = np.arange(r.size)
+        a, y = near[x].nonzero()  # the point of coordinate a is eps-close to point y
+        b = index[r[a], y]  # y's coordinate in a's intersection, -1 outside it
+        a, b = a[b >= 0], b[b >= 0]
+        graph = sp.csr_matrix((np.ones(a.size, dtype=bool), (a, b)), shape=(r.size, r.size))
+        components.append(connected_components(graph, directed=False))
+    deltas = []
+    for D, (lo_count, lo_labels), (up_count, up_labels) in zip(
+        _cech_differences(levels), components, components[1:]
+    ):
+        smallest = np.unique(up_labels, return_index=True)[1]
+        E = D[smallest].tocoo()
+        deltas.append(
+            sp.csr_matrix((E.data, (E.row, lo_labels[E.col])), shape=(up_count, lo_count))
         )
-    return _cech_differences(levels, lambda block: int(block[1].max()) + 1, _component_faces)
+    return deltas
 
 
 def cech_nerve_betti(cover: CoverSystem, q_max: int = 2) -> BettiReport:
@@ -580,7 +558,7 @@ def poincare_suite(
     out = []
     level = p_check + 1
     for combos in _nerve(cover, max_depth - 1):
-        for combo in combos:
+        for combo in combos.tolist():
             op = build_slice_and_psi(cover, complex_, combo, level)
             residuals = tuple(
                 homotopy_identity_residual(op, p) for p in range(1, level)

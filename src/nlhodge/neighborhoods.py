@@ -8,6 +8,7 @@ so repeated-index tuples are excluded by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -206,9 +207,17 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
         holds = np.zeros((n, len(system.cover_sets)), dtype=bool)
         for i, s in enumerate(system.cover_sets):
             holds[sorted(s), i] = True
-    holds = sp.csr_matrix(holds)  # holds[v, w]: witness w admits point v
+    rounds = _row_rounds(sp.csr_matrix(holds), set_family=system.kind in ("hausdorff", "cover"))
+    return TupleSet(p, next(islice(rounds, p, None)))
+
+
+def _row_rounds(holds: sp.csr_matrix, set_family: bool):
+    """Admissible rows of 1, 2, 3, ... members, one int64 array per round, by
+    the rules of enumerate_tuples; holds[v, w] says that witness w admits item
+    v. A round's witnesses are computed only when the next round is asked for.
+    """
     # sets[w, v] = holds[v, w]; a sparse boolean product ORs the sets holding a row
-    sets = None if system.kind in ("full", "rips") else holds.T.tocsr()
+    sets = holds.T.tocsr() if set_family else None
     rows = np.empty((1, 0), dtype=np.int64)
     witnesses = sp.csr_matrix(np.ones((1, holds.shape[1]), dtype=bool))
     while True:
@@ -218,8 +227,7 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
         above = v > rows.max(axis=1, initial=-1)[r]
         r, v = r[above], v[above]
         rows = np.column_stack([rows[r], v])
-        if rows.shape[1] == p + 1:
-            return TupleSet(p, rows)
+        yield rows
         witnesses = witnesses[r].multiply(holds[v])
 
 

@@ -5,9 +5,13 @@ used before ranks moved to sparse column reduction. `dict_locate` and
 `loop_coboundary` are the per-row dictionary lookup and coboundary loop that
 `TupleSet.locate` and `build_coboundary` replaced. `simplex_coface_matrix`
 spells out the coface matrices whose ranks `_blockwise_ranks` takes in
-closed form. `assembled_matrices` and `loop_nerve_differences` are the
-per-intersection Cech builders that `_cech_differences` replaced, and
-`cech_sign` the sign rule of the partition-of-unity preimage.
+closed form. `assembled_matrices` and `loop_nerve_differences` are
+per-intersection Cech builders, one block and one face lookup at a time; the
+package builds each level at once instead (combos from the tuple
+enumerator's rounds, faces by one `TupleSet.locate`, nerve components from
+one `connected_components` call per level). `nerve_combos` lists the nerve
+by brute force, and `cech_sign` is the sign rule of the partition-of-unity
+preimage.
 `restrict_tuple_sets` and `poincare_check` are the per-intersection
 restriction (its own tuple sets and coboundaries) and the dense slice
 homotopy on it that the global-row slices of `restrict_complex` replaced;

@@ -173,6 +173,29 @@ def test_sweep_runs_exact_betti_once_per_eps(monkeypatch, capsys):
     assert len(rows) == 6 and all(row.split(",")[2] == "1" for row in rows)
 
 
+def test_sweep_builds_one_complex_per_eps(monkeypatch, capsys):
+    # Coboundaries are built once per eps; each alpha only reweights, and its
+    # row equals that of a sweep over that alpha alone.
+    from nlhodge import cli, hodge
+
+    calls = []
+    build = hodge.build_coboundary
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hodge, "build_coboundary", counted)
+    argv = ["sweep", "--space", "circle", "--n", "10", "--system", "rips",
+            "--eps-grid", "0.8,1.2", "--pmax", "1"]
+    assert cli.main(argv + ["--alpha-grid", "0.5,1.0,1.5"]) == 0
+    assert len(calls) == 2 * 2  # two eps, coboundaries of degrees 0 and 1
+    rows = capsys.readouterr().out.splitlines()[1:]
+    for i, alpha in enumerate(["0.5", "1.0", "1.5"]):
+        assert cli.main(argv + ["--alpha-grid", alpha]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == rows[i::3]
+
+
 def test_sweep_parses_the_kernel_table_once(tmp_path, monkeypatch, capsys):
     from nlhodge import cli, kernels
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import nlhodge.cochains
 import nlhodge.neighborhoods
@@ -68,9 +69,22 @@ def _small_setup(space, system, eta, centers):
     return space, system, complex_, cover
 
 
+# a seeded relabelling of gen_circle(32): old point i is new point RELABEL[i]
+RELABEL = np.argsort(np.random.default_rng(0).permutation(32))
+
+
+def _relabelled_circle():
+    return gen_circle(32).permuted(np.argsort(RELABEL))
+
+
 SMALL_SETUPS = {
     "two_balls": lambda: _small_setup(gen_interval(16), rips_system(0.3), 0.45, [3, 12]),
     "fat_four": lambda: _small_setup(gen_circle(32), rips_system(0.3), 0.8, [0, 8, 16, 24]),
+    # fat_four with interleaved point ids in its disconnected overlaps, so
+    # component labels are not monotone in the points of an intersection
+    "fat_four_relabelled": lambda: _small_setup(
+        _relabelled_circle(), rips_system(0.3), 0.8, RELABEL[[0, 8, 16, 24]]
+    ),
     "single_ball": lambda: _small_setup(gen_interval(12), rips_system(0.4), 1.1, [6]),
 }
 
@@ -85,6 +99,8 @@ def any_setup(request):
 
 def assert_same_csr(got, want):
     assert got.shape == want.shape
+    row = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+    assert (np.diff(got.indices)[np.diff(row) == 0] > 0).all()  # columns sorted in each row
     for attr in ("data", "indices", "indptr"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype, attr
@@ -305,14 +321,21 @@ def test_restriction_row_matches_the_assembled_oracle(any_setup):
         assert len(deltas) == len(want) == depth + 1
         for got, ref in zip(deltas, want):
             assert_same_csr(got, ref)
-        # level -1 holds the global cochains; each block lists the global
-        # rows of the tuples inside its intersection
-        assert [c for c, _ in levels[0]] == [()]
+        # level -1 holds the global cochains: one combo of width 0 holding
+        # every tuple; each level q lists the nerve's combos, and the row of
+        # a combo marks the global tuples inside its intersection
         tuples = complex_.tuple_sets[p].tuples
-        for blocks in levels[1:]:
-            for combo, rows in blocks:
-                inside = cover.intersection_mask(combo)[tuples].all(axis=1)
-                assert np.array_equal(rows, np.nonzero(inside)[0])
+        combos, inside = levels[0]
+        assert combos.shape == (1, 0) and combos.dtype == np.int64
+        assert np.array_equal(inside.toarray(), np.ones((1, len(tuples)), dtype=bool))
+        assert len(levels) == depth + 2
+        for q, (combos, inside) in enumerate(levels[1:]):
+            assert combos.dtype == np.int64 and combos.shape[1] == q + 1
+            assert list(map(tuple, combos.tolist())) == nerve_combos(cover, q)
+            assert inside.format == "csr" and inside.dtype == bool
+            assert inside.shape == (len(combos), len(tuples))
+            for combo, row in zip(combos.tolist(), inside.toarray()):
+                assert np.array_equal(row, cover.intersection_mask(combo)[tuples].all(axis=1))
 
 
 def test_nerve_differences_match_the_loop_oracle(any_setup):
@@ -326,10 +349,17 @@ def test_nerve_differences_match_the_loop_oracle(any_setup):
 
 
 def test_nerve_levels_match_brute_force(any_setup):
+    # Level q is a (K, q+1) int64 array of the nonempty intersections' combos
+    # in lexicographic order, also when it is empty (K = 0).
     (_, _, _, cover), depth = any_setup
     for d in range(depth + 2):
-        assert _nerve(cover, d) == [nerve_combos(cover, q) for q in range(d + 1)]
+        levels = _nerve(cover, d)
+        assert len(levels) == d + 1
+        for q, combos in enumerate(levels):
+            assert combos.dtype == np.int64 and combos.shape == (combos.shape[0], q + 1)
+            assert list(map(tuple, combos.tolist())) == nerve_combos(cover, q)
     assert _nerve(cover, -1) == []
+    assert _nerve(cover, -2) == []
 
 
 def test_certificate_json_shape(circle_setup):
@@ -373,6 +403,20 @@ def test_nerve_handles_disconnected_overlaps():
     pts = np.nonzero(opposite)[0]
     gaps = np.diff(pts)
     assert pts.size > 0 and (gaps > 1).any()  # genuinely disconnected overlap
+    nerve = cech_nerve_betti(cover, q_max=2)
+    assert nerve.betti == (1, 1, 0)
+    assert nerve.dims == (4, 8, 4)
+
+
+def test_relabelled_overlaps_interleave_point_ids():
+    # The relabelled fat_four cover: the two arcs of an opposite overlap have
+    # interleaved point ids, so component labels are not monotone in the
+    # points; the nerve is unchanged by the relabelling.
+    space, _, _, cover = SMALL_SETUPS["fat_four_relabelled"]()
+    pts = np.nonzero(cover.big_masks[0] & cover.big_masks[2])[0]
+    graph = sp.csr_matrix(space.dist[np.ix_(pts, pts)] < cover.eps)
+    count, labels = connected_components(graph, directed=False)
+    assert count == 2 and (np.diff(labels) < 0).any()
     nerve = cech_nerve_betti(cover, q_max=2)
     assert nerve.betti == (1, 1, 0)
     assert nerve.dims == (4, 8, 4)

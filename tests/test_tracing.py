@@ -42,13 +42,24 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
     try:
         for (owner, attr), original in zip(names, originals):
             assert getattr(owner, attr) is not original, attr
-        # a small traced Poincare run maps every span to a layer metric
+        # small traced Poincare, Mayer-Vietoris and nerve runs map every span
+        # to a layer metric; the nerve enumerates no point tuples
         space = gen_interval(16)
         system = hausdorff_system(0.3)
         cx = nl.hodge.build_weighted_complex(space, system, fractional_kernel(1.0, 0.5), 1)
-        checks = nl.covers.poincare_suite(nl.covers.default_cover(space, system), cx, 1, 1)
+        cover = nl.covers.default_cover(space, system)
+        checks = nl.covers.poincare_suite(cover, cx, 1, 1)
+        cert = nl.covers.mayer_vietoris_check(cx, cover, 1, q_max=1)
+        tuples = rec.counts["neighborhoods.tuples"]
+        nerve = nl.covers.cech_nerve_betti(cover, q_max=1)
+        assert rec.counts["neighborhoods.tuples"] == tuples > 0
+        assert cert.exact and nerve.betti == (1, 0)
+        spans = {name for name, *_ in rec.spans}
+        mapped = {span for names in tracing.SELF_TIME.values() for span in names}
+        assert {"covers.mayer_vietoris_check", "covers.cech_nerve_betti"} <= spans <= mapped
         metrics = tracing.layer_metrics(rec)
         assert metrics["covers.intersections"] == len(checks) > 0
+        assert metrics["covers.mv_s"] > 0 and metrics["covers.nerve_s"] > 0
     finally:
         uninstall()
     after = snapshot()
