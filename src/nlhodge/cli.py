@@ -185,14 +185,19 @@ def cmd_sweep(args) -> int:
         system = _build_system(args, eps=eps)
         base = build_weighted_complex(space, system, kernels[alpha_grid[0]], args.pmax)
         betti = exact_betti(base)
+        reports = {}  # by kernel identity: alphas sharing one kernel share its reports
         for alpha in alpha_grid:
             k = kernels[alpha]
-            cx = base if k is base.kernel else replace(
-                base, kernel=k, weights=[assemble_weights(k, space, ts) for ts in base.tuple_sets]
-            )
+            if id(k) not in reports:
+                cx = base if k is base.kernel else replace(
+                    base, kernel=k,
+                    weights=[assemble_weights(k, space, ts) for ts in base.tuple_sets],
+                )
+                reports[id(k)] = [
+                    hodge_report(cx, p, oracle=betti.betti[p]) for p in range(args.pmax + 1)
+                ]
             row = [f"{eps:.17g}", f"{alpha:.17g}"]
-            for p in range(args.pmax + 1):
-                rep = hodge_report(cx, p, oracle=betti.betti[p])
+            for p, rep in enumerate(reports[id(k)]):
                 eigs = np.asarray(rep.eigenvalues)
                 pos = eigs[eigs >= rep.threshold] if eigs.size else np.empty(0)
                 min_pos = float(pos[0]) if pos.size else float("nan")

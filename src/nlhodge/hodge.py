@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -23,6 +24,8 @@ from .kernels import KernelModel, WeightAssignment, assemble_weights
 from .cochains import Cochain, CoboundaryOperator, build_coboundary
 
 DENSE_EIG_CUTOFF = 5000
+# Rows per block of the dense Gershgorin bound's |A| temporary.
+_GERSH_ROWS = 64
 HARMONIC_TOL_FACTOR = 2.0**-45
 GAP_AMBIGUITY_FACTOR = 1e3
 CG_RTOL = 1e-12
@@ -144,18 +147,22 @@ def hodge_laplacian(complex_: WeightedComplex, p: int, symmetrized: bool = True)
 def _low_spectrum(S: sp.csr_matrix, k_hint: int = 16) -> tuple[np.ndarray, float]:
     """Eigenvalues from the low end plus an upper bound on the largest one.
 
-    Above DENSE_EIG_CUTOFF, shift-invert `eigsh` starts from a fixed-seed
+    Up to DENSE_EIG_CUTOFF the whole spectrum comes from one dense array,
+    solved in place; above it, shift-invert `eigsh` starts from a fixed-seed
     vector, so repeated runs give identical eigenvalues.
     """
     m = S.shape[0]
     if m == 0:
         return np.empty(0), 0.0
-    dense = m <= DENSE_EIG_CUTOFF
-    S = S.toarray() if dense else S
-    gersh = float(abs(S).sum(axis=1).max())
-    if dense:
-        eigs = np.linalg.eigvalsh(S)
+    if m <= DENSE_EIG_CUTOFF:
+        A = S.toarray()
+        rows = range(0, m, _GERSH_ROWS)
+        gersh = max(float(np.abs(A[i : i + _GERSH_ROWS]).sum(axis=1).max()) for i in rows)
+        # A is a fresh symmetric array: dsyevd may overwrite it, through the
+        # Fortran-ordered view A.T that LAPACK takes without a copy
+        eigs = la.eigh(A.T, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False)
         return eigs, max(gersh, float(eigs[-1]))
+    gersh = float(abs(S).sum(axis=1).max())
     k = min(m - 1, k_hint)
     v0 = np.random.default_rng(0).standard_normal(m)
     while True:

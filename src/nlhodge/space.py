@@ -9,10 +9,13 @@ decides exactly what testing every j does. It scans only the upper triangle
 k >= i, and only when d is exactly symmetric; a matrix that is symmetric only
 within tolerance gets the full square. On a violation the one-point-per-pass
 scan runs again to name the first intermediate point j with a violation and
-its most negative (i, k). The row blocks run on min(NLH_THREADS, blocks)
-worker threads (`nlhodge.thread_cap`; unset, one per CPU the process may run
-on); a single block of n <= 16 rows starts none. The verdict does not depend
-on the thread count.
+its most negative (i, k). Before the scan, each row i with a negative diagonal
+entry tests its degenerate triples (i, i, k) and (k, i, i), which fail on d_ii
+alone; a failure there is reported as that diagonal entry, and the scan would
+reject the matrix too. The row blocks run on min(NLH_THREADS, blocks) worker
+threads (`nlhodge.thread_cap`; unset, one per CPU the process may run on); a
+single block of n <= 16 rows starts none. The verdict does not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
             r, c = np.unravel_index(np.argmin(off), off.shape)
             i, j = divmod(1 + int(r) * (n + 1) + int(c), n)
             raise SpaceValidationError(f"non-positive distance between distinct points ({i}, {j})")
+    for i in np.flatnonzero(np.diagonal(dist) < 0):
+        # the triples (i, i, k) and (k, i, i) fail on d_ii alone, so they name it
+        row, col = dist[i], dist[:, i]
+        if min(((dist[i, i] + row) - row).min(), ((col + dist[i, i]) - col).min()) < -tol:
+            raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {dist[i, i]!r}")
     if not _triangle_holds(dist, tol, symmetric=worst == 0):
         raise SpaceValidationError(_triangle_violation(dist, tol))
     if n > 1:

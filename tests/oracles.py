@@ -19,6 +19,9 @@ homotopy on it that the global-row slices of `restrict_complex` replaced;
 insertion-built Psi, which the local coboundary entries replaced.
 `triangle_scan` is the one-intermediate-point-per-pass triangle check that
 the blocked min-plus scan of `_check_metric` replaced.
+`dense_low_spectrum` is the dense branch of `hodge._low_spectrum` before it
+solved in place: a whole |S| temporary for the Gershgorin bound and numpy's
+`eigvalsh`, which solves a private copy, so two m x m arrays are live at once.
 `partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
 helpers that only the tests use.
 """
@@ -99,6 +102,14 @@ def triangle_scan(dist, tol: float = METRIC_TOL) -> None:
                 f"triangle inequality violated for ({i}, {j}, {k}): "
                 f"d({i},{k})={dist[i, k]!r} > d({i},{j})+d({j},{k})={dist[i, j] + dist[j, k]!r}"
             )
+
+
+def dense_low_spectrum(S) -> tuple[np.ndarray, float]:
+    """Every eigenvalue of the symmetric CSR matrix S and max(Gershgorin bound, top one)."""
+    S = S.toarray()
+    gersh = float(abs(S).sum(axis=1).max())
+    eigs = np.linalg.eigvalsh(S)
+    return eigs, max(gersh, float(eigs[-1]))
 
 
 def dict_locate(stored, queries) -> np.ndarray:

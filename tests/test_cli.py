@@ -196,6 +196,36 @@ def test_sweep_builds_one_complex_per_eps(monkeypatch, capsys):
         assert capsys.readouterr().out.splitlines()[1:] == rows[i::3]
 
 
+def test_sweep_reports_once_per_eps_for_an_alpha_free_kernel(tmp_path, monkeypatch, capsys):
+    # The constant kernel ignores alpha: each (eps, degree) report serves every
+    # alpha, and the CSV keeps the bytes it had when each alpha ran its own.
+    import hashlib
+
+    from nlhodge import cli, hodge
+
+    calls = []
+    report = hodge.hodge_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(hodge, "hodge_report", counted)
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    out = tmp_path / "sweep"
+    rc = cli.main([
+        "sweep", "--space", "circle", "--n", "10", "--system", "rips",
+        "--eps-grid", "0.8,1.2", "--alpha-grid", "0.5,1.0,1.5", "--pmax", "1",
+        "--kernel", "constant", "--out", str(out),
+    ])
+    assert rc == 0
+    assert len(calls) == 2 * (1 + 1)  # two eps, degrees 0 and 1
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
+        "bfce2c7077705c91e4dd7e870681b4921be3a9609a3c14a929947eed958806ee"
+    )
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
+
+
 def test_sweep_parses_the_kernel_table_once(tmp_path, monkeypatch, capsys):
     from nlhodge import cli, kernels
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 
 import nlhodge.hodge as hodge
 
-from nlhodge.space import MetricMeasureSpace, gen_circle, gen_two_components
+from nlhodge.space import MetricMeasureSpace, gen_circle, gen_sphere, gen_two_components
 from nlhodge.neighborhoods import full_system, rips_system
 from nlhodge.kernels import constant_kernel, fractional_kernel, kernel_matrix
 from nlhodge.cochains import Cochain
@@ -23,12 +24,20 @@ from nlhodge.hodge import (
     multiplier_bound_check,
     multiplier_constant,
 )
+from oracles import dense_low_spectrum
 
 
 @pytest.fixture(scope="module")
 def circle_complex():
     space = gen_circle(12)
     return build_weighted_complex(space, rips_system(1.1), fractional_kernel(1.0, 0.5), 2)
+
+
+@pytest.fixture(scope="module")
+def sphere_complex():
+    # Betti numbers (1, 0, 1), dims 30 / 95 / 78
+    space = gen_sphere(30)
+    return build_weighted_complex(space, rips_system(1.0), fractional_kernel(2.0, 0.5), 2)
 
 
 def random_cochain(rng, complex_, p):
@@ -239,6 +248,37 @@ def test_sparse_eigensolve_matches_the_dense_branch(circle_complex, monkeypatch,
     assert sparse.dimension == dense.dimension
     assert sparse.flagged == dense.flagged
     assert np.allclose(sparse.eigenvalues, full[: sparse.eigenvalues.size], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_dense_eigensolve_matches_the_eigvalsh_oracle(circle_complex, sphere_complex, p):
+    # LAPACK's dsyevd on the array itself gives the bits of numpy's eigvalsh on a
+    # copy, and the blocked Gershgorin row sums those of the whole |S|
+    for cx in (circle_complex, sphere_complex):
+        S = hodge._laplacian_csr(cx, p, symmetrized=True)
+        assert 0 < S.shape[0] <= hodge.DENSE_EIG_CUTOFF
+        eigs, bound = hodge._low_spectrum(S)
+        want, want_bound = dense_low_spectrum(S)
+        assert np.array_equal(eigs, want)
+        assert bound == want_bound
+
+
+def test_dense_eigensolve_holds_one_array():
+    # The path Laplacian at m = 800: the in-place branch peaks near one m x m
+    # array (plus one block of |S| rows), the old branch at two.
+    m = 800
+    S = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1], format="csr")
+    peaks = {}
+    for name, solve in (("in_place", hodge._low_spectrum), ("oracle", dense_low_spectrum)):
+        tracemalloc.start()
+        try:
+            solve(S)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    array = m * m * 8
+    assert peaks["in_place"] < 1.1 * array
+    assert peaks["oracle"] >= 2 * array
 
 
 def test_sparse_eigensolve_is_deterministic(circle_complex, monkeypatch):

@@ -115,6 +115,19 @@ def test_nonzero_diagonal_rejected():
         MetricMeasureSpace(d, np.ones(2))
 
 
+def test_negative_diagonal_is_named_before_the_triangle_scan():
+    # fl(fl(d_00 + d_02) - d_02) rounds below -1e-12: the degenerate triple (0, 0, 2)
+    # fails on d_00 alone, so the error names the diagonal entry, not the triple
+    x = np.array([0.0, 0.3, 2.0])
+    d = np.abs(x[:, None] - x[None, :])
+    d[0, 0] = -METRIC_TOL
+    with pytest.raises(SpaceValidationError, match=r"^nonzero diagonal at \(0, 0\): "):
+        MetricMeasureSpace(d, np.ones(3))
+    # a negative diagonal that no degenerate triple fails on is still accepted
+    d[0, 0] = -0.5 * METRIC_TOL
+    MetricMeasureSpace(d, np.ones(3))
+
+
 def test_zero_off_diagonal_rejected():
     d = np.zeros((2, 2))
     with pytest.raises(SpaceValidationError, match="distinct"):
@@ -298,8 +311,23 @@ def _outcome(check, d):
     return error, [str(w.message) for w in caught]
 
 
+def _diagonal_oracle(d):
+    """The diagonal message for the first negative d_ii that fails a degenerate triple."""
+    n = d.shape[0]
+    for i, k in itertools.product(range(n), range(n)):
+        slack = min((d[i, i] + d[i, k]) - d[i, k], (d[k, i] + d[i, i]) - d[k, i])
+        if d[i, i] < 0 and slack < -METRIC_TOL:
+            return f"nonzero diagonal at ({i}, {i}): {d[i, i]!r}"
+    return None
+
+
 def _oracle(d):
     error, _ = _outcome(triangle_scan, d)
+    diagonal = _diagonal_oracle(d)
+    if diagonal is not None:
+        # a degenerate triple is one the scan tests too: the verdict stays, the message names d_ii
+        assert error is not None
+        error = diagonal
     notes = []
     if error is None and d.shape[0] > 1:
         min_sep = np.min(d + np.eye(d.shape[0]) * d.max())
