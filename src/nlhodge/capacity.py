@@ -159,10 +159,6 @@ class RemovabilityReport:
             )
         return buf.getvalue()
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
     def verdict_for(self, alpha: float) -> str:
         for r in self.rows:
             if math.isclose(r.alpha, alpha):

@@ -220,8 +220,12 @@ def _suite_identity():
     from .space import gen_circle, gen_interval
     from .neighborhoods import rips_system, hausdorff_system
     from .kernels import fractional_kernel
-    from .cochains import Cochain, alt_project
-    from .hodge import build_weighted_complex, adjoint_matrix
+    from .cochains import (
+        Cochain, alt_project, alt_tensor, coboundary_apply, cup_average, elementary_form,
+    )
+    from .hodge import (
+        build_weighted_complex, adjoint_matrix, hodge_decompose, multiplier_bound_check,
+    )
     from .covers import default_cover, PartitionOfUnity
 
     checks = []
@@ -259,24 +263,56 @@ def _suite_identity():
         if t.size:
             worst = max(worst, float(np.abs(pou.sums(t) - 1.0).max()))
     checks.append(("partition-sums-to-one", worst <= 1e-14, f"worst={worst:.2e}"))
+    # the elementary form's determinant is the averaged coboundary of Alt(f_1 x .. x f_p)
+    worst = 0.0
+    for p in (1, 2):
+        fs = [rng.standard_normal(space.n) for _ in range(p)]
+        g = rng.standard_normal(space.n)
+        via_tensor = cup_average(
+            g, coboundary_apply(cx.coboundary(p - 1), alt_tensor(fs, cx.tuple_sets[p - 1]))
+        ).values
+        via_det = elementary_form(g, fs, cx.tuple_sets[p]).values
+        worst = max(worst, float(np.abs(via_det - via_tensor).max() / np.abs(via_tensor).max()))
+    checks.append(("elementary-form-determinant", worst <= 1e-11, f"worst={worst:.2e}"))
+    worst = 0.0
+    for p in range(3):
+        F = Cochain(p, cx.tuple_sets[p], rng.standard_normal(cx.dim(p)))
+        worst = max(worst, *hodge_decompose(cx, p, F).residuals.values())
+    checks.append(("hodge-decomposition", worst < 1e-8, f"worst={worst:.2e}"))
+    pairs = [(p, rng.uniform(-2.0, 2.0, space.n), rng.standard_normal(cx.dim(p)))
+             for p in rng.integers(0, 3, size=30).tolist()]
+    results = [multiplier_bound_check(cx, p, chi, Cochain(p, cx.tuple_sets[p], f))
+               for p, chi, f in pairs]
+    ratio = max(r.lhs / r.rhs for r in results)
+    checks.append(
+        ("multiplier-bound", all(r.passed for r in results),
+         f"{len(results)} pairs, max lhs/rhs={ratio:.3f}")
+    )
     return checks
 
 
-def _suite_poincare():
+def _hausdorff_setups(p_max: int):
+    """(name, complex to p_max, default cover) of circle32 and interval32 with Hausdorff systems."""
     from .space import gen_circle, gen_interval
     from .neighborhoods import hausdorff_system
     from .kernels import fractional_kernel
     from .hodge import build_weighted_complex
-    from .covers import default_cover, poincare_suite, SliceEmptyError
+    from .covers import default_cover
 
-    checks = []
     for name, space, eps in (
         ("circle", gen_circle(32), 0.5),
         ("interval", gen_interval(32), 0.2),
     ):
         system = hausdorff_system(eps)
-        cx = build_weighted_complex(space, system, fractional_kernel(1, 0.5), 2)
-        cov = default_cover(space, system)
+        cx = build_weighted_complex(space, system, fractional_kernel(1, 0.5), p_max)
+        yield name, cx, default_cover(space, system)
+
+
+def _suite_poincare():
+    from .covers import poincare_suite, SliceEmptyError
+
+    checks = []
+    for name, cx, cov in _hausdorff_setups(2):
         try:
             results = poincare_suite(cov, cx, p_check=2, max_depth=2)
             worst = max((r.max_residual for r in results), default=0.0)
@@ -290,20 +326,10 @@ def _suite_poincare():
 
 
 def _suite_mv():
-    from .space import gen_circle, gen_interval
-    from .neighborhoods import hausdorff_system
-    from .kernels import fractional_kernel
-    from .hodge import build_weighted_complex
-    from .covers import default_cover, mayer_vietoris_check, cech_nerve_betti
+    from .covers import REFERENCE_BETTI, mayer_vietoris_check, cech_nerve_betti
 
     checks = []
-    for name, space, eps, nerve_ref in (
-        ("circle", gen_circle(32), 0.5, (1, 1)),
-        ("interval", gen_interval(32), 0.2, (1, 0)),
-    ):
-        system = hausdorff_system(eps)
-        cx = build_weighted_complex(space, system, fractional_kernel(1, 0.5), 2)
-        cov = default_cover(space, system)
+    for name, cx, cov in _hausdorff_setups(2):
         for p in range(3):
             cert = mayer_vietoris_check(cx, cov, p=p, q_max=1)
             checks.append(
@@ -312,7 +338,7 @@ def _suite_mv():
             )
         nerve = cech_nerve_betti(cov, q_max=1)
         checks.append(
-            (f"cech-nerve-{name}", tuple(nerve.betti[:2]) == nerve_ref, f"{nerve.betti}")
+            (f"cech-nerve-{name}", nerve.betti[:2] == REFERENCE_BETTI[name][:2], f"{nerve.betti}")
         )
     return checks
 
@@ -328,6 +354,32 @@ def _suite_capacity():
     return checks, rep
 
 
+def _suite_recovery():
+    """de Rham recovery: spectral, exact and (with a cover) Cech Betti numbers
+    against the generator's reference, at alpha = 0.5."""
+    from .space import gen_sphere
+    from .neighborhoods import rips_system
+    from .kernels import fractional_kernel
+    from .hodge import build_weighted_complex
+    from .covers import derham_recovery_report
+
+    # the sphere's default cover is too large at n=200 for the nerve route to add signal
+    sphere = build_weighted_complex(
+        gen_sphere(200), rips_system(0.45), fractional_kernel(2, 0.5), 2
+    )
+    checks = []
+    for name, cx, cov in [*_hausdorff_setups(1), ("sphere", sphere, None)]:
+        rep = derham_recovery_report(cx, cov)
+        flagged = [p for p, f in enumerate(rep["spectral_flagged"]) if f]
+        cech = f" cech={rep['cech']}" if "cech" in rep else ""
+        checks.append(
+            (f"recovery-{name}", rep["all_agree"],
+             f"reference={rep['reference']} exact={rep['exact']} spectral={rep['spectral']}"
+             f"{cech} flagged={flagged}")
+        )
+    return checks
+
+
 def cmd_verify(args) -> int:
     checks = []
     artifacts = {}
@@ -341,6 +393,8 @@ def cmd_verify(args) -> int:
         cap_checks, rep = _suite_capacity()
         checks += cap_checks
         artifacts["removability_csv"] = rep.to_csv()
+    if args.suite in ("recovery", "all"):
+        checks += _suite_recovery()
     if args.dist:
         from .space import load_distance_matrix, SpaceValidationError
 
@@ -413,7 +467,7 @@ def build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="run bundled verification suites")
     pv.add_argument("--suite", default="all",
-                    choices=["identity", "poincare", "mv", "capacity", "all"])
+                    choices=["identity", "poincare", "mv", "capacity", "recovery", "all"])
     pv.add_argument("--dist", default=None)
     pv.add_argument("--weights", default=None)
     pv.add_argument("--out", default=None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .neighborhoods import TupleSet, check_face_closure, faces, insert_points
+from .neighborhoods import TupleSet, check_face_closure, faces
 
 
 class CochainError(ValueError):
@@ -91,19 +91,6 @@ def alt_project(evaluator, tuple_set: TupleSet) -> Cochain:
             acc += sign * evaluator(tuple(row[q] for q in perm))
         vals[r] = acc / fact
     return Cochain(p, tuple_set, vals)
-
-
-def tensor_evaluator(fs):
-    """Evaluator for f_0 x f_1 x ... x f_p acting on ordered index tuples."""
-    fs = [np.asarray(f, dtype=float) for f in fs]
-
-    def ev(idx):
-        out = 1.0
-        for f, i in zip(fs, idx):
-            out *= f[i]
-        return out
-
-    return ev
 
 
 def alt_tensor(fs, tuple_set: TupleSet) -> Cochain:
@@ -208,25 +195,3 @@ def cup_average(g, F: Cochain) -> Cochain:
     gbar = g[F.tuple_set.tuples].mean(axis=1)
     return Cochain(F.degree, F.tuple_set, gbar * F.values)
 
-
-def cone_contraction(F: Cochain, apex: int, lower: TupleSet) -> Cochain:
-    """Contract along an apex: G(x_0..x_{p-1}) = F(apex, x_0..x_{p-1}).
-
-    Needs every apex-augmented lower tuple to be admissible at degree p, which
-    holds on full systems; on anything narrower a missing tuple is an error.
-    """
-    if F.degree < 1:
-        raise CochainError("cannot contract a degree-0 cochain")
-    if lower.degree != F.degree - 1:
-        raise CochainError("lower tuple set must sit one degree below")
-    keys, sign, hit = (a[:, 0] for a in insert_points(lower.tuples, [apex]))
-    idx = F.tuple_set.locate(keys)
-    missing = np.flatnonzero(~hit & (idx < 0))
-    if missing.size:
-        raise CochainError(
-            f"augmented tuple {tuple(keys[missing[0]].tolist())} is not admissible; "
-            "cone contraction needs a full system"
-        )
-    vals = np.zeros(lower.size)
-    vals[~hit] = sign[~hit] * F.values[idx[~hit]]
-    return Cochain(F.degree - 1, lower, vals)

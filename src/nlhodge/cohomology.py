@@ -60,11 +60,6 @@ def _pivot_columns(matrix, prime: int, cleared=frozenset()) -> dict:
     return reduced
 
 
-def rank_mod_p(matrix, prime: int = PRIME_MAIN) -> int:
-    """Exact rank over GF(prime) by sparse column reduction."""
-    return len(_pivot_columns(matrix, prime))
-
-
 def rank_exact_rational(matrix) -> int:
     """Fraction-based elimination; exact over the rationals, small inputs only."""
     A = _to_int_array(matrix)

@@ -102,8 +102,8 @@ def adjoint_matrix(complex_: WeightedComplex, p: int) -> sp.csr_matrix:
     return sp.diags(1.0 / wp) @ B.T.astype(float) @ sp.diags(wq)
 
 
-def _laplacian_csr(complex_: WeightedComplex, p: int, symmetrized: bool) -> sp.csr_matrix:
-    """Degree-p Laplacian as CSR in canonical form (no explicit zeros, sorted indices)."""
+def _laplacian_csr(complex_: WeightedComplex, p: int) -> sp.csr_matrix:
+    """W_p^{1/2} L_p W_p^{-1/2} as CSR in canonical form (no explicit zeros, sorted indices)."""
     m = complex_.dim(p)
     out = sp.csr_matrix((m, m))
     wp = complex_.mass_vector(p)
@@ -112,36 +112,29 @@ def _laplacian_csr(complex_: WeightedComplex, p: int, symmetrized: bool) -> sp.c
     if p >= 1 and complex_.dim(p - 1) > 0:
         Bdn = complex_.coboundary(p - 1).matrix.astype(float)
         wdn = complex_.mass_vector(p - 1)
-        if symmetrized:
-            A = sp.diags(np.sqrt(wp)) @ Bdn @ sp.diags(1.0 / wdn) @ Bdn.T @ sp.diags(np.sqrt(wp))
-        else:
-            A = Bdn @ sp.diags(1.0 / wdn) @ Bdn.T @ sp.diags(wp)
-        out = out + A
+        sq = sp.diags(np.sqrt(wp))
+        out = out + sq @ Bdn @ sp.diags(1.0 / wdn) @ Bdn.T @ sq
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
         Bup = complex_.coboundary(p).matrix.astype(float)
         wup = complex_.mass_vector(p + 1)
-        if symmetrized:
-            A = sp.diags(1.0 / np.sqrt(wp)) @ Bup.T @ sp.diags(wup) @ Bup @ sp.diags(1.0 / np.sqrt(wp))
-        else:
-            A = sp.diags(1.0 / wp) @ Bup.T @ sp.diags(wup) @ Bup
-        out = out + A
-    if symmetrized:
-        skew = abs(out - out.T).max()
-        scale = max(abs(out).max(), 1.0)
-        if skew > 1e-12 * scale:
-            raise HodgeError(f"symmetrized Laplacian has asymmetry {skew:.3e}")
-        out = 0.5 * (out + out.T)
+        inv_sq = sp.diags(1.0 / np.sqrt(wp))
+        out = out + inv_sq @ Bup.T @ sp.diags(wup) @ Bup @ inv_sq
+    skew = abs(out - out.T).max()
+    scale = max(abs(out).max(), 1.0)
+    if skew > 1e-12 * scale:
+        raise HodgeError(f"symmetrized Laplacian has asymmetry {skew:.3e}")
+    out = 0.5 * (out + out.T)
     out.eliminate_zeros()
     out.sort_indices()
     return out
 
 
-def hodge_laplacian(complex_: WeightedComplex, p: int, symmetrized: bool = True) -> np.ndarray:
-    """Dense copy of the degree-p Laplacian (symmetrized conjugate by default).
+def hodge_laplacian(complex_: WeightedComplex, p: int) -> np.ndarray:
+    """Dense copy of the symmetrized degree-p Laplacian.
 
     The spectral route keeps it sparse above DENSE_EIG_CUTOFF.
     """
-    return _laplacian_csr(complex_, p, symmetrized).toarray()
+    return _laplacian_csr(complex_, p).toarray()
 
 
 def _low_spectrum(S: sp.csr_matrix, k_hint: int = 16) -> tuple[np.ndarray, float]:
@@ -192,7 +185,7 @@ def harmonic_dimension(
     The threshold is dim * max_eig * 2^-45. A spectral gap of less than 10^3
     around the threshold flags the count; a provided exact oracle then wins.
     """
-    eigs, max_eig = _low_spectrum(_laplacian_csr(complex_, p, symmetrized=True))
+    eigs, max_eig = _low_spectrum(_laplacian_csr(complex_, p))
     m = complex_.dim(p)
     tau = m * max_eig * HARMONIC_TOL_FACTOR
     if max_eig == 0.0:

@@ -64,21 +64,6 @@ class KernelModel:
                 raise KernelError("custom kernel must be positive and finite off the diagonal")
             object.__setattr__(self, "table", t)
 
-    def rescaled(self, c: float) -> "KernelModel":
-        """Kernel multiplied by c > 0; degree-p masses scale by c**p."""
-        if c <= 0:
-            raise KernelError("rescaling factor must be positive")
-        if self.kind == "custom":
-            return KernelModel("custom", table=self.table * c)
-        return KernelModel(
-            self.kind,
-            d=self.d,
-            alpha=self.alpha,
-            scale=self.scale * c,
-            eps_trunc=self.eps_trunc,
-            floor=self.floor * c,
-        )
-
 
 def fractional_kernel(d: float, alpha: float, scale: float = 1.0) -> KernelModel:
     """j(x, y) = scale * dist(x, y)^(-d-alpha)."""
@@ -190,33 +175,3 @@ def assemble_weights(
         raise KernelError(f"non-positive mass for tuple {tuple(t[bad])}")
     return WeightAssignment(p, masses)
 
-
-@dataclass(frozen=True)
-class KernelConditionsReport:
-    """Discrete analogues of the near/far integrability and lower-bound checks."""
-
-    near_sup: float
-    far_sup: float
-    pair_inf: float | None
-    vacuous: bool
-
-
-def check_kernel_conditions(
-    model: KernelModel, space: MetricMeasureSpace, eps: float
-) -> KernelConditionsReport:
-    """Report sup_x of the near-field rho^2-moment and far-field kernel mass.
-
-    near: sum over 0 < rho < eps of rho^2 j(x, y) w_y;  far: sum over rho >= eps
-    of j(x, y) w_y; pair_inf: min kernel value over pairs with rho < eps
-    (None, flagged vacuous, when no such pair exists).
-    """
-    kmat = kernel_matrix(model, space)
-    off = ~np.eye(space.n, dtype=bool)
-    near = off & (space.dist < eps)
-    far = off & (space.dist >= eps)
-    near_sup = float((np.where(near, space.dist**2 * kmat, 0.0) @ space.weights).max())
-    far_sup = float((np.where(far, kmat, 0.0) @ space.weights).max())
-    if near.any():
-        pair_inf = float(kmat[near].min())
-        return KernelConditionsReport(near_sup, far_sup, pair_inf, False)
-    return KernelConditionsReport(near_sup, far_sup, None, True)

@@ -29,6 +29,10 @@ class NeighborhoodSystem:
       rips        -- max pairwise distance < eps (<= eps with strict=False)
       hausdorff   -- some sample point is within eps of every entry
       cover       -- all entries lie in a single cover set
+
+    The hausdorff rule is a discrete stand-in for the distance to the
+    diagonal: centers are restricted to sample points, which
+    under-approximates but keeps face closure and symmetry exact.
     """
 
     kind: str
@@ -44,28 +48,6 @@ class NeighborhoodSystem:
                 raise AdmissibilityError(f"{self.kind} system needs eps > 0")
         if self.kind == "cover" and not self.cover_sets:
             raise AdmissibilityError("cover system needs at least one set")
-
-    def is_admissible(self, space: MetricMeasureSpace, idx) -> bool:
-        """Whether the distinct-index tuple idx is admissible (any order)."""
-        idx = np.asarray(idx, dtype=int)
-        if len(set(idx.tolist())) != idx.size:
-            return False
-        if self.kind == "full":
-            return True
-        if self.kind == "rips":
-            if idx.size == 1:
-                return True
-            sub = space.dist[np.ix_(idx, idx)]
-            m = float(sub.max())
-            return m < self.eps if self.strict else m <= self.eps
-        if self.kind == "hausdorff":
-            # Discrete stand-in for distance to the diagonal: centers are
-            # restricted to sample points, which under-approximates but keeps
-            # face closure and symmetry exact.
-            radii = space.dist[:, idx].max(axis=1)
-            return bool(radii.min() <= self.eps)
-        members = set(idx.tolist())
-        return any(members <= s for s in self.cover_sets)
 
 
 def full_system() -> NeighborhoodSystem:
@@ -162,24 +144,6 @@ def faces(rows: np.ndarray) -> np.ndarray:
     return rows[:, j + (j >= np.arange(k)[:, None])]
 
 
-def insert_points(rows: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each strictly increasing row with each point put in its sorted place.
-
-    Returns (merged, sign, hit) of shapes (m, w, k+1), (m, w), (m, w): sign
-    (+-1.0) is the parity of moving the point from the front into place, and
-    hit marks points that are already members (their merged row has a repeat).
-    """
-    pts = np.asarray(points, dtype=np.int64)
-    m, k = rows.shape
-    merged = np.empty((m, pts.size, k + 1), dtype=np.int64)
-    merged[:, :, :k] = rows[:, None, :]
-    merged[:, :, k] = pts
-    merged.sort(axis=2)
-    sign = np.where((rows[:, None, :] < pts[:, None]).sum(axis=2) % 2, -1.0, 1.0)
-    hit = (rows[:, None, :] == pts[:, None]).any(axis=2)
-    return merged, sign, hit
-
-
 def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: int) -> TupleSet:
     """All admissible degree-p tuples, as sorted strictly increasing rows.
 
@@ -201,7 +165,7 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
     elif system.kind == "rips":
         holds = space.dist < system.eps if system.strict else space.dist <= system.eps
     elif system.kind == "hausdorff":
-        # balls around sample points, see NeighborhoodSystem.is_admissible
+        # balls around sample points, see NeighborhoodSystem
         holds = space.dist <= system.eps
     else:
         holds = np.zeros((n, len(system.cover_sets)), dtype=bool)

@@ -208,25 +208,12 @@ class MetricMeasureSpace:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def mesh_width(self) -> float:
         """Largest nearest-neighbor distance (covering scale of the sample)."""
         if self.n == 1:
             return 0.0
         masked = self.dist + np.eye(self.n) * (self.dist.max() + 1.0)
         return float(masked.min(axis=1).max())
-
-    def permuted(self, perm) -> "MetricMeasureSpace":
-        """Relabeled copy; all intrinsic quantities must be invariant under this."""
-        perm = np.asarray(perm, dtype=int)
-        if sorted(perm.tolist()) != list(range(self.n)):
-            raise SpaceValidationError("not a permutation")
-        return MetricMeasureSpace(
-            self.dist[np.ix_(perm, perm)], self.weights[perm], dict(self.metadata)
-        )
 
 
 def gen_circle(n: int, radius: float = 1.0) -> MetricMeasureSpace:
@@ -343,15 +330,25 @@ def load_distance_matrix(path, weights_path=None) -> MetricMeasureSpace:
     positive weight per line (uniform 1/n if absent). All validation failures
     raise SpaceValidationError naming the offending entries.
     """
-    try:
-        dist = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise SpaceValidationError(f"cannot parse distance matrix {path}: {exc}") from exc
+    dist = _read_table(path, "distance matrix", delimiter=",", ndmin=2)
+    if dist.size == 0:
+        raise SpaceValidationError("empty space")
     if weights_path is not None:
-        try:
-            weights = np.loadtxt(weights_path, ndmin=1)
-        except ValueError as exc:
-            raise SpaceValidationError(f"cannot parse weights {weights_path}: {exc}") from exc
+        weights = _read_table(weights_path, "weights", ndmin=1)
     else:
         weights = np.full(dist.shape[0], 1.0 / dist.shape[0])
     return MetricMeasureSpace(dist, weights, {"generator": "file", "path": str(path)})
+
+
+def _read_table(path, what: str, **kwargs) -> np.ndarray:
+    """np.loadtxt with parse errors raised as SpaceValidationError.
+
+    An empty file reads as an empty array, without numpy's warning: the
+    callers' checks reject it with their own error.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(path, **kwargs)
+    except ValueError as exc:
+        raise SpaceValidationError(f"cannot parse {what} {path}: {exc}") from exc

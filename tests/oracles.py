@@ -24,10 +24,17 @@ solved in place: a whole |S| temporary for the Gershgorin bound and numpy's
 `eigvalsh`, which solves a private copy, so two m x m arrays are live at once.
 `partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
 helpers that only the tests use.
+`weighted_laplacian` is the unsymmetrized Laplacian L_p whose conjugate
+W_p^{1/2} L_p W_p^{-1/2} the package builds. `rank_mod_p`, `is_admissible`,
+`rescaled`, `tensor_evaluator`, `insert_points`, `cone_contraction`,
+`check_kernel_conditions`, `permuted` and `total_mass` are no longer in the
+package, which never called them; the tests that checked them check them
+here.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -35,10 +42,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from nlhodge.cochains import Cochain, CochainError, build_coboundary
-from nlhodge.cohomology import PRIME_MAIN
-from nlhodge.kernels import KernelError
-from nlhodge.neighborhoods import TupleSet, enumerate_tuples, insert_points
-from nlhodge.space import METRIC_TOL, SpaceValidationError
+from nlhodge.cohomology import PRIME_MAIN, _pivot_columns
+from nlhodge.kernels import KernelError, KernelModel, kernel_matrix
+from nlhodge.neighborhoods import TupleSet, enumerate_tuples
+from nlhodge.space import METRIC_TOL, MetricMeasureSpace, SpaceValidationError
 
 _CHUNK_ROWS = 1024
 
@@ -349,7 +356,7 @@ def system_dominates(finer, coarser, space, p_max: int) -> tuple[bool, tuple | N
     for p in range(p_max + 1):
         ts = enumerate_tuples(space, finer, p)
         for row in ts.tuples.tolist():
-            if not coarser.is_admissible(space, row):
+            if not is_admissible(coarser, space, row):
                 return False, tuple(row)
     return True, None
 
@@ -380,3 +387,151 @@ def eval_kernel(model, space, i: int, j: int) -> float:
     if model.kind == "truncated_fractional" and rho >= model.eps_trunc:
         return model.floor
     return float(val)
+
+
+def weighted_laplacian(complex_, p: int) -> np.ndarray:
+    """Dense L_p = B_{p-1} W_{p-1}^{-1} B_{p-1}^T W_p + W_p^{-1} B_p^T W_{p+1} B_p."""
+    m = complex_.dim(p)
+    out = sp.csr_matrix((m, m))
+    if m == 0:
+        return out.toarray()
+    wp = complex_.mass_vector(p)
+    if p >= 1 and complex_.dim(p - 1) > 0:
+        Bdn = complex_.coboundary(p - 1).matrix.astype(float)
+        out = out + Bdn @ sp.diags(1.0 / complex_.mass_vector(p - 1)) @ Bdn.T @ sp.diags(wp)
+    if p <= complex_.p_max and complex_.dim(p + 1) > 0:
+        Bup = complex_.coboundary(p).matrix.astype(float)
+        out = out + sp.diags(1.0 / wp) @ Bup.T @ sp.diags(complex_.mass_vector(p + 1)) @ Bup
+    return out.toarray()
+
+
+def rank_mod_p(matrix, prime: int = PRIME_MAIN) -> int:
+    """Exact rank over GF(prime) by the package's sparse column reduction."""
+    return len(_pivot_columns(matrix, prime))
+
+
+def is_admissible(system, space, idx) -> bool:
+    """Whether the distinct-index tuple idx is admissible under system (any order)."""
+    idx = np.asarray(idx, dtype=int)
+    if len(set(idx.tolist())) != idx.size:
+        return False
+    if system.kind == "full":
+        return True
+    if system.kind == "rips":
+        if idx.size == 1:
+            return True
+        m = float(space.dist[np.ix_(idx, idx)].max())
+        return m < system.eps if system.strict else m <= system.eps
+    if system.kind == "hausdorff":
+        # some sample point lies within eps of every entry
+        return bool(space.dist[:, idx].max(axis=1).min() <= system.eps)
+    members = set(idx.tolist())
+    return any(members <= s for s in system.cover_sets)
+
+
+def rescaled(model, c: float):
+    """The kernel multiplied by c > 0; degree-p masses scale by c**p."""
+    if c <= 0:
+        raise KernelError("rescaling factor must be positive")
+    if model.kind == "custom":
+        return KernelModel("custom", table=model.table * c)
+    return KernelModel(
+        model.kind, d=model.d, alpha=model.alpha, scale=model.scale * c,
+        eps_trunc=model.eps_trunc, floor=model.floor * c,
+    )
+
+
+def tensor_evaluator(fs):
+    """Evaluator for f_0 x f_1 x ... x f_p acting on ordered index tuples."""
+    fs = [np.asarray(f, dtype=float) for f in fs]
+
+    def ev(idx):
+        out = 1.0
+        for f, i in zip(fs, idx):
+            out *= f[i]
+        return out
+
+    return ev
+
+
+def insert_points(rows: np.ndarray, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each strictly increasing row with each point put in its sorted place.
+
+    Returns (merged, sign, hit) of shapes (m, w, k+1), (m, w), (m, w): sign
+    (+-1.0) is the parity of moving the point from the front into place, and
+    hit marks points that are already members (their merged row has a repeat).
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    m, k = rows.shape
+    merged = np.empty((m, pts.size, k + 1), dtype=np.int64)
+    merged[:, :, :k] = rows[:, None, :]
+    merged[:, :, k] = pts
+    merged.sort(axis=2)
+    sign = np.where((rows[:, None, :] < pts[:, None]).sum(axis=2) % 2, -1.0, 1.0)
+    hit = (rows[:, None, :] == pts[:, None]).any(axis=2)
+    return merged, sign, hit
+
+
+def cone_contraction(F, apex: int, lower) -> Cochain:
+    """Contract along an apex: G(x_0..x_{p-1}) = F(apex, x_0..x_{p-1}).
+
+    Needs every apex-augmented lower tuple to be admissible at degree p, which
+    holds on full systems; on anything narrower a missing tuple is an error.
+    """
+    if F.degree < 1:
+        raise CochainError("cannot contract a degree-0 cochain")
+    if lower.degree != F.degree - 1:
+        raise CochainError("lower tuple set must sit one degree below")
+    keys, sign, hit = (a[:, 0] for a in insert_points(lower.tuples, [apex]))
+    idx = F.tuple_set.locate(keys)
+    missing = np.flatnonzero(~hit & (idx < 0))
+    if missing.size:
+        raise CochainError(
+            f"augmented tuple {tuple(keys[missing[0]].tolist())} is not admissible; "
+            "cone contraction needs a full system"
+        )
+    vals = np.zeros(lower.size)
+    vals[~hit] = sign[~hit] * F.values[idx[~hit]]
+    return Cochain(F.degree - 1, lower, vals)
+
+
+@dataclass(frozen=True)
+class KernelConditionsReport:
+    """Discrete analogues of the near/far integrability and lower-bound checks."""
+
+    near_sup: float
+    far_sup: float
+    pair_inf: float | None
+    vacuous: bool
+
+
+def check_kernel_conditions(model, space, eps: float) -> KernelConditionsReport:
+    """Report sup_x of the near-field rho^2-moment and far-field kernel mass.
+
+    near: sum over 0 < rho < eps of rho^2 j(x, y) w_y;  far: sum over rho >= eps
+    of j(x, y) w_y; pair_inf: min kernel value over pairs with rho < eps
+    (None, flagged vacuous, when no such pair exists).
+    """
+    kmat = kernel_matrix(model, space)
+    off = ~np.eye(space.n, dtype=bool)
+    near = off & (space.dist < eps)
+    far = off & (space.dist >= eps)
+    near_sup = float((np.where(near, space.dist**2 * kmat, 0.0) @ space.weights).max())
+    far_sup = float((np.where(far, kmat, 0.0) @ space.weights).max())
+    if near.any():
+        return KernelConditionsReport(near_sup, far_sup, float(kmat[near].min()), False)
+    return KernelConditionsReport(near_sup, far_sup, None, True)
+
+
+def permuted(space, perm):
+    """Relabeled copy of a space; all intrinsic quantities must be invariant under this."""
+    perm = np.asarray(perm, dtype=int)
+    if sorted(perm.tolist()) != list(range(space.n)):
+        raise SpaceValidationError("not a permutation")
+    return MetricMeasureSpace(
+        space.dist[np.ix_(perm, perm)], space.weights[perm], dict(space.metadata)
+    )
+
+
+def total_mass(space) -> float:
+    return float(space.weights.sum())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -269,6 +270,8 @@ def test_verify_identity_suite_passes(tmp_path):
     assert payload["suite"] == "identity"
     assert payload["failed"] == 0
     assert all(c["passed"] for c in payload["checks"])
+    names = {c["name"] for c in payload["checks"]}
+    assert {"elementary-form-determinant", "hodge-decomposition", "multiplier-bound"} <= names
 
 
 def test_verify_rejects_corrupted_weights(tmp_path):
@@ -278,6 +281,91 @@ def test_verify_rejects_corrupted_weights(tmp_path):
     )
     assert proc.returncode == 2
     assert "FAIL" in proc.stdout
+
+
+def test_empty_distance_file_is_an_empty_space(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    proc = run_cli(
+        "betti", "--space", "file", "--dist", str(empty),
+        "--system", "rips", "--eps", "0.5", "--alpha", "0.5",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("error: empty space\n"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    out = tmp_path / "v"
+    proc = run_cli("verify", "--suite", "identity", "--dist", str(empty), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "FAIL file-space-valid (empty space)" in proc.stdout
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert {"name": "file-space-valid", "passed": False, "detail": "empty space"} in checks
+    # an empty weight sidecar fails the weight check, also without numpy's warning
+    dist_path, weights_path = write_file_space(tmp_path, weights_line="")
+    proc = run_cli("verify", "--suite", "identity", "--dist", dist_path, "--weights", weights_path)
+    assert proc.returncode == 2
+    assert "FAIL file-space-valid (weights shape (0,) does not match 4 points)" in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_verify_reports_keep_their_bytes(tmp_path):
+    # identity and all gained checks; these reports must not move
+    pinned = {
+        ("poincare", "verify.json"):
+            "e32dc84f823bba3316c9ef0c86a27b2522582cb7b4e7e03e9ee57b496fd39beb",
+        ("mv", "verify.json"):
+            "20e0ee0f7dd1e9a5e366f0f826247a346b563aac4938ab123112a8737e911844",
+        ("capacity", "verify.json"):
+            "f431b2f607698535b1e14f8898b7c3f7def2317d2dd60f1316f1f4912225f70b",
+        ("capacity", "removability.csv"):
+            "fd6f77592688e143ac83eb9c4ad844d4febec5f8dfa6e56f8354c123c0093953",
+    }
+    for suite in ("poincare", "mv", "capacity"):
+        proc = run_cli("verify", "--suite", suite, "--out", str(tmp_path / suite))
+        assert proc.returncode == 0, proc.stderr
+    for (suite, name), digest in pinned.items():
+        assert hashlib.sha256((tmp_path / suite / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_verify_recovery_suite(tmp_path):
+    runs = []
+    for label in ("a", "b"):
+        out = tmp_path / label
+        proc = run_cli("verify", "--suite", "recovery", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split(" ")[:2] for line in lines] == [
+            ["PASS", "recovery-circle"], ["PASS", "recovery-interval"], ["PASS", "recovery-sphere"],
+        ]
+        runs.append((out / "verify.json").read_bytes())
+    assert runs[0] == runs[1]
+    assert "recovery-sphere (reference=[1, 0, 1] exact=[1, 0, 1] spectral=[1, 0, 1]" in lines[2]
+
+
+def test_verify_recovery_fails_on_a_wrong_reference(monkeypatch, capsys):
+    from nlhodge import cli, covers
+
+    monkeypatch.setitem(covers.REFERENCE_BETTI, "circle", (1, 0, 0, 0))
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    assert cli.main(["verify", "--suite", "recovery"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL recovery-circle (reference=[1, 0] exact=[1, 1]" in out
+    assert "PASS recovery-interval" in out and "PASS recovery-sphere" in out
+
+
+def test_verify_all_runs_every_suite(tmp_path, monkeypatch, capsys):
+    from nlhodge import cli
+
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    names = [c["name"] for c in payload["checks"]]
+    assert payload["suite"] == "all" and payload["failed"] == 0
+    for name in ("multiplier-bound", "homotopy-identity-circle", "mv-exact-interval-p2",
+                 "removability-alpha-1.5", "recovery-circle", "recovery-interval",
+                 "recovery-sphere"):
+        assert name in names
+    assert (tmp_path / "removability.csv").exists()
+    assert capsys.readouterr().out.count("PASS ") == len(names)
 
 
 def test_verify_accepts_a_valid_file_space(tmp_path):

@@ -23,15 +23,13 @@ from nlhodge.cochains import (
     alt_tensor,
     build_coboundary,
     coboundary_apply,
-    cone_contraction,
     cup_average,
     elementary_form,
     multiply_power,
     sign_sort,
-    tensor_evaluator,
 )
 
-from oracles import loop_coboundary, sym_project
+from oracles import cone_contraction, loop_coboundary, sym_project, tensor_evaluator
 
 
 def full_tuples(n, p):
@@ -465,7 +463,9 @@ def test_cone_is_a_contracting_homotopy_on_full_systems(p):
     n = 6
     sets = [full_tuples(n, q) for q in range(p + 2)]
     F = random_cochain(rng, sets[p])
-    dK = coboundary_apply(build_coboundary(sets[p - 1], sets[p]), cone_contraction(F, 0, sets[p - 1]))
+    dK = coboundary_apply(
+        build_coboundary(sets[p - 1], sets[p]), cone_contraction(F, 0, sets[p - 1])
+    )
     Kd = cone_contraction(
         coboundary_apply(build_coboundary(sets[p], sets[p + 1]), F), 0, sets[p]
     )

@@ -24,7 +24,7 @@ from nlhodge.hodge import (
     multiplier_bound_check,
     multiplier_constant,
 )
-from oracles import dense_low_spectrum
+from oracles import dense_low_spectrum, rescaled, weighted_laplacian
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +54,9 @@ def test_two_point_laplacian_matches_hand_computation():
     space = MetricMeasureSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
     complex_ = build_weighted_complex(space, full_system(), constant_kernel(1.0), 0)
     assert complex_.mass_vector(1).tolist() == [2.0]
-    L = hodge_laplacian(complex_, 0, symmetrized=False)
+    L = weighted_laplacian(complex_, 0)
     assert np.array_equal(L, np.array([[2.0, -2.0], [-2.0, 2.0]]))
-    S = hodge_laplacian(complex_, 0, symmetrized=True)
+    S = hodge_laplacian(complex_, 0)
     assert np.array_equal(S, L)  # unit point weights: the conjugation is trivial
     assert np.allclose(np.linalg.eigvalsh(S), [0.0, 4.0], atol=1e-12)
     hc = harmonic_dimension(complex_, 0)
@@ -95,7 +95,7 @@ def test_degree_zero_generator_identity(circle_complex):
     space = complex_.space
     rng = np.random.default_rng(7)
     f = rng.standard_normal(space.n)
-    L = hodge_laplacian(complex_, 0, symmetrized=False)
+    L = weighted_laplacian(complex_, 0)
     kmat = kernel_matrix(complex_.kernel, space)
     pairs = set(map(tuple, complex_.tuple_sets[1].tuples.tolist()))
     for x in range(space.n):
@@ -108,8 +108,8 @@ def test_degree_zero_generator_identity(circle_complex):
 
 def test_symmetrized_laplacian_is_a_similarity_transform(circle_complex):
     for p in range(3):
-        L = hodge_laplacian(circle_complex, p, symmetrized=False)
-        S = hodge_laplacian(circle_complex, p, symmetrized=True)
+        L = weighted_laplacian(circle_complex, p)
+        S = hodge_laplacian(circle_complex, p)
         sq = np.sqrt(circle_complex.mass_vector(p))
         conj = (sq[:, None] * L) / sq[None, :]
         assert np.allclose(S, conj, rtol=1e-10, atol=1e-12)
@@ -120,7 +120,7 @@ def test_symmetrized_laplacian_is_a_similarity_transform(circle_complex):
 
 def test_symmetrized_laplacian_is_positive_semidefinite(circle_complex):
     for p in range(3):
-        S = hodge_laplacian(circle_complex, p, symmetrized=True)
+        S = hodge_laplacian(circle_complex, p)
         eigs = np.linalg.eigvalsh(S)
         assert eigs.min(initial=0.0) >= -1e-10 * max(eigs.max(initial=1.0), 1.0)
 
@@ -199,7 +199,7 @@ def test_kernel_rescaling_preserves_harmonics_but_not_spectra():
     space = gen_circle(10)
     base = build_weighted_complex(space, rips_system(1.1), fractional_kernel(1.0, 0.5), 1)
     tripled = build_weighted_complex(
-        space, rips_system(1.1), fractional_kernel(1.0, 0.5).rescaled(3.0), 1
+        space, rips_system(1.1), rescaled(fractional_kernel(1.0, 0.5), 3.0), 1
     )
     for p in range(2):
         a = harmonic_dimension(base, p)
@@ -255,7 +255,7 @@ def test_dense_eigensolve_matches_the_eigvalsh_oracle(circle_complex, sphere_com
     # LAPACK's dsyevd on the array itself gives the bits of numpy's eigvalsh on a
     # copy, and the blocked Gershgorin row sums those of the whole |S|
     for cx in (circle_complex, sphere_complex):
-        S = hodge._laplacian_csr(cx, p, symmetrized=True)
+        S = hodge._laplacian_csr(cx, p)
         assert 0 < S.shape[0] <= hodge.DENSE_EIG_CUTOFF
         eigs, bound = hodge._low_spectrum(S)
         want, want_bound = dense_low_spectrum(S)
@@ -338,7 +338,7 @@ def test_decomposition_recovers_a_pure_coboundary(circle_complex):
 
 def test_decomposition_fixes_a_harmonic_representative(circle_complex):
     p = 1
-    S = hodge_laplacian(circle_complex, p, symmetrized=True)
+    S = hodge_laplacian(circle_complex, p)
     eigvals, eigvecs = np.linalg.eigh(S)
     assert eigvals[0] < 1e-12
     h = eigvecs[:, 0] / np.sqrt(circle_complex.mass_vector(p))

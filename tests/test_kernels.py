@@ -10,7 +10,6 @@ from nlhodge.neighborhoods import enumerate_tuples, full_system, rips_system
 from nlhodge.kernels import (
     KernelError,
     assemble_weights,
-    check_kernel_conditions,
     constant_kernel,
     custom_kernel,
     fractional_kernel,
@@ -19,7 +18,7 @@ from nlhodge.kernels import (
     truncated_fractional_kernel,
 )
 
-from oracles import eval_kernel
+from oracles import check_kernel_conditions, eval_kernel, rescaled
 
 
 def unit_triangle(side=1.0):
@@ -141,7 +140,7 @@ def test_rescaling_by_two_scales_masses_by_two_to_the_p(p):
     model = fractional_kernel(1.0, 0.8)
     ts = enumerate_tuples(space, full_system(), p)
     base = assemble_weights(model, space, ts).masses
-    doubled = assemble_weights(model.rescaled(2.0), space, ts).masses
+    doubled = assemble_weights(rescaled(model, 2.0), space, ts).masses
     assert np.array_equal(doubled, base * 2.0**p)
 
 
@@ -249,7 +248,7 @@ def test_invalid_parameters_rejected(bad):
 
 def test_rescaling_must_be_positive():
     with pytest.raises(KernelError, match="rescaling"):
-        fractional_kernel(1.0, 0.5).rescaled(0.0)
+        rescaled(fractional_kernel(1.0, 0.5), 0.0)
 
 
 # --- integrability-style conditions report ----------------------------------

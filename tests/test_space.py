@@ -26,7 +26,7 @@ from nlhodge.space import (
     gen_two_components,
     load_distance_matrix,
 )
-from oracles import triangle_scan
+from oracles import permuted, total_mass, triangle_scan
 
 
 def test_circle_distances_follow_arc_law_exactly():
@@ -41,7 +41,7 @@ def test_circle_distances_follow_arc_law_exactly():
 
 def test_circle_total_mass_is_circumference():
     space = gen_circle(10, radius=2.0)
-    assert space.total_mass == pytest.approx(2.0 * np.pi * 2.0, rel=1e-15)
+    assert total_mass(space) == pytest.approx(2.0 * np.pi * 2.0, rel=1e-15)
 
 
 def test_circle_mesh_width_is_one_step():
@@ -52,7 +52,7 @@ def test_circle_mesh_width_is_one_step():
 def test_interval_endpoints_and_mass():
     space = gen_interval(64)
     assert space.dist[0, 63] == 1.0
-    assert space.total_mass == pytest.approx(1.0, rel=1e-12)
+    assert total_mass(space) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_two_components_gap_is_min_cross_distance():
@@ -89,7 +89,7 @@ def test_punctured_interval_wide_hole_rejected():
 def test_sphere_is_a_valid_geodesic_metric():
     space = gen_sphere(64)
     assert space.dist.max() <= np.pi + 1e-12
-    assert space.total_mass == pytest.approx(4.0 * np.pi, rel=1e-12)
+    assert total_mass(space) == pytest.approx(4.0 * np.pi, rel=1e-12)
     # antipodal-ish pair distance computed from the embedding directly
     pts = space.metadata["points"]
     i, j = 0, 63
@@ -177,8 +177,8 @@ def test_permuted_preserves_intrinsic_quantities():
     space = gen_circle(12)
     rng = np.random.default_rng(3)
     perm = rng.permutation(12)
-    other = space.permuted(perm)
-    assert other.total_mass == space.total_mass
+    other = permuted(space, perm)
+    assert total_mass(other) == total_mass(space)
     assert other.mesh_width() == pytest.approx(space.mesh_width(), rel=1e-15)
     i, j = 3, 7
     assert other.dist[i, j] == space.dist[perm[i], perm[j]]
@@ -186,7 +186,7 @@ def test_permuted_preserves_intrinsic_quantities():
 
 def test_permuted_rejects_non_permutation():
     with pytest.raises(SpaceValidationError):
-        gen_interval(4).permuted([0, 0, 1, 2])
+        permuted(gen_interval(4), [0, 0, 1, 2])
 
 
 @settings(max_examples=25, deadline=None)
