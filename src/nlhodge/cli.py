@@ -401,7 +401,7 @@ def cmd_verify(args) -> int:
         try:
             space = load_distance_matrix(args.dist, args.weights)
             checks.append(("file-space-valid", True, f"n={space.n}"))
-        except SpaceValidationError as exc:
+        except (SpaceValidationError, OSError) as exc:
             checks.append(("file-space-valid", False, str(exc)))
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:

@@ -7,10 +7,24 @@ check is a blocked min-plus scan (`_triangle_holds`): d is a metric iff
 d_ik <= min_j (d_ij + d_jk), and rounding is monotone, so testing the minimum
 decides exactly what testing every j does. It scans only the upper triangle
 k >= i, and only when d is exactly symmetric; a matrix that is symmetric only
-within tolerance gets the full square. On a violation the one-point-per-pass
-scan runs again to name the first intermediate point j with a violation and
-its most negative (i, k). Before the scan, each row i with a negative diagonal
-entry tests its degenerate triples (i, i, k) and (k, i, i), which fail on d_ii
+within tolerance gets the full square.
+
+The scan runs on a copy of d relabelled by a greedy nearest-neighbour walk
+from point 0 (`_locality_order`), so a block of rows I and a chunk of
+intermediate points J are each a few nearby points. For each tile (I, J) it
+adds into min_j only the columns from the first to the last k that is live,
+fl(lo[I, J] + cm[J, k]) < cM[I, k], where lo is the least d_ij over I x J, cm
+the least d_jk over j in J and cM the largest d_ik over i in I
+(`_tile_bounds`). Rounding is monotone, so a column that is not live has
+fl(d_ij + d_jk) >= fl(lo + cm) >= cM >= d_ik, a slack >= 0, for all of
+I x J: the verdict is the full scan's for every input. On samples of a
+circle or an interval, where a triple is tight only for j near a short path
+from i to k, most tiles are skipped.
+
+On a violation the one-point-per-pass scan runs again on the original matrix
+to name the first intermediate point j with a violation and its most
+negative (i, k). Before the scan, each row i with a negative diagonal entry
+tests its degenerate triples (i, i, k) and (k, i, i), which fail on d_ii
 alone; a failure there is reported as that diagonal entry, and the scan would
 reject the matrix too. The row blocks run on min(NLH_THREADS, blocks) worker
 threads (`nlhodge.thread_cap`; unset, one per CPU the process may run on); a
@@ -30,10 +44,11 @@ from . import thread_cap
 METRIC_TOL = 1e-12
 MIN_SEPARATION_WARN = 1e-9
 # Tiling of the triangle scan: rows per block and intermediate points per
-# NumPy call; each worker's scratch buffers hold (_J_CHUNK + 2) * _ROW_BLOCK * n
-# entries.
+# NumPy call; each worker's scratch holds _scratch_size(n, itemsize) entries.
 _ROW_BLOCK = 16
 _J_CHUNK = 8
+# Rows per step of the O(n^2) sweeps that would otherwise make an n x n temporary.
+_SWEEP_ROWS = 64
 
 
 class SpaceValidationError(ValueError):
@@ -49,10 +64,8 @@ def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
     if not np.isfinite(dist).all():
         bad = np.argwhere(~np.isfinite(dist))[0]
         raise SpaceValidationError(f"non-finite distance at ({bad[0]}, {bad[1]})")
-    asym = np.abs(dist - dist.T)
-    worst = asym.max(initial=0.0)
+    worst, (i, j) = _asymmetry(dist)
     if worst > tol:
-        i, j = np.unravel_index(np.argmax(asym), asym.shape)
         raise SpaceValidationError(
             f"asymmetric distances at ({i}, {j}): {dist[i, j]!r} vs {dist[j, i]!r}"
         )
@@ -87,67 +100,142 @@ def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
             )
 
 
+def _asymmetry(dist: np.ndarray):
+    """max |d_ij - d_ji| and the (i, j) of its first maximum in row-major order."""
+    worst, at = 0, (0, 0)
+    for r0 in range(0, dist.shape[0], _SWEEP_ROWS):
+        gap = np.abs(dist[r0 : r0 + _SWEEP_ROWS] - dist[:, r0 : r0 + _SWEEP_ROWS].T)
+        top = gap.max()
+        if top > worst:
+            r, c = np.unravel_index(np.argmax(gap), gap.shape)
+            worst, at = top, (r0 + r, c)
+    return worst, at
+
+
 def _triangle_holds(dist: np.ndarray, tol: float, symmetric: bool) -> bool:
     """Whether fl(fl(d_ij + d_jk) - d_ik) >= -tol for every triple (i, j, k).
 
-    The blocks of _ROW_BLOCK rows are dealt round-robin to min(thread_cap(),
-    number of blocks) workers, so each gets a like share of the shrinking
-    upper-triangle widths; NumPy's add and minimum release the GIL, so the
-    workers overlap. The first violating block sets `stop`, which is also the
-    verdict, and the other workers stop at their next block.
+    The scan runs on `near`, d relabelled by `_locality_order`, and skips
+    the tiles that `_tile_bounds` proves pass. The blocks of _ROW_BLOCK rows
+    are dealt round-robin to min(thread_cap(), number of blocks) workers, so
+    each gets a like share of the shrinking upper-triangle widths; NumPy's
+    add and minimum release the GIL, so the workers overlap. The first
+    violating block sets `stop`, which is also the verdict, and the other
+    workers stop at their next block.
     """
     import threading
 
     n = dist.shape[0]
-    rows, chunk = min(_ROW_BLOCK, n), min(_J_CHUNK, n)
-    starts = range(0, n, rows)
+    order = _locality_order(dist)
+    near = np.ascontiguousarray(dist[np.ix_(order, order)])
+    bounds = _tile_bounds(near)
+    starts = range(0, n, min(_ROW_BLOCK, n))
     workers = min(thread_cap(), len(starts))
     # Allocated in the calling thread: a buffer a worker thread allocates stays
     # in that thread's malloc arena and raised peak RSS by about 3 MB at n=1024.
-    scratch = np.empty((workers, (chunk + 2) * rows * n), dtype=dist.dtype)
+    scratch = np.empty((workers, _scratch_size(n, dist.itemsize)), dtype=dist.dtype)
     stop = threading.Event()
     if workers == 1:
-        _scan_rows(dist, tol, symmetric, starts, stop, scratch[0])
+        _scan_rows(near, tol, symmetric, bounds, starts, stop, scratch[0])
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
             # list() re-raises a worker's exception here
             list(pool.map(
-                lambda w: _scan_rows(dist, tol, symmetric, starts[w::workers], stop, scratch[w]),
+                lambda w: _scan_rows(
+                    near, tol, symmetric, bounds, starts[w::workers], stop, scratch[w]
+                ),
                 range(workers),
             ))
     return not stop.is_set()
 
 
-def _scan_rows(dist: np.ndarray, tol: float, symmetric: bool, starts, stop, scratch) -> None:
+def _locality_order(dist: np.ndarray) -> np.ndarray:
+    """Greedy walk from point 0 to the nearest point not yet visited (ties: lowest index)."""
+    n = dist.shape[0]
+    order = np.zeros(n, dtype=np.intp)
+    visited, row = np.zeros(n), np.empty(n)
+    for t in range(1, n):
+        visited[order[t - 1]] = np.inf
+        np.add(dist[order[t - 1]], visited, out=row)
+        order[t] = row.argmin()
+    return order
+
+
+def _tile_bounds(near: np.ndarray):
+    """The scan's bounds (lo, cm, cM) for row blocks I and j-chunks J of `near`.
+
+    lo[I, J] is the least d_ij over I x J, cm[J, k] the least d_jk over j in J
+    and cM[I, k] the largest d_ik over i in I.
+    """
+    n = near.shape[0]
+    rows, chunk = min(_ROW_BLOCK, n), min(_J_CHUNK, n)
+    lo = np.minimum.reduceat(_row_groups(np.minimum, near, rows), np.arange(0, n, chunk), axis=1)
+    return lo, _row_groups(np.minimum, near, chunk), _row_groups(np.maximum, near, rows)
+
+
+def _row_groups(ufunc, a: np.ndarray, size: int) -> np.ndarray:
+    """ufunc over each run of `size` rows of `a` (the last run may be shorter)."""
+    return np.stack([ufunc.reduce(a[g : g + size], axis=0) for g in range(0, a.shape[0], size)])
+
+
+def _scratch_size(n: int, itemsize: int) -> int:
+    """Entries of one worker's scratch, in a dtype of `itemsize` bytes.
+
+    It holds the sums (first lo + cm of the live test), best and its slack,
+    and, as bytes, the live test and its mirror image.
+    """
+    rows, chunk = min(_ROW_BLOCK, n), min(_J_CHUNK, n)
+    chunks = -(-n // chunk)
+    return max(chunk * rows, chunks) * n + 2 * rows * n + -(-2 * chunks * n // itemsize)
+
+
+def _scan_rows(
+    dist: np.ndarray, tol: float, symmetric: bool, bounds, starts, stop, scratch
+) -> None:
     """Scan the row blocks beginning at `starts`; set `stop` at the first violation.
 
-    Each block keeps best[i, k] = min_j fl(d_ij + d_jk), adding _J_CHUNK
-    intermediate points per NumPy call into this worker's `scratch`, and tests
-    best - d against -tol once. With `symmetric` a block scans only the
-    columns k >= its first row: there (k, j, i) gives the same sums as (i, j, k).
+    Each block keeps best[i, k], which starts at d_ik (slack 0) and takes the
+    minimum with fl(d_ij + d_jk), adding _J_CHUNK intermediate points per
+    NumPy call into this worker's `scratch`, and tests best - d against -tol
+    once. Chunk J adds only the columns from its first to its last live k
+    (`bounds` = `_tile_bounds(dist)`, see the module docstring); a chunk
+    with no live column adds nothing. With `symmetric` a block scans only the
+    columns k >= its first row: there (k, j, i) gives the same sums as
+    (i, j, k).
     """
-    n = dist.shape[0]
+    lo, cm, cM = bounds
+    n, chunks = dist.shape[0], cm.shape[0]
     rows, chunk = min(_ROW_BLOCK, n), min(_J_CHUNK, n)
-    sums, acc, part = np.split(scratch, [chunk * rows * n, (chunk + 1) * rows * n])
+    tail = scratch.size - -(-2 * chunks * n // dist.itemsize)
+    sums, acc, part, flags = np.split(scratch, [tail - 2 * rows * n, tail - rows * n, tail])
+    ahead, behind = np.split(flags.view(np.bool_)[: 2 * chunks * n], 2)
     for i0 in starts:
         if stop.is_set():
             return
         i1 = min(i0 + rows, n)
         k0 = i0 if symmetric else 0
-        shape = (i1 - i0, n - k0)
-        size = shape[0] * shape[1]
-        best, tmp = acc[:size].reshape(shape), part[:size].reshape(shape)
-        for j0 in range(0, n, chunk):
-            j1 = min(j0 + chunk, n)
-            block = sums[: (j1 - j0) * size].reshape(j1 - j0, *shape)
-            np.add(dist[i0:i1, j0:j1].T[:, :, None], dist[j0:j1, None, k0:], out=block)
-            if j0 == 0:
-                np.minimum.reduce(block, axis=0, out=best)
-            else:
-                np.minimum.reduce(block, axis=0, out=tmp)
-                np.minimum(best, tmp, out=best)
+        m, width = i1 - i0, n - k0
+        best, tmp = acc[: m * width].reshape(m, width), part[: m * width].reshape(m, width)
+        np.copyto(best, dist[i0:i1, k0:])
+        reach = sums[: chunks * width].reshape(chunks, width)
+        np.add(lo[i0 // rows, :, None], cm[:, k0:], out=reach)
+        live = ahead[: chunks * width].reshape(chunks, width)
+        np.less(reach, cM[i0 // rows, k0:], out=live)
+        # each row reversed, so its first live entry is the chunk's last live column
+        mirror = behind[: chunks * width].reshape(chunks, width)
+        np.copyto(mirror[:, ::-1], live)
+        first, end = live.argmax(axis=1), width - mirror.argmax(axis=1)
+        hit = live.any(axis=1)
+        lead = dist[i0:i1].T
+        for c, a, b in zip(np.flatnonzero(hit).tolist(), first[hit].tolist(), end[hit].tolist()):
+            j0, j1 = c * chunk, min(c * chunk + chunk, n)
+            block = sums[: (j1 - j0) * m * (b - a)].reshape(j1 - j0, m, b - a)
+            np.add(lead[j0:j1, :, None], dist[j0:j1, None, k0 + a : k0 + b], out=block)
+            span = part[: m * (b - a)].reshape(m, b - a)
+            np.minimum.reduce(block, axis=0, out=span)
+            np.minimum(best[:, a:b], span, out=best[:, a:b])
         np.subtract(best, dist[i0:i1, k0:], out=tmp)
         if tmp.min() < -tol:
             stop.set()
@@ -212,8 +300,13 @@ class MetricMeasureSpace:
         """Largest nearest-neighbor distance (covering scale of the sample)."""
         if self.n == 1:
             return 0.0
-        masked = self.dist + np.eye(self.n) * (self.dist.max() + 1.0)
-        return float(masked.min(axis=1).max())
+        widest = 0.0
+        for r0 in range(0, self.n, _SWEEP_ROWS):
+            block = self.dist[r0 : r0 + _SWEEP_ROWS].copy()
+            diag = np.arange(block.shape[0])
+            block[diag, r0 + diag] = np.inf
+            widest = max(widest, float(block.min(axis=1).max()))
+        return widest
 
 
 def gen_circle(n: int, radius: float = 1.0) -> MetricMeasureSpace:

@@ -18,7 +18,9 @@ homotopy on it that the global-row slices of `restrict_complex` replaced;
 `slice_oracle` and `psi_oracle` are its point-by-point slice test and
 insertion-built Psi, which the local coboundary entries replaced.
 `triangle_scan` is the one-intermediate-point-per-pass triangle check that
-the blocked min-plus scan of `_check_metric` replaced.
+the blocked min-plus scan of `_check_metric` replaced. `mesh_width` is
+`MetricMeasureSpace.mesh_width` before it took row minima block by block:
+three n x n temporaries (the identity, its scaled copy and the masked sum).
 `dense_low_spectrum` is the dense branch of `hodge._low_spectrum` before it
 solved in place: a whole |S| temporary for the Gershgorin bound and numpy's
 `eigvalsh`, which solves a private copy, so two m x m arrays are live at once.
@@ -109,6 +111,14 @@ def triangle_scan(dist, tol: float = METRIC_TOL) -> None:
                 f"triangle inequality violated for ({i}, {j}, {k}): "
                 f"d({i},{k})={dist[i, k]!r} > d({i},{j})+d({j},{k})={dist[i, j] + dist[j, k]!r}"
             )
+
+
+def mesh_width(space) -> float:
+    """Largest nearest-neighbour distance, with the diagonal masked by max d + 1."""
+    if space.n == 1:
+        return 0.0
+    masked = space.dist + np.eye(space.n) * (space.dist.max() + 1.0)
+    return float(masked.min(axis=1).max())
 
 
 def dense_low_spectrum(S) -> tuple[np.ndarray, float]:

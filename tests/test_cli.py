@@ -307,6 +307,18 @@ def test_empty_distance_file_is_an_empty_space(tmp_path):
     assert proc.stderr == ""
 
 
+def test_verify_records_a_missing_distance_file(tmp_path):
+    missing = tmp_path / "nope.csv"
+    out = tmp_path / "v"
+    proc = run_cli("verify", "--suite", "identity", "--dist", str(missing), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    detail = f"{missing} not found."
+    assert f"FAIL file-space-valid ({detail})" in proc.stdout
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert {"name": "file-space-valid", "passed": False, "detail": detail} in checks
+
+
 def test_verify_reports_keep_their_bytes(tmp_path):
     # identity and all gained checks; these reports must not move
     pinned = {

@@ -26,7 +26,7 @@ from nlhodge.space import (
     gen_two_components,
     load_distance_matrix,
 )
-from oracles import permuted, total_mass, triangle_scan
+from oracles import mesh_width, permuted, total_mass, triangle_scan
 
 
 def test_circle_distances_follow_arc_law_exactly():
@@ -47,6 +47,20 @@ def test_circle_total_mass_is_circumference():
 def test_circle_mesh_width_is_one_step():
     space = gen_circle(16)
     assert space.mesh_width() == pytest.approx(2.0 * np.pi / 16, rel=1e-15)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_circle(3), lambda: gen_circle(130, radius=0.3), lambda: gen_interval(2),
+    lambda: gen_interval(97), lambda: gen_two_components(40, gap=0.25),
+    lambda: gen_punctured_interval(90, 0.4, 0.1), lambda: gen_sphere(150),
+    lambda: MetricMeasureSpace(np.zeros((1, 1)), np.ones(1)),
+])
+def test_mesh_width_matches_the_masked_oracle(make):
+    space = make()
+    assert space.mesh_width() == mesh_width(space)
+    perm = np.random.default_rng(space.n).permutation(space.n)
+    other = permuted(space, perm)
+    assert other.mesh_width() == mesh_width(other) == mesh_width(space)
 
 
 def test_interval_endpoints_and_mass():
@@ -107,6 +121,23 @@ def test_asymmetry_names_the_pair():
     d = np.array([[0.0, 1.0], [1.5, 0.0]])
     with pytest.raises(SpaceValidationError, match=r"asymmetric.*\(0, 1\)|asymmetric.*\(1, 0\)"):
         MetricMeasureSpace(d, np.ones(2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_asymmetry_names_the_first_largest_gap(seed):
+    rng = np.random.default_rng(seed)
+    d = gen_interval(150).dist.copy()
+    # equal gaps in different row blocks, and a smaller one; row-major order breaks the tie
+    for _ in range(3):
+        i, j = rng.choice(150, 2, replace=False)
+        d[i, j] += 2e-9
+    i, j = rng.choice(150, 2, replace=False)
+    d[i, j] += 1e-9
+    gap = np.abs(d - d.T)
+    i, j = np.unravel_index(np.argmax(gap), gap.shape)
+    with pytest.raises(SpaceValidationError) as err:
+        _check_metric(d)
+    assert str(err.value) == f"asymmetric distances at ({i}, {j}): {d[i, j]!r} vs {d[j, i]!r}"
 
 
 def test_nonzero_diagonal_rejected():
@@ -250,7 +281,34 @@ def _past(d, c):
     return c + 1 if d.dtype.kind == "i" else np.nextafter(c, np.inf)
 
 
-def _case_matrix(n, seed, integer, mode, edit, last, dip):
+def _plane(rng, n):
+    pts = rng.random((n, 2))
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+
+
+def _circle(rng, n):
+    t = rng.random(n) * (2.0 * np.pi)
+    gap = np.abs(t[:, None] - t[None, :])
+    return np.minimum(gap, 2.0 * np.pi - gap)
+
+
+def _interval(rng, n):
+    x = rng.random(n)
+    return np.abs(x[:, None] - x[None, :])
+
+
+def _sphere(rng, n):
+    v = rng.standard_normal((n, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    crosses = np.linalg.norm(np.cross(v[:, None, :], v[None, :, :]), axis=2)
+    return np.arctan2(crosses, (v[:, None, :] * v[None, :, :]).sum(axis=2))
+
+
+# Uniform samples, so their labels are in a random order.
+SAMPLES = {"plane": _plane, "circle": _circle, "interval": _interval, "sphere": _sphere}
+
+
+def _case_matrix(n, seed, integer, mode, edit, last, dip, shape="plane"):
     """A near-metric with one edited pair (a, b).
 
     mode "sym" keeps d exactly symmetric. "lower" and "noise" put the edit at
@@ -267,8 +325,7 @@ def _case_matrix(n, seed, integer, mode, edit, last, dip):
         pts = np.stack(np.divmod(cells, 40), axis=1)
         d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
     else:
-        pts = rng.random((n, 2))
-        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        d = SAMPLES[shape](rng, n)
         if mode == "noise":
             d = d + np.triu(rng.uniform(-2e-13, 2e-13, (n, n)), 1)
     if edit != "none":
@@ -315,8 +372,10 @@ def _diagonal_oracle(d):
     """The diagonal message for the first negative d_ii that fails a degenerate triple."""
     n = d.shape[0]
     for i, k in itertools.product(range(n), range(n)):
+        if d[i, i] >= 0:
+            continue
         slack = min((d[i, i] + d[i, k]) - d[i, k], (d[k, i] + d[i, i]) - d[k, i])
-        if d[i, i] < 0 and slack < -METRIC_TOL:
+        if slack < -METRIC_TOL:
             return f"nonzero diagonal at ({i}, {i}): {d[i, i]!r}"
     return None
 
@@ -369,6 +428,32 @@ def metric_cases(draw):
 def test_triangle_check_matches_the_per_j_oracle(case):
     n, seed, integer, mode, edit, last, dip, order = case
     d = _case_matrix(n, seed, integer, mode, edit, last, dip)
+    _check_against_the_oracle(d, edit, dip, order)
+
+
+# Sizes where the scan skips tiles: several row blocks and j-chunks.
+PRUNED_SIZES = [64, 97, 130]
+
+
+@st.composite
+def pruned_cases(draw):
+    n = draw(st.sampled_from(PRUNED_SIZES))
+    shape = draw(st.sampled_from(["circle", "interval", "sphere"]))
+    mode = draw(st.sampled_from(["sym", "lower", "noise"]))
+    edits = ["none", "at", "past"] + (["big", "exact_at", "exact_past"] if mode == "sym" else [])
+    return (n, shape, draw(st.integers(0, 2**32 - 1)), mode, draw(st.sampled_from(edits)),
+            draw(st.booleans()), draw(st.booleans()), draw(st.sampled_from("CF")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pruned_cases())
+def test_pruned_scan_matches_the_per_j_oracle(case):
+    n, shape, seed, mode, edit, last, dip, order = case
+    d = _case_matrix(n, seed, False, mode, edit, last, dip, shape)
+    _check_against_the_oracle(d, edit, dip, order)
+
+
+def _check_against_the_oracle(d, edit, dip, order):
     if order == "F":
         d = np.asfortranarray(d)
     expected = _oracle(d)
@@ -383,15 +468,106 @@ def test_triangle_check_matches_the_per_j_oracle(case):
         assert expected[0] is not None
 
 
+def test_an_int8_matrix_longer_than_127_keeps_its_verdict():
+    # the scan's buffers take the matrix dtype, whose range here is below n
+    x = np.arange(200) % 3
+    d = (np.abs(x[:, None] - x[None, :]) + 1 - np.eye(200, dtype=int)).astype(np.int8)
+    for a, b in [(None, None), (0, 2), (5, 190), (130, 199)]:
+        e = d.copy()
+        if a is not None:
+            e[a, b] = e[b, a] = 6  # every path of two steps is shorter
+        expected = _oracle(e)
+        assert (expected[0] is None) == (a is None)
+        assert _outcome(_check_metric, e) == expected
+
+
+class SumSpy:
+    """numpy, except that add records the operands of each sum it writes to a 3-D out."""
+
+    def __init__(self):
+        self.sums = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, a, b, out=None):
+        if out is not None and out.ndim == 3:
+            self.sums.append((a, b, out.shape))
+        return np.add(a, b, out=out)
+
+
+def test_pruned_scan_skips_most_triples_of_a_relabelled_circle(monkeypatch):
+    n = 256
+    perm = np.random.default_rng(3).permutation(n)
+    d = np.ascontiguousarray(gen_circle(n).dist[np.ix_(perm, perm)])
+    spy = SumSpy()
+    monkeypatch.setattr(space_module, "np", spy)
+    monkeypatch.setenv("NLH_THREADS", "1")
+    _check_metric(d)
+    evaluated = sum(int(np.prod(shape)) for *_, shape in spy.sums)
+    # the unpruned scan sums every j for each row block's columns k >= its first row
+    full = sum((min(i0 + _ROW_BLOCK, n) - i0) * n * (n - i0) for i0 in range(0, n, _ROW_BLOCK))
+    assert 0 < evaluated < full / 2
+
+
+@pytest.mark.parametrize("n", [1, 5, 45, 64])
+def test_tile_bounds_are_the_tile_extremes(n):
+    d = np.random.default_rng(n).random((n, n))
+    lo, cm, cM = space_module._tile_bounds(d)
+    rows, chunk = min(_ROW_BLOCK, n), min(_J_CHUNK, n)
+    for b, i0 in enumerate(range(0, n, rows)):
+        assert np.array_equal(cM[b], d[i0 : i0 + rows].max(axis=0))
+        for c, j0 in enumerate(range(0, n, chunk)):
+            assert lo[b, c] == d[i0 : i0 + rows, j0 : j0 + chunk].min()
+    for c, j0 in enumerate(range(0, n, chunk)):
+        assert np.array_equal(cm[c], d[j0 : j0 + chunk].min(axis=0))
+    assert lo.shape == (-(-n // rows), -(-n // chunk)) and cm.shape[0] == lo.shape[1]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_each_chunk_adds_the_span_of_its_live_columns(monkeypatch, symmetric):
+    n = 100
+    perm = np.random.default_rng(5).permutation(n)
+    d = gen_circle(n).dist[np.ix_(perm, perm)]
+    order = space_module._locality_order(d)
+    near = np.ascontiguousarray(d[np.ix_(order, order)])
+    lo, cm, cM = bounds = space_module._tile_bounds(near)
+    expected = []
+    for b, i0 in enumerate(range(0, n, _ROW_BLOCK)):
+        k0 = i0 if symmetric else 0
+        for c, j0 in enumerate(range(0, n, _J_CHUNK)):
+            live = [k for k in range(k0, n) if lo[b, c] + cm[c, k] < cM[b, k]]
+            if live:
+                expected.append((i0, j0, live[0], live[-1] + 1))
+    # the rule skips chunks and narrows spans, so the comparison below has teeth
+    assert len(expected) < lo.size if symmetric else len(expected) == lo.size
+    assert any(end - start < n - (i0 if symmetric else 0) for i0, _, start, end in expected)
+
+    def origin(view):
+        """(row, column) of `near` where the view starts."""
+        offset = view.__array_interface__["data"][0] - near.__array_interface__["data"][0]
+        return divmod(offset // near.itemsize, n)
+
+    spy = SumSpy()
+    monkeypatch.setattr(space_module, "np", spy)
+    scratch = np.empty(space_module._scratch_size(n, near.itemsize))
+    stop = threading.Event()
+    starts = range(0, n, _ROW_BLOCK)
+    space_module._scan_rows(near, METRIC_TOL, symmetric, bounds, starts, stop, scratch)
+    assert not stop.is_set()
+    spans = [(*origin(a), origin(b)[1], origin(b)[1] + shape[2]) for a, b, shape in spy.sums]
+    assert spans == expected
+
+
 @pytest.mark.parametrize("n", [3, _ROW_BLOCK, 3 * _ROW_BLOCK])
 def test_thread_cap_sets_the_worker_count(n, monkeypatch):
     shares, buffers = [], []
     scan = space_module._scan_rows
 
-    def spy(dist, tol, symmetric, starts, stop, scratch):
+    def spy(dist, tol, symmetric, bounds, starts, stop, scratch):
         shares.append(list(starts))
         buffers.append(scratch)
-        scan(dist, tol, symmetric, starts, stop, scratch)
+        scan(dist, tol, symmetric, bounds, starts, stop, scratch)
 
     monkeypatch.setattr(space_module, "_scan_rows", spy)
     d = gen_circle(n).dist
@@ -417,8 +593,9 @@ def test_a_set_stop_event_ends_a_workers_scan():
             seen.append(i0)
             yield i0
 
-    scratch = np.empty((_J_CHUNK + 2) * _ROW_BLOCK * d.shape[0])
-    space_module._scan_rows(d, METRIC_TOL, True, starts(), stop, scratch)
+    scratch = np.empty(space_module._scratch_size(d.shape[0], d.itemsize))
+    bounds = space_module._tile_bounds(d)
+    space_module._scan_rows(d, METRIC_TOL, True, bounds, starts(), stop, scratch)
     assert seen == [0]
 
 
