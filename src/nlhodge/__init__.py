@@ -20,7 +20,6 @@ _FORWARD = {
     "full_system": "neighborhoods",
     "rips_system": "neighborhoods",
     "hausdorff_system": "neighborhoods",
-    "cover_system": "neighborhoods",
     "enumerate_tuples": "neighborhoods",
     "fractional_kernel": "kernels",
     "constant_kernel": "kernels",
@@ -40,7 +39,6 @@ _FORWARD = {
     "poincare_suite": "covers",
     "derham_recovery_report": "covers",
     "capacity": "capacity",
-    "capacity_of_hole": "capacity",
     "removability_sweep": "capacity",
 }
 

@@ -27,6 +27,11 @@ from .hodge import build_weighted_complex, NumericalError
 
 DIRECT_SOLVE_CUTOFF = 4000
 CG_RTOL = 1e-10
+# The removability ladder: rips scale, hole position, verdict thresholds.
+LADDER_EPS = 0.25
+HOLE_CENTER = 0.5
+SLOPE_THRESHOLD = -0.2
+RATIO_THRESHOLD = 1.25
 
 
 class CapacityError(ValueError):
@@ -48,22 +53,18 @@ def build_capacity_problem(
     system: NeighborhoodSystem,
     kernel: KernelModel,
     target,
-    clamp_radius: float | None = None,
 ) -> CapacityProblem:
     """Assemble the quadratic form and the clamp ring around the target set.
 
-    clamp_radius defaults to the mesh width of the sample; the clamp set is
-    every point within that distance of the target.
+    The clamp set is every point within one mesh width of the target.
     """
     target = np.asarray(sorted(set(int(i) for i in np.atleast_1d(target))), dtype=int)
     if target.size == 0:
         raise CapacityError("target set is empty")
     if target.min() < 0 or target.max() >= space.n:
         raise CapacityError("target indices out of range")
-    if clamp_radius is None:
-        clamp_radius = space.mesh_width()
     d_to_target = space.dist[:, target].min(axis=1)
-    clamp = np.nonzero(d_to_target <= clamp_radius * (1.0 + 1e-9))[0]
+    clamp = np.nonzero(d_to_target <= space.mesh_width() * (1.0 + 1e-9))[0]
     cx = build_weighted_complex(space, system, kernel, 0)
     B0 = cx.coboundary(0).matrix.astype(float)
     W0 = sp.diags(cx.mass_vector(0))
@@ -105,35 +106,6 @@ def capacity(problem: CapacityProblem) -> CapacityResult:
     return CapacityResult(value, u, ok)
 
 
-def capacity_of_hole(
-    n: int,
-    eps: float,
-    alpha: float,
-    hole_center: float = 0.5,
-    hole_radius: float = 0.0,
-    scale: float = 1.0,
-) -> CapacityResult:
-    """Capacity of a hole in the n-point unit interval at scale eps.
-
-    hole_radius = 0 clamps the single grid point nearest the center.
-    """
-    return _hole_capacity(gen_interval(n), eps, alpha, hole_center, hole_radius, scale)
-
-
-def _hole_capacity(space, eps, alpha, hole_center, hole_radius, scale=1.0) -> CapacityResult:
-    x = space.metadata["points"]
-    if hole_radius > 0:
-        target = np.nonzero(np.abs(x - hole_center) <= hole_radius)[0]
-        if target.size == 0:
-            target = np.array([int(np.argmin(np.abs(x - hole_center)))])
-    else:
-        target = np.array([int(np.argmin(np.abs(x - hole_center)))])
-    problem = build_capacity_problem(
-        space, rips_system(eps), fractional_kernel(1.0, alpha, scale=scale), target
-    )
-    return capacity(problem)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     resolution: int
@@ -167,38 +139,36 @@ class RemovabilityReport:
 
 
 def removability_sweep(
-    resolutions=(50, 100, 200, 400, 800),
-    alphas=(0.5, 1.5),
-    eps: float = 0.25,
-    hole_center: float = 0.5,
-    hole_radius: float = 0.0,
-    slope_threshold: float = -0.2,
-    ratio_threshold: float = 1.25,
+    resolutions=(50, 100, 200, 400, 800), alphas=(0.5, 1.5)
 ) -> RemovabilityReport:
     """Capacity ladder over grid resolutions for each fractional order.
 
-    verdict: 'removable' when capacities decrease with log-log slope below
-    slope_threshold, 'non-removable' when max/min stays under ratio_threshold,
-    'inconclusive' otherwise.
+    Each rung clamps the grid point nearest HOLE_CENTER of the n-point unit
+    interval, under the rips system at LADDER_EPS. verdict: 'removable' when
+    capacities decrease with log-log slope below SLOPE_THRESHOLD,
+    'non-removable' when max/min stays under RATIO_THRESHOLD, 'inconclusive'
+    otherwise.
     """
     spaces = [gen_interval(n) for n in resolutions]
+    holes = [[int(np.argmin(np.abs(s.metadata["points"] - HOLE_CENTER)))] for s in spaces]
     rows = []
     for alpha in alphas:
-        caps = np.array(
-            [_hole_capacity(space, eps, alpha, hole_center, hole_radius).value
-             for space in spaces]
-        )
+        kernel = fractional_kernel(1.0, alpha)
+        caps = np.array([
+            capacity(build_capacity_problem(s, rips_system(LADDER_EPS), kernel, hole)).value
+            for s, hole in zip(spaces, holes)
+        ])
         slope = float(
             np.polyfit(np.log(np.asarray(resolutions, dtype=float)), np.log(caps), 1)[0]
         )
         decreasing = bool(np.all(np.diff(caps) < 0))
         ratio = float(caps.max() / caps.min())
-        if decreasing and slope < slope_threshold:
+        if decreasing and slope < SLOPE_THRESHOLD:
             verdict = "removable"
-        elif ratio < ratio_threshold:
+        elif ratio < RATIO_THRESHOLD:
             verdict = "non-removable"
         else:
             verdict = "inconclusive"
         for n, c in zip(resolutions, caps):
-            rows.append(SweepRow(int(n), float(alpha), float(eps), float(c), slope, verdict))
+            rows.append(SweepRow(int(n), float(alpha), LADDER_EPS, float(c), slope, verdict))
     return RemovabilityReport(tuple(rows))

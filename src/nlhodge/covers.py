@@ -22,6 +22,11 @@ from .cohomology import rank_exact, BettiReport, PRIME_MAIN
 from .hodge import WeightedComplex
 
 
+# Mayer-Vietoris rows whose assembled matrices hold at most this many rows
+# are also ranked as a whole.
+MV_CROSSCHECK_CUTOFF = 2000
+
+
 class CoverError(ValueError):
     """Raised for covers that fail their structural preconditions."""
 
@@ -46,7 +51,6 @@ class CoverSystem:
     eta: float
     centers: np.ndarray
     big_masks: np.ndarray = field(init=False)
-    small_masks: np.ndarray = field(init=False)
     bumps: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -64,7 +68,6 @@ class CoverSystem:
             )
         self.centers = centers
         self.big_masks = d < self.eps + 2.0 * self.eta
-        self.small_masks = d < self.eps + self.eta
         self.bumps = np.clip((self.eps + 2.0 * self.eta - d) / self.eta, 0.0, 1.0)
 
     @property
@@ -79,19 +82,18 @@ class CoverSystem:
 
 
 def default_cover(space: MetricMeasureSpace, system: NeighborhoodSystem, every: int = 1,
-                  eta: float | None = None, eps: float | None = None) -> CoverSystem:
+                  eps: float | None = None) -> CoverSystem:
     """Cover centered on every `every`-th sample point.
 
-    eta defaults to just above the centers' covering radius, keeping balls as
-    small as the sample allows (tight balls keep the slice sets nonempty).
-    eps defaults to the system's scale; systems without one (full) need it
-    passed explicitly.
+    eta is just above the centers' covering radius, keeping balls as small as
+    the sample allows (tight balls keep the slice sets nonempty). eps defaults
+    to the system's scale; systems without one (full) need it passed
+    explicitly.
     """
     centers = np.arange(0, space.n, every)
-    if eta is None:
-        cov_radius = float(space.dist[centers].min(axis=0).max())
-        base = cov_radius if cov_radius > 0 else space.mesh_width() / 2.0
-        eta = 1.02 * base if base > 0 else 1e-3
+    cov_radius = float(space.dist[centers].min(axis=0).max())
+    base = cov_radius if cov_radius > 0 else space.mesh_width() / 2.0
+    eta = 1.02 * base if base > 0 else 1e-3
     eps = system.eps if eps is None else eps
     if eps is None:
         raise CoverError("system carries no scale; pass eps explicitly")
@@ -159,26 +161,18 @@ def restrict_complex(cover: CoverSystem, complex_: WeightedComplex, alphas,
     return LocalComplex(alphas, mask, complex_, global_rows)
 
 
-@dataclass(eq=False)
-class PartitionOfUnity:
-    """Telescoped tensor-power hats: chi_alpha = t_alpha * prod_{beta<alpha} (1 - t_beta)."""
-
-    cover: CoverSystem
-
-    def chi(self, tuples: np.ndarray) -> np.ndarray:
-        """(n_balls, m) matrix of chi values on the given tuple rows."""
-        if tuples.size == 0:
-            return np.zeros((self.cover.n_balls, 0))
-        t = self.cover.bumps[:, tuples].prod(axis=2)  # (n_balls, m)
-        chi = np.empty_like(t)
-        carry = np.ones(t.shape[1])
-        for a in range(t.shape[0]):
-            chi[a] = t[a] * carry
-            carry = carry * (1.0 - t[a])
-        return chi
-
-    def sums(self, tuples: np.ndarray) -> np.ndarray:
-        return self.chi(tuples).sum(axis=0)
+def partition_of_unity(cover: CoverSystem, tuples: np.ndarray) -> np.ndarray:
+    """(n_balls, m) partition values on the given tuple rows: telescoped
+    tensor-power hats, chi_alpha = t_alpha * prod_{beta<alpha} (1 - t_beta)."""
+    if tuples.size == 0:
+        return np.zeros((cover.n_balls, 0))
+    t = cover.bumps[:, tuples].prod(axis=2)  # (n_balls, m)
+    chi = np.empty_like(t)
+    carry = np.ones(t.shape[1])
+    for a in range(t.shape[0]):
+        chi[a] = t[a] * carry
+        carry = carry * (1.0 - t[a])
+    return chi
 
 
 def _nerve(cover: CoverSystem, depth: int) -> list[np.ndarray]:
@@ -279,16 +273,16 @@ def _blockwise_ranks(s_counts: dict[int, int], q_max: int) -> tuple[list[int], l
     return dims, ranks
 
 
-def _enumerate_blocks(complex_: WeightedComplex, cover: CoverSystem, p: int,
+def _enumerate_blocks(membership: np.ndarray, cover: CoverSystem,
                       depth: int) -> tuple[list[tuple], list[sp.csr_matrix]]:
-    """Degree-p restriction row through nerve level `depth`: (levels, differences).
+    """Restriction row through nerve level `depth`: (levels, differences).
 
-    levels[0] is level -1, the global cochains: one combo of width 0 holding
-    every tuple. levels[q + 1] is level q, whose inside[c, t] says that global
-    tuple t lies in intersection c. differences[0] is the restriction R,
-    differences[q + 1] the Cech difference from level q to level q+1.
+    membership is `_tuple_ball_membership` of the row's degree. levels[0] is
+    level -1, the global cochains: one combo of width 0 holding every tuple.
+    levels[q + 1] is level q, whose inside[c, t] says that global tuple t lies
+    in intersection c. differences[0] is the restriction R, differences[q + 1]
+    the Cech difference from level q to level q+1.
     """
-    membership = _tuple_ball_membership(complex_, cover, p)
     everything = sp.csr_matrix(np.ones((1, membership.shape[1]), dtype=bool))
     levels = [(np.empty((1, 0), dtype=np.int64), everything)]
     levels += [(c, sp.csr_matrix(membership[c].all(axis=1))) for c in _nerve(cover, depth)]
@@ -300,20 +294,17 @@ def mayer_vietoris_check(
     cover: CoverSystem,
     p: int,
     q_max: int = 1,
-    rng=None,
-    crosscheck_cutoff: int = 2000,
 ) -> MVCertificate:
     """Exactness certificate for the degree-p Mayer-Vietoris restriction row.
 
     0 -> C^p(global) -> prod_a C^p(U_a) -> prod_{a<b} C^p(U_ab) -> ...
 
     Ranks are exact (prime-field elimination on the 0/+-1 matrices) and are
-    computed per tuple block; when the assembled matrices stay below
-    crosscheck_cutoff rows they are also re-eliminated as a whole, and the two
-    routes must agree. Preimages are reconstructed through the partition of
-    unity and checked numerically.
+    computed per tuple block; when the assembled matrices hold at most
+    MV_CROSSCHECK_CUTOFF rows they are also re-eliminated as a whole, and the
+    two routes must agree. Preimages are reconstructed through the partition
+    of unity and checked numerically, on seeded random cochains.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     m_global = complex_.tuple_sets[p].size
 
     membership = _tuple_ball_membership(complex_, cover, p)
@@ -337,10 +328,10 @@ def mayer_vietoris_check(
             {"q": q, "dim": dims[q], "rank_in": rank_in, "dim_kernel": dim_ker, "exact": ok}
         )
 
-    run_crosscheck = sum(dims) + m_global <= crosscheck_cutoff
-    levels, deltas = _enumerate_blocks(complex_, cover, p, q_max + run_crosscheck)
-    chi = PartitionOfUnity(cover).chi(complex_.tuple_sets[p].tuples)
-    recon_ok = _check_reconstructions(chi, levels, deltas[: q_max + 1], rng)
+    run_crosscheck = sum(dims) + m_global <= MV_CROSSCHECK_CUTOFF
+    levels, deltas = _enumerate_blocks(membership, cover, q_max + run_crosscheck)
+    chi = partition_of_unity(cover, complex_.tuple_sets[p].tuples)
+    recon_ok = _check_reconstructions(chi, levels, deltas[: q_max + 1], np.random.default_rng(0))
 
     crosscheck = "skipped"
     if run_crosscheck:

@@ -24,6 +24,8 @@ from .kernels import KernelModel, WeightAssignment, assemble_weights
 from .cochains import Cochain, CoboundaryOperator, build_coboundary
 
 DENSE_EIG_CUTOFF = 5000
+# Eigenvalues asked of eigsh first; doubled until the low end shows a gap.
+EIGSH_K = 16
 # Rows per block of the dense Gershgorin bound's |A| temporary.
 _GERSH_ROWS = 64
 HARMONIC_TOL_FACTOR = 2.0**-45
@@ -137,7 +139,7 @@ def hodge_laplacian(complex_: WeightedComplex, p: int) -> np.ndarray:
     return _laplacian_csr(complex_, p).toarray()
 
 
-def _low_spectrum(S: sp.csr_matrix, k_hint: int = 16) -> tuple[np.ndarray, float]:
+def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
     """Eigenvalues from the low end plus an upper bound on the largest one.
 
     Up to DENSE_EIG_CUTOFF the whole spectrum comes from one dense array,
@@ -156,7 +158,7 @@ def _low_spectrum(S: sp.csr_matrix, k_hint: int = 16) -> tuple[np.ndarray, float
         eigs = la.eigh(A.T, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False)
         return eigs, max(gersh, float(eigs[-1]))
     gersh = float(abs(S).sum(axis=1).max())
-    k = min(m - 1, k_hint)
+    k = min(m - 1, EIGSH_K)
     v0 = np.random.default_rng(0).standard_normal(m)
     while True:
         vals = spla.eigsh(S, k=k, sigma=-1e-12, which="LM", v0=v0, return_eigenvectors=False)

@@ -28,7 +28,6 @@ class NeighborhoodSystem:
       full        -- every tuple of distinct points
       rips        -- max pairwise distance < eps (<= eps with strict=False)
       hausdorff   -- some sample point is within eps of every entry
-      cover       -- all entries lie in a single cover set
 
     The hausdorff rule is a discrete stand-in for the distance to the
     diagonal: centers are restricted to sample points, which
@@ -37,17 +36,14 @@ class NeighborhoodSystem:
 
     kind: str
     eps: float | None = None
-    cover_sets: tuple[frozenset, ...] | None = None
     strict: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("full", "rips", "hausdorff", "cover"):
+        if self.kind not in ("full", "rips", "hausdorff"):
             raise AdmissibilityError(f"unknown system kind {self.kind!r}")
         if self.kind in ("rips", "hausdorff"):
             if self.eps is None or not (self.eps > 0):
                 raise AdmissibilityError(f"{self.kind} system needs eps > 0")
-        if self.kind == "cover" and not self.cover_sets:
-            raise AdmissibilityError("cover system needs at least one set")
 
 
 def full_system() -> NeighborhoodSystem:
@@ -60,10 +56,6 @@ def rips_system(eps: float, strict: bool = True) -> NeighborhoodSystem:
 
 def hausdorff_system(eps: float) -> NeighborhoodSystem:
     return NeighborhoodSystem("hausdorff", eps=eps)
-
-
-def cover_system(sets) -> NeighborhoodSystem:
-    return NeighborhoodSystem("cover", cover_sets=tuple(frozenset(s) for s in sets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +142,12 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
     Starting from the empty row, each round extends every row by each point
     above its last member that the row's witnesses allow. Clique rule (full,
     rips): the witnesses are the points adjacent to every member, and they are
-    the allowed points. Set-family rule (hausdorff balls, cover sets): the
-    witnesses are the sets holding every member, and a point is allowed when
-    one of them holds it. Witnesses are sparse boolean rows, so memory follows
-    their count. Admissibility is closed under faces, so every tuple grows from
-    its own prefix, and the row-major nonzero order of the sorted candidate
-    matrix keeps the rows in lexicographic order.
+    the allowed points. Set-family rule (hausdorff balls): the witnesses are
+    the sets holding every member, and a point is allowed when one of them
+    holds it. Witnesses are sparse boolean rows, so memory follows their
+    count. Admissibility is closed under faces, so every tuple grows from its
+    own prefix, and the row-major nonzero order of the sorted candidate matrix
+    keeps the rows in lexicographic order.
     """
     if p < 0:
         raise AdmissibilityError("degree must be nonnegative")
@@ -164,14 +156,10 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
         holds = np.ones((n, n), dtype=bool)
     elif system.kind == "rips":
         holds = space.dist < system.eps if system.strict else space.dist <= system.eps
-    elif system.kind == "hausdorff":
+    else:
         # balls around sample points, see NeighborhoodSystem
         holds = space.dist <= system.eps
-    else:
-        holds = np.zeros((n, len(system.cover_sets)), dtype=bool)
-        for i, s in enumerate(system.cover_sets):
-            holds[sorted(s), i] = True
-    rounds = _row_rounds(sp.csr_matrix(holds), set_family=system.kind in ("hausdorff", "cover"))
+    rounds = _row_rounds(sp.csr_matrix(holds), set_family=system.kind == "hausdorff")
     return TupleSet(p, next(islice(rounds, p, None)))
 
 

@@ -26,6 +26,11 @@ solved in place: a whole |S| temporary for the Gershgorin bound and numpy's
 `eigvalsh`, which solves a private copy, so two m x m arrays are live at once.
 `partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
 helpers that only the tests use.
+`cover_system` and `admissible_tuples` are the cover-set neighbourhood
+system, whose tuples lie in one set of a family; they run the package's
+set-family rounds on that family. `capacity_of_hole` is the capacity of a
+point or interval hole in the unit interval, built from `gen_interval`,
+`build_capacity_problem` and `capacity` like the benchmark's ladder.
 `weighted_laplacian` is the unsymmetrized Laplacian L_p whose conjugate
 W_p^{1/2} L_p W_p^{-1/2} the package builds. `rank_mod_p`, `is_admissible`,
 `rescaled`, `tensor_evaluator`, `insert_points`, `cone_contraction`,
@@ -37,17 +42,18 @@ here.
 import itertools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from nlhodge.capacity import build_capacity_problem, capacity
 from nlhodge.cochains import Cochain, CochainError, build_coboundary
 from nlhodge.cohomology import PRIME_MAIN, _pivot_columns
-from nlhodge.kernels import KernelError, KernelModel, kernel_matrix
-from nlhodge.neighborhoods import TupleSet, enumerate_tuples
-from nlhodge.space import METRIC_TOL, MetricMeasureSpace, SpaceValidationError
+from nlhodge.kernels import KernelError, KernelModel, fractional_kernel, kernel_matrix
+from nlhodge.neighborhoods import TupleSet, _row_rounds, enumerate_tuples, rips_system
+from nlhodge.space import METRIC_TOL, MetricMeasureSpace, SpaceValidationError, gen_interval
 
 _CHUNK_ROWS = 1024
 
@@ -354,8 +360,32 @@ def partition_supported(cover, tuples: np.ndarray) -> bool:
     """Whether every tuple lies wholly inside some small ball (sum-to-1 condition)."""
     if tuples.size == 0:
         return True
-    inside = cover.small_masks[:, tuples].all(axis=2)  # (n_balls, m)
+    small = cover.space.dist[cover.centers] < cover.eps + cover.eta
+    inside = small[:, tuples].all(axis=2)  # (n_balls, m)
     return bool(inside.any(axis=0).all())
+
+
+@dataclass(frozen=True, eq=False)
+class CoverSets:
+    """Cover-set system: a tuple is admissible when one set holds all its members."""
+
+    sets: tuple
+    kind = "cover"
+
+
+def cover_system(sets) -> CoverSets:
+    return CoverSets(tuple(frozenset(int(v) for v in s) for s in sets))
+
+
+def admissible_tuples(space, system, p: int) -> TupleSet:
+    """`enumerate_tuples`, or for a CoverSets system the package's set-family
+    rounds on its sets (holds[v, i] says that set i holds point v)."""
+    if not isinstance(system, CoverSets):
+        return enumerate_tuples(space, system, p)
+    holds = np.zeros((space.n, len(system.sets)), dtype=bool)
+    for i, s in enumerate(system.sets):
+        holds[sorted(s), i] = True
+    return TupleSet(p, next(islice(_row_rounds(sp.csr_matrix(holds), set_family=True), p, None)))
 
 
 def system_dominates(finer, coarser, space, p_max: int) -> tuple[bool, tuple | None]:
@@ -436,7 +466,7 @@ def is_admissible(system, space, idx) -> bool:
         # some sample point lies within eps of every entry
         return bool(space.dist[:, idx].max(axis=1).min() <= system.eps)
     members = set(idx.tolist())
-    return any(members <= s for s in system.cover_sets)
+    return any(members <= s for s in system.sets)
 
 
 def rescaled(model, c: float):
@@ -545,3 +575,20 @@ def permuted(space, perm):
 
 def total_mass(space) -> float:
     return float(space.weights.sum())
+
+
+def capacity_of_hole(n: int, eps: float, alpha: float, hole_center: float = 0.5,
+                     hole_radius: float = 0.0):
+    """Capacity of a hole in the n-point unit interval, rips at eps, fractional order alpha.
+
+    The hole is every grid point within hole_radius of hole_center, or the
+    one nearest it when there is none (hole_radius = 0).
+    """
+    space = gen_interval(n)
+    offset = np.abs(space.metadata["points"] - hole_center)
+    target = np.nonzero(offset <= hole_radius)[0] if hole_radius > 0 else []
+    if len(target) == 0:
+        target = [int(np.argmin(offset))]
+    return capacity(
+        build_capacity_problem(space, rips_system(eps), fractional_kernel(1.0, alpha), target)
+    )

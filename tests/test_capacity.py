@@ -10,16 +10,15 @@ from nlhodge.capacity import (
     RemovabilityReport,
     build_capacity_problem,
     capacity,
-    capacity_of_hole,
     removability_sweep,
 )
 
-from oracles import total_mass
+from oracles import capacity_of_hole, total_mass
 
 
-def interval_problem(target, eps=0.25, alpha=0.5, n=40, **kwargs):
+def interval_problem(target, eps=0.25, alpha=0.5, n=40):
     return build_capacity_problem(
-        gen_interval(n), rips_system(eps), fractional_kernel(1.0, alpha), target, **kwargs
+        gen_interval(n), rips_system(eps), fractional_kernel(1.0, alpha), target
     )
 
 
@@ -30,7 +29,7 @@ def test_clamping_everything_gives_the_total_mass():
     # u == 1 kills the coboundary term exactly, leaving sum of point weights.
     space = gen_interval(20)
     problem = build_capacity_problem(
-        space, rips_system(0.3), fractional_kernel(1.0, 0.5), [10], clamp_radius=2.0
+        space, rips_system(0.3), fractional_kernel(1.0, 0.5), range(20)
     )
     assert problem.clamp.size == 20
     result = capacity(problem)
@@ -144,7 +143,7 @@ def test_single_point_capacities_decrease_with_resolution():
 
 
 def test_ladder_verdicts():
-    report = removability_sweep(resolutions=(50, 100, 200, 400), alphas=(0.5, 1.5), eps=0.25)
+    report = removability_sweep(resolutions=(50, 100, 200, 400), alphas=(0.5, 1.5))
     assert report.verdict_for(0.5) == "removable"
     assert report.verdict_for(1.5) == "non-removable"
     slopes = {r.alpha: r.slope for r in report.rows}
@@ -160,7 +159,7 @@ def test_high_order_capacities_stay_flat():
 
 
 def test_report_csv_round_trip():
-    report = removability_sweep(resolutions=(50, 100), alphas=(0.5,), eps=0.25)
+    report = removability_sweep(resolutions=(50, 100), alphas=(0.5,))
     lines = report.to_csv().splitlines()
     assert lines[0] == "resolution,alpha,epsilon,capacity,slope,verdict"
     assert len(lines) == 3

@@ -433,6 +433,69 @@ def test_library_thread_cap_matches_the_cli(monkeypatch):
     assert thread_cap() == len(os.sched_getaffinity(0))
 
 
+def _wrong_exact_betti(monkeypatch):
+    """Make exact_betti report b_0 one too high, against a spectral count that
+    is unflagged, so the spectral count stands and the two disagree."""
+    from dataclasses import replace
+
+    from nlhodge import cohomology
+
+    exact = cohomology.exact_betti
+
+    def wrong(*args, **kwargs):
+        rep = exact(*args, **kwargs)
+        return replace(rep, betti=(rep.betti[0] + 1, *rep.betti[1:]))
+
+    monkeypatch.setattr(cohomology, "exact_betti", wrong)
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+
+
+def test_betti_disagreement_exits_two(monkeypatch, capsys):
+    from nlhodge import cli
+
+    _wrong_exact_betti(monkeypatch)
+    rc = cli.main([
+        "betti", "--space", "circle", "--n", "12", "--system", "rips",
+        "--eps", "1.1", "--alpha", "0.5", "--pmax", "1",
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out.splitlines() == ["p=0 betti=2 harmonic=1 dim=12", "p=1 betti=1 harmonic=1 dim=24"]
+    assert err == "DISAGREEMENT between spectral and exact counts\n"
+
+
+def test_sweep_disagreement_exits_two(monkeypatch, capsys):
+    from nlhodge import cli
+
+    _wrong_exact_betti(monkeypatch)
+    rc = cli.main([
+        "sweep", "--space", "circle", "--n", "10", "--system", "rips",
+        "--eps-grid", "0.8,1.2", "--alpha-grid", "0.5,1.5", "--pmax", "1",
+    ])
+    assert rc == 2
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 4 and all(row[2:4] == ["2", "1"] for row in rows)
+
+
+# --- the package's forwarded names ------------------------------------------------
+
+
+def test_every_public_name_resolves():
+    # every name in __all__ but the two defined in the package is forwarded,
+    # and __getattr__ finds it in the submodule that _FORWARD names; the
+    # names that moved to the test oracles are gone
+    import nlhodge
+
+    forwarded = [n for n in nlhodge.__all__ if n not in ("__version__", "thread_cap")]
+    assert sorted(forwarded) == sorted(nlhodge._FORWARD)
+    for name in forwarded:
+        assert nlhodge.__getattr__(name).__name__ == name
+    for name in ("cover_system", "capacity_of_hole", "PartitionOfUnity"):
+        assert name not in nlhodge.__all__
+        with pytest.raises(AttributeError):
+            nlhodge.__getattr__(name)
+
+
 def test_missing_file_exits_one(tmp_path):
     proc = run_cli(
         "betti", "--space", "file", "--dist", str(tmp_path / "nope.csv"),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nlhodge.space import gen_circle, gen_interval, gen_sphere, gen_two_components
 from nlhodge.neighborhoods import (
     TupleSet,
-    cover_system,
     enumerate_tuples,
     full_system,
     hausdorff_system,
@@ -29,7 +28,14 @@ from nlhodge.cochains import (
     sign_sort,
 )
 
-from oracles import cone_contraction, loop_coboundary, sym_project, tensor_evaluator
+from oracles import (
+    admissible_tuples,
+    cone_contraction,
+    cover_system,
+    loop_coboundary,
+    sym_project,
+    tensor_evaluator,
+)
 
 
 def full_tuples(n, p):
@@ -229,7 +235,7 @@ def test_coboundary_matches_the_per_face_loop(space):
         cover_system([range(i, min(space.n, i + 5)) for i in range(0, space.n, 3)]),
     ]
     for system in systems:
-        sets = [enumerate_tuples(space, system, p) for p in range(5)]
+        sets = [admissible_tuples(space, system, p) for p in range(5)]
         for p in range(4):
             got = build_coboundary(sets[p], sets[p + 1]).matrix
             want = loop_coboundary(sets[p], sets[p + 1])

