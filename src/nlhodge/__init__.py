@@ -38,7 +38,6 @@ _FORWARD = {
     "cech_nerve_betti": "covers",
     "poincare_suite": "covers",
     "derham_recovery_report": "covers",
-    "capacity": "capacity",
     "removability_sweep": "capacity",
 }
 

@@ -1,9 +1,10 @@
 """Command-line interface: betti, sweep, and verify subcommands.
 
-Exit codes: 0 success, 1 usage or configuration errors, 2 verification or
-agreement failures. Reports are JSON (schema 1) and CSV, written with sorted
-keys and fixed column order; repeated runs with the same configuration
-produce byte-identical files.
+Exit codes: 0 success, 1 usage or configuration errors, 2 verification
+failures, or a spectral count that disagrees with exact Betti or that either
+route leaves uncertain. `betti` writes JSON reports (schema 2), `verify`
+JSON (schema 1), `sweep` CSV, all with sorted keys and fixed column order;
+repeated runs with the same configuration produce byte-identical files.
 
 NLH_THREADS caps the worker threads of the exact triangle scan that checks
 every input metric (row blocks split across threads); unset, the cap is the
@@ -138,23 +139,33 @@ def cmd_betti(args) -> int:
         _write_json(betti.to_json(), os.path.join(args.out, "betti_report.json"))
         _write_json(
             {
-                "schema": 1,
-                "degrees": [r.to_json() for r in reports],
+                "schema": 2,
+                "degrees": [
+                    {**r.to_json(), "status": s} for r, s in zip(reports, agreement.status)
+                ],
                 "agreement": agreement.to_json(),
                 "parameters": params,
             },
             os.path.join(args.out, "hodge_report.json"),
         )
-    for p in range(args.pmax + 1):
+    for p, status in enumerate(agreement.status):
+        harmonic = reports[p].harmonic_dim
         flag = " flagged" if reports[p].flagged else ""
         print(
-            f"p={p} betti={betti.betti[p]} harmonic={reports[p].harmonic_dim}"
-            f" dim={betti.dims[p]}{flag}"
+            f"p={p} betti={betti.betti[p]}"
+            f" harmonic={'none' if harmonic is None else harmonic}"
+            f" dim={betti.dims[p]}{flag}{' uncertain' if status == 'uncertain' else ''}"
         )
-    if not agreement.all_agree:
+    return _agreement_exit(agreement.status)
+
+
+def _agreement_exit(statuses) -> int:
+    """Exit 2, naming why on stderr, unless every degree's counts agree."""
+    if "disagree" in statuses:
         print("DISAGREEMENT between spectral and exact counts", file=sys.stderr)
-        return VERIFY_EXIT
-    return 0
+    if "uncertain" in statuses:
+        print("UNCERTAIN spectral or exact count", file=sys.stderr)
+    return 0 if all(s == "agree" for s in statuses) else VERIFY_EXIT
 
 
 def cmd_sweep(args) -> int:
@@ -179,7 +190,7 @@ def cmd_sweep(args) -> int:
         kernels = dict.fromkeys(alpha_grid, _build_kernel(args, space.n))
     else:
         kernels = {alpha: _build_kernel(args, space.n, alpha=alpha) for alpha in alpha_grid}
-    rc = 0
+    statuses = ()
     for eps in eps_grid:
         # one complex per eps, reweighted per alpha; exact ranks read only its coboundaries
         system = _build_system(args, eps=eps)
@@ -201,17 +212,17 @@ def cmd_sweep(args) -> int:
                 eigs = np.asarray(rep.eigenvalues)
                 pos = eigs[eigs >= rep.threshold] if eigs.size else np.empty(0)
                 min_pos = float(pos[0]) if pos.size else float("nan")
-                row += [str(betti.betti[p]), str(rep.harmonic_dim), f"{min_pos:.17g}"]
+                harmonic = "uncertain" if rep.harmonic_dim is None else str(rep.harmonic_dim)
+                row += [str(betti.betti[p]), harmonic, f"{min_pos:.17g}"]
             lines.append(",".join(row))
-            if not compare_numeric_exact(reports[id(k)], betti).all_agree:
-                rc = VERIFY_EXIT
+            statuses += compare_numeric_exact(reports[id(k)], betti).status
     text = "\n".join(lines) + "\n"
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
             fh.write(text)
     print(text, end="")
-    return rc
+    return _agreement_exit(statuses)
 
 
 def _suite_identity():

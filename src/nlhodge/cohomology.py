@@ -1,11 +1,13 @@
-"""Exact Betti numbers from coboundary ranks over a large prime field.
+"""Exact Betti numbers from coboundary ranks over two large prime fields.
 
 betti_p = dim C^p - rank(B_p) - rank(B_{p-1}). Ranks come from sparse column
 reduction mod p with clearing (Chen & Kerber, 2011): B_0..B_pmax are reduced
 in increasing degree, and a column of B_p that is a pivot row of B_{p-1}
-would reduce to zero since B_p B_{p-1} = 0, so it is skipped. Weights never
-enter, so this is the weight-independent oracle the spectral counts are
-checked against.
+would reduce to zero since B_p B_{p-1} = 0, so it is skipped. Each rank is
+reduced over both primes; a rank on which they disagree, and that is too
+large to settle over the rationals, makes the degrees that read it
+uncertain. Weights never enter, so this is the weight-independent oracle the
+spectral counts are checked against.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import scipy.sparse as sp
 
 PRIME_MAIN = 2**31 - 1
 PRIME_FALLBACK = 2**31 - 19
+PRIMES = (PRIME_MAIN, PRIME_FALLBACK)
+# Most entries of a matrix whose rank rational elimination may settle.
+RATIONAL_RANK_CAP = 4096
 
 
 def _to_int_array(matrix) -> np.ndarray:
@@ -34,7 +39,9 @@ def _pivot_columns(matrix, prime: int, cleared=frozenset()) -> dict:
     """Column reduction mod prime, left to right, skipping the columns in `cleared`.
 
     A column's pivot is its largest nonzero row. Returns the reduced columns
-    ({row: value}, pivot entry 1) keyed by pivot row; their number is the rank.
+    ({row: value}, each with the inverse of its pivot entry) keyed by pivot
+    row; their number is the rank. Columns are kept unscaled: the multiple
+    that clears a pivot is taken through the stored inverse instead.
     """
     if not sp.issparse(matrix):
         matrix = _to_int_array(matrix)
@@ -45,18 +52,22 @@ def _pivot_columns(matrix, prime: int, cleared=frozenset()) -> dict:
     ptr, rows, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
     reduced: dict = {}
     for j in range(A.shape[1]):
-        if j in cleared:
+        if j in cleared or ptr[j] == ptr[j + 1]:
             continue
         col = dict(zip(rows[ptr[j] : ptr[j + 1]], vals[ptr[j] : ptr[j + 1]]))
-        while col and (low := max(col)) in reduced:
-            c = col[low]
-            for r, v in reduced[low].items():
+        low = rows[ptr[j + 1] - 1]  # sum_duplicates sorted each column's rows
+        while low in reduced:
+            other, inv = reduced[low]
+            c = col[low] * inv % prime
+            for r, v in other.items():
                 x = (col.pop(r, 0) - c * v) % prime
                 if x:
                     col[r] = x
+            if not col:
+                break
+            low = max(col)
         if col:
-            inv = pow(col[low], -1, prime)
-            reduced[low] = {r: v * inv % prime for r, v in col.items()}
+            reduced[low] = col, pow(col[low], -1, prime)
     return reduced
 
 
@@ -85,21 +96,27 @@ def rank_exact_rational(matrix) -> int:
     return rank
 
 
-def _cleared_rank(matrix, escalate: bool, cleared: dict) -> int:
-    """`rank_exact` that skips the columns in `cleared[prime]`, then stores its pivot rows there."""
-    primes = (PRIME_MAIN, PRIME_FALLBACK) if escalate else (PRIME_MAIN,)
-    for prime in primes:
-        cleared[prime] = set(_pivot_columns(matrix, prime, cleared.get(prime, frozenset())))
-    ranks = {len(cleared[prime]) for prime in primes}
-    return ranks.pop() if len(ranks) == 1 else rank_exact_rational(matrix)
+def _cleared_rank(matrix, cleared: dict) -> tuple[int, bool]:
+    """(rank, certain) over both primes, skipping the columns in `cleared[prime]`,
+    whose pivot rows it then stores there.
 
-
-def rank_exact(matrix, escalate: bool = False) -> int:
-    """Rank over the main prime; optionally confirm with the fallback prime.
-
-    Disagreement between primes escalates to rational arithmetic.
+    Primes that disagree are settled by rational elimination when the matrix
+    has at most RATIONAL_RANK_CAP entries; above it the main prime's rank is
+    returned as uncertain, and nothing is densified.
     """
-    return _cleared_rank(matrix, escalate, {})
+    for prime in PRIMES:
+        cleared[prime] = set(_pivot_columns(matrix, prime, cleared.get(prime, frozenset())))
+    ranks = [len(cleared[prime]) for prime in PRIMES]
+    if ranks[0] == ranks[1]:
+        return ranks[0], True
+    if matrix.shape[0] * matrix.shape[1] <= RATIONAL_RANK_CAP:
+        return rank_exact_rational(matrix), True
+    return ranks[0], False
+
+
+def rank_exact(matrix) -> int:
+    """Rank over the main prime."""
+    return len(_pivot_columns(matrix, PRIME_MAIN))
 
 
 @dataclass(frozen=True)
@@ -107,35 +124,43 @@ class BettiReport:
     betti: tuple
     dims: tuple
     ranks: tuple  # rank of B_p for p = 0..p_max
-    prime: int
+    certain: tuple  # per rank: both primes (or the rational fallback) settled it
     parameters: dict
+
+    @property
+    def uncertain(self) -> tuple:
+        """Per degree: betti_p reads an unsettled rank of B_p or B_{p-1}."""
+        return tuple(
+            not (self.certain[p] and (p == 0 or self.certain[p - 1]))
+            for p in range(len(self.betti))
+        )
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "betti": list(self.betti),
             "dims": list(self.dims),
             "coboundary_ranks": list(self.ranks),
-            "prime": self.prime,
+            "primes": list(PRIMES),
+            "uncertain": list(self.uncertain),
             "parameters": self.parameters,
         }
 
 
-def exact_betti(complex_, escalate: bool = False, parameters: dict | None = None) -> BettiReport:
-    """Betti numbers for degrees 0..p_max of a weighted complex."""
+def exact_betti(complex_, parameters: dict | None = None) -> BettiReport:
+    """Betti numbers for degrees 0..p_max of a weighted complex, each rank
+    over two primes."""
     p_max = complex_.p_max
     dims = [complex_.dim(p) for p in range(p_max + 1)]
     cleared: dict = {}
-    ranks = [
-        _cleared_rank(complex_.coboundary(p).matrix, escalate, cleared) for p in range(p_max + 1)
-    ]
+    ranks, certain = zip(
+        *(_cleared_rank(complex_.coboundary(p).matrix, cleared) for p in range(p_max + 1))
+    )
     betti = []
     for p in range(p_max + 1):
         below = ranks[p - 1] if p >= 1 else 0
         betti.append(dims[p] - ranks[p] - below)
-    return BettiReport(
-        tuple(betti), tuple(dims), tuple(ranks), PRIME_MAIN, dict(parameters or {})
-    )
+    return BettiReport(tuple(betti), tuple(dims), ranks, certain, dict(parameters or {}))
 
 
 @dataclass(frozen=True)
@@ -143,24 +168,31 @@ class AgreementReport:
     degrees: tuple
     spectral: tuple
     exact: tuple
-    agree: tuple
+    status: tuple
     all_agree: bool
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "degrees": list(self.degrees),
             "spectral": list(self.spectral),
             "exact": list(self.exact),
-            "agree": list(self.agree),
+            "status": list(self.status),
             "all_agree": self.all_agree,
         }
 
 
 def compare_numeric_exact(hodge_reports, betti_report: BettiReport) -> AgreementReport:
-    """Per-degree agreement between spectral harmonic counts and exact Betti."""
+    """Per-degree status of the spectral harmonic counts against exact Betti:
+    'uncertain' when either count is (no spectral count, or an unsettled
+    rank), else 'agree' or 'disagree'. This is the one place a status is
+    decided."""
     degrees = tuple(r.degree for r in hodge_reports)
     spectral = tuple(r.harmonic_dim for r in hodge_reports)
     exact = tuple(betti_report.betti[p] for p in degrees)
-    agree = tuple(s == e for s, e in zip(spectral, exact))
-    return AgreementReport(degrees, spectral, exact, agree, all(agree))
+    status = tuple(
+        "uncertain" if s is None or betti_report.uncertain[p]
+        else "agree" if s == e else "disagree"
+        for p, s, e in zip(degrees, spectral, exact)
+    )
+    return AgreementReport(degrees, spectral, exact, status, all(s == "agree" for s in status))

@@ -580,7 +580,11 @@ def reference_betti(space: MetricMeasureSpace, p_max: int) -> tuple:
 def derham_recovery_report(
     complex_: WeightedComplex, cover: CoverSystem | None = None, q_max: int = 2
 ) -> dict:
-    """Compare spectral, exact-field, and (optionally) Cech-nerve Betti numbers."""
+    """Compare spectral, exact-field, and (optionally) Cech-nerve Betti numbers.
+
+    The spectral counts match the exact ones only when every degree's status
+    is 'agree': a disagreement or an uncertain count fails the comparison.
+    """
     from .cohomology import exact_betti, compare_numeric_exact
     from .hodge import hodge_report
 
@@ -591,11 +595,12 @@ def derham_recovery_report(
     agreement = compare_numeric_exact(reports, betti)
     ref = reference_betti(complex_.space, complex_.p_max)
     out = {
-        "schema": 1,
+        "schema": 2,
         "reference": list(ref),
         "exact": list(betti.betti),
         "spectral": list(agreement.spectral),
         "spectral_flagged": [r.flagged for r in reports],
+        "status": list(agreement.status),
         "exact_matches_reference": tuple(betti.betti) == ref,
         "spectral_matches_exact": agreement.all_agree,
     }

@@ -23,9 +23,15 @@ from .neighborhoods import NeighborhoodSystem, TupleSet, enumerate_tuples
 from .kernels import KernelModel, WeightAssignment, assemble_weights
 from .cochains import Cochain, CoboundaryOperator, build_coboundary
 
-DENSE_EIG_CUTOFF = 5000
+# Largest Laplacian solved densely: above it one shift-invert eigsh is faster.
+DENSE_EIG_CUTOFF = 700
 # Eigenvalues asked of eigsh first; doubled until the low end shows a gap.
 EIGSH_K = 16
+# eigsh's shift as a fraction of the Gershgorin bound: far enough below the
+# harmonic zeros that S - sigma I is well conditioned.
+EIGSH_SHIFT = -1e-3
+# Largest entry of |V^T V - I| that the Ritz vectors of eigsh may show.
+RITZ_ORTH_TOL = 1e-8
 # Rows per block of the dense Gershgorin bound's |A| temporary.
 _GERSH_ROWS = 64
 HARMONIC_TOL_FACTOR = 2.0**-45
@@ -143,8 +149,12 @@ def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
     """Eigenvalues from the low end plus an upper bound on the largest one.
 
     Up to DENSE_EIG_CUTOFF the whole spectrum comes from one dense array,
-    solved in place; above it, shift-invert `eigsh` starts from a fixed-seed
-    vector, so repeated runs give identical eigenvalues.
+    solved in place. Above it, shift-invert `eigsh` starts from a fixed-seed
+    vector, so repeated runs give identical eigenvalues, and its Ritz pairs
+    are checked. A residual ||S v - theta v|| above the harmonic threshold
+    (theta may then sit on the wrong side of it), Ritz vectors that are not
+    orthonormal (a ghost copy counts one eigenvalue twice), or an eigsh that
+    fails outright raise NumericalError. The zero operator needs no solve.
     """
     m = S.shape[0]
     if m == 0:
@@ -158,12 +168,25 @@ def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
         eigs = la.eigh(A.T, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False)
         return eigs, max(gersh, float(eigs[-1]))
     gersh = float(abs(S).sum(axis=1).max())
+    if gersh == 0.0:
+        # the zero operator: every eigenvalue is 0, and a shift of 0 would
+        # leave eigsh a singular matrix to factor
+        return np.zeros(m), 0.0
+    tau = m * gersh * HARMONIC_TOL_FACTOR
     k = min(m - 1, EIGSH_K)
     v0 = np.random.default_rng(0).standard_normal(m)
     while True:
-        vals = spla.eigsh(S, k=k, sigma=-1e-12, which="LM", v0=v0, return_eigenvectors=False)
+        try:
+            vals, V = spla.eigsh(S, k=k, sigma=EIGSH_SHIFT * gersh, which="LM", v0=v0)
+        except RuntimeError as exc:  # a singular factorization or no convergence
+            raise NumericalError(f"eigsh failed: {exc}") from exc
+        residual = max(float(np.linalg.norm(S @ v - t * v)) for t, v in zip(vals, V.T))
+        drift = float(np.abs(V.T @ V - np.eye(k)).max())
+        if residual > tau or drift > RITZ_ORTH_TOL:
+            raise NumericalError(
+                f"eigsh Ritz pairs fail the guard: residual {residual:.3e}, orthogonality {drift:.3e}"
+            )
         vals = np.sort(vals)
-        tau = m * gersh * HARMONIC_TOL_FACTOR
         if vals[-1] > tau * GAP_AMBIGUITY_FACTOR or k == m - 1:
             return vals, gersh
         k = min(m - 1, 2 * k)
@@ -171,10 +194,10 @@ def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class HarmonicCount:
-    dimension: int
+    dimension: int | None  # None: the eigensolve failed its guard, so there is no count
     eigenvalues: np.ndarray
-    threshold: float
-    max_eig_bound: float
+    threshold: float | None
+    max_eig_bound: float | None
     flagged: bool
     oracle_used: bool = False
 
@@ -185,9 +208,15 @@ def harmonic_dimension(
     """Count eigenvalues of the symmetrized Laplacian below the tiny-eigenvalue cut.
 
     The threshold is dim * max_eig * 2^-45. A spectral gap of less than 10^3
-    around the threshold flags the count; a provided exact oracle then wins.
+    around the threshold flags the count. The count is always the spectral
+    one: `oracle_used` marks a flagged count that a provided exact oracle
+    contradicts, which then stands for the degree. A sparse eigensolve that
+    fails its Ritz guard gives no count at all (dimension None).
     """
-    eigs, max_eig = _low_spectrum(_laplacian_csr(complex_, p))
+    try:
+        eigs, max_eig = _low_spectrum(_laplacian_csr(complex_, p))
+    except NumericalError:
+        return HarmonicCount(None, np.empty(0), None, None, False)
     m = complex_.dim(p)
     tau = m * max_eig * HARMONIC_TOL_FACTOR
     if max_eig == 0.0:
@@ -202,25 +231,24 @@ def harmonic_dimension(
         hi = float(above.min())
         if lo > 0 and hi / lo < GAP_AMBIGUITY_FACTOR:
             flagged = True
-    if flagged and oracle is not None and oracle != count:
-        return HarmonicCount(oracle, eigs, tau, max_eig, True, True)
-    return HarmonicCount(count, eigs, tau, max_eig, flagged)
+    oracle_used = flagged and oracle is not None and oracle != count
+    return HarmonicCount(count, eigs, tau, max_eig, flagged, oracle_used)
 
 
 @dataclass(frozen=True)
 class HodgeReport:
     degree: int
     dimension: int
-    harmonic_dim: int
+    harmonic_dim: int | None
     eigenvalues: tuple
-    threshold: float
+    threshold: float | None
     flagged: bool
     oracle_betti: int | None
-    agree: bool | None
+    oracle_used: bool
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "degree": self.degree,
             "dimension": self.dimension,
             "harmonic_dim": self.harmonic_dim,
@@ -228,13 +256,12 @@ class HodgeReport:
             "threshold": self.threshold,
             "flagged": self.flagged,
             "oracle_betti": self.oracle_betti,
-            "agree": self.agree,
+            "oracle_used": self.oracle_used,
         }
 
 
 def hodge_report(complex_: WeightedComplex, p: int, oracle: int | None = None) -> HodgeReport:
     hc = harmonic_dimension(complex_, p, oracle=oracle)
-    agree = None if oracle is None else (hc.dimension == oracle)
     return HodgeReport(
         p,
         complex_.dim(p),
@@ -243,7 +270,7 @@ def hodge_report(complex_: WeightedComplex, p: int, oracle: int | None = None) -
         hc.threshold,
         hc.flagged,
         oracle,
-        agree,
+        hc.oracle_used,
     )
 
 

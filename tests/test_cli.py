@@ -49,11 +49,14 @@ def test_betti_circle_reports_and_exit_code(tmp_path):
     assert "p=0 betti=1" in proc.stdout
     assert "p=1 betti=1" in proc.stdout
     betti = json.loads((out / "betti_report.json").read_text())
-    assert betti["schema"] == 1
+    assert betti["schema"] == 2
     assert betti["betti"] == [1, 1]
+    assert betti["uncertain"] == [False, False]
     hodge = json.loads((out / "hodge_report.json").read_text())
-    assert hodge["schema"] == 1
+    assert hodge["schema"] == 2
     assert hodge["agreement"]["all_agree"] is True
+    assert hodge["agreement"]["status"] == ["agree", "agree"]
+    assert [d["status"] for d in hodge["degrees"]] == ["agree", "agree"]
     assert [d["degree"] for d in hodge["degrees"]] == [0, 1]
 
 
@@ -464,6 +467,59 @@ def test_betti_disagreement_exits_two(monkeypatch, capsys):
     assert err == "DISAGREEMENT between spectral and exact counts\n"
 
 
+def test_betti_flagged_override_exits_two(monkeypatch, capsys, tmp_path):
+    # A flagged count that the exact oracle contradicts used to be replaced by
+    # the oracle, so the run passed. Now the raw count stands, the report
+    # shows the override, and the disagreement exits 2.
+    import numpy as np
+
+    from nlhodge import cli, hodge
+
+    _wrong_exact_betti(monkeypatch)
+    monkeypatch.setattr(hodge, "GAP_AMBIGUITY_FACTOR", np.inf)  # every gap is ambiguous
+    low = hodge._low_spectrum
+
+    def positive(S):  # a harmonic eigenvalue of exactly 0 is never flagged
+        eigs, bound = low(S)
+        return np.maximum(eigs, 1e-300), bound
+
+    monkeypatch.setattr(hodge, "_low_spectrum", positive)
+    rc = cli.main([
+        "betti", "--space", "circle", "--n", "12", "--system", "rips",
+        "--eps", "1.1", "--alpha", "0.5", "--pmax", "1", "--out", str(tmp_path),
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out.splitlines()[0] == "p=0 betti=2 harmonic=1 dim=12 flagged"
+    assert err == "DISAGREEMENT between spectral and exact counts\n"
+    report = json.loads((tmp_path / "hodge_report.json").read_text())
+    degree0 = report["degrees"][0]
+    assert degree0["flagged"] and degree0["oracle_used"]
+    assert (degree0["harmonic_dim"], degree0["oracle_betti"]) == (1, 2)
+    assert degree0["status"] == "disagree"
+    degree1 = report["degrees"][1]  # flagged too, but the oracle agrees
+    assert degree1["flagged"] and not degree1["oracle_used"] and degree1["status"] == "agree"
+    assert report["agreement"]["status"] == ["disagree", "agree"]
+
+
+def test_betti_uncertain_count_exits_two(monkeypatch, capsys):
+    from nlhodge import cli, hodge
+
+    def fail(S):
+        raise hodge.NumericalError("eigsh Ritz pairs fail the guard")
+
+    monkeypatch.setattr(hodge, "_low_spectrum", fail)
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    rc = cli.main([
+        "betti", "--space", "circle", "--n", "12", "--system", "rips",
+        "--eps", "1.1", "--alpha", "0.5", "--pmax", "0",
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == "p=0 betti=1 harmonic=none dim=12 uncertain\n"
+    assert err == "UNCERTAIN spectral or exact count\n"
+
+
 def test_sweep_disagreement_exits_two(monkeypatch, capsys):
     from nlhodge import cli
 
@@ -494,6 +550,21 @@ def test_every_public_name_resolves():
         assert name not in nlhodge.__all__
         with pytest.raises(AttributeError):
             nlhodge.__getattr__(name)
+
+
+def test_capacity_names_the_submodule():
+    # nlhodge.capacity is the submodule once imported and nothing before: the
+    # package forwards no name that a submodule also has (in a fresh
+    # interpreter, where the submodule is not imported yet)
+    code = (
+        "import types, nlhodge\n"
+        "try:\n    nlhodge.capacity\nexcept AttributeError:\n    pass\n"
+        "else:\n    raise SystemExit('capacity is forwarded')\n"
+        "from nlhodge import capacity\n"
+        "assert isinstance(capacity, types.ModuleType) and nlhodge.capacity is capacity\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_file_exits_one(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from nlhodge.space import gen_circle, gen_interval, gen_sphere, gen_two_componen
 from nlhodge.neighborhoods import hausdorff_system, rips_system
 from nlhodge.kernels import constant_kernel, fractional_kernel
 from nlhodge.hodge import build_weighted_complex
+import nlhodge.cohomology as cohomology
 from nlhodge.cohomology import (
     PRIME_FALLBACK,
     PRIME_MAIN,
+    _cleared_rank,
     compare_numeric_exact,
     exact_betti,
     rank_exact,
@@ -36,7 +39,7 @@ def test_modular_rank_matches_sympy(seed):
     want = sympy.Matrix(A.tolist()).rank()
     assert rank_mod_p(A) == want
     assert rank_exact_rational(A) == want
-    assert rank_exact(A, escalate=True) == want
+    assert _cleared_rank(A, {}) == (want, True)
 
 
 def test_rank_accepts_sparse_input():
@@ -58,9 +61,35 @@ def test_prime_divisor_entry_needs_escalation():
     A = np.array([[PRIME_MAIN]], dtype=np.int64)
     assert rank_mod_p(A, PRIME_MAIN) == 0
     assert rank_mod_p(A, PRIME_FALLBACK) == 1
-    assert rank_exact(A, escalate=False) == 0
-    assert rank_exact(A, escalate=True) == 1
+    assert rank_exact(A) == 0
+    assert _cleared_rank(A, {}) == (1, True)
     assert rank_exact_rational(A) == 1
+
+
+def test_prime_disagreement_above_the_cap_is_uncertain(monkeypatch):
+    # With no room for rational elimination the disagreement stays open: the
+    # rank is the main prime's, marked uncertain, and nothing is densified.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} densified")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
+        monkeypatch.setattr(cls, "toarray", refuse)
+        monkeypatch.setattr(cls, "todense", refuse)
+    monkeypatch.setattr(cohomology, "RATIONAL_RANK_CAP", 0)
+    A = sp.csr_matrix(np.array([[PRIME_MAIN]], dtype=np.int64))
+    assert _cleared_rank(A, {}) == (0, False)
+
+    # the 1x1 matrix as the only coboundary of a complex
+    one_by_one = SimpleNamespace(
+        p_max=0, dim=lambda p: 1, coboundary=lambda p: SimpleNamespace(matrix=A)
+    )
+    report = exact_betti(one_by_one)
+    assert report.betti == (1,) and report.uncertain == (True,)
+    data = report.to_json()
+    assert data["uncertain"] == [True] and "ranks_certain" not in data
+    spectral = SimpleNamespace(degree=0, harmonic_dim=0)
+    agreement = compare_numeric_exact([spectral], report)
+    assert agreement.status == ("uncertain",) and not agreement.all_agree
 
 
 @settings(max_examples=30, deadline=None)
@@ -127,8 +156,9 @@ _SUITE_COMPLEXES = {
 def test_clearing_leaves_every_rank_unchanged(name):
     complex_ = build_weighted_complex(*_SUITE_COMPLEXES[name]())
     unclear = tuple(rank_mod_p(complex_.coboundary(p).matrix) for p in range(complex_.p_max + 1))
-    assert exact_betti(complex_).ranks == unclear
-    assert exact_betti(complex_, escalate=True).ranks == unclear
+    report = exact_betti(complex_)
+    assert report.ranks == unclear
+    assert not any(report.uncertain)
 
 
 # --- Betti numbers of known spaces ---------------------------------------------
@@ -194,9 +224,10 @@ def test_report_round_trip():
     )
     report = exact_betti(complex_, parameters={"eps": 1.0})
     data = json.loads(json.dumps(report.to_json(), sort_keys=True))
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["betti"] == [1, 1]
-    assert data["prime"] == PRIME_MAIN
+    assert data["primes"] == [PRIME_MAIN, PRIME_FALLBACK]
+    assert data["uncertain"] == [False, False]
     assert data["parameters"] == {"eps": 1.0}
     assert data["dims"] == list(report.dims)
     assert data["coboundary_ranks"] == list(report.ranks)

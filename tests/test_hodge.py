@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nlhodge.space import MetricMeasureSpace, gen_circle, gen_sphere, gen_two_co
 from nlhodge.neighborhoods import full_system, rips_system
 from nlhodge.kernels import constant_kernel, fractional_kernel, kernel_matrix
 from nlhodge.cochains import Cochain
-from nlhodge.cohomology import exact_betti
+from nlhodge.cohomology import compare_numeric_exact, exact_betti
 from nlhodge.hodge import (
     HodgeError,
     adjoint_matrix,
@@ -218,17 +219,21 @@ def test_oracle_is_ignored_when_the_gap_is_clean(circle_complex):
 
 def test_report_agreement_fields(circle_complex):
     report = hodge_report(circle_complex, 1, oracle=1)
-    assert report.agree is True
-    assert hodge_report(circle_complex, 1, oracle=3).agree is False
-    assert hodge_report(circle_complex, 1).agree is None
     data = json.loads(json.dumps(report.to_json(), sort_keys=True))
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["harmonic_dim"] == 1
     assert data["degree"] == 1
-    assert data["agree"] is True
+    assert data["oracle_betti"] == 1
+    assert data["oracle_used"] is False
+    assert "status" not in data  # the agreement against exact Betti decides it
+    betti = exact_betti(circle_complex)
+    agreement = compare_numeric_exact([report], betti)
+    assert agreement.status == ("agree",) and agreement.all_agree
+    wrong = SimpleNamespace(degree=1, harmonic_dim=3)
+    assert compare_numeric_exact([wrong], betti).status == ("disagree",)
 
 
-def test_empty_degree_is_harmless():
+def test_empty_degree_is_harmless(monkeypatch):
     # eps below the minimum spacing: no pairs at all, every point is harmonic.
     space = gen_circle(8)
     complex_ = build_weighted_complex(space, rips_system(0.1), constant_kernel(1.0), 1)
@@ -236,6 +241,32 @@ def test_empty_degree_is_harmless():
     hc = harmonic_dimension(complex_, 0)
     assert hc.dimension == 8
     assert harmonic_dimension(complex_, 1).dimension == 0
+
+    # Above the cutoff the zero Laplacian has a Gershgorin bound of 0, so a
+    # shift scaled by it would leave eigsh a singular matrix: no solve is made.
+    n = hodge.DENSE_EIG_CUTOFF + 1
+    space = gen_circle(n)
+    complex_ = build_weighted_complex(
+        space, rips_system(0.5 * np.sin(np.pi / n)), constant_kernel(1.0), 1
+    )
+    assert complex_.dim(1) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigsh called on the zero operator")
+
+    monkeypatch.setattr(hodge.spla, "eigsh", refuse)
+    hc = harmonic_dimension(complex_, 0)
+    assert hc.dimension == n and not hc.flagged
+    assert np.array_equal(hc.eigenvalues, np.zeros(n))
+
+
+def test_a_failing_eigsh_is_uncertain_not_a_traceback(circle_complex, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    monkeypatch.setattr(hodge.spla, "eigsh", singular)
+    assert harmonic_dimension(circle_complex, 1).dimension is None
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -264,21 +295,91 @@ def test_dense_eigensolve_matches_the_eigvalsh_oracle(circle_complex, sphere_com
 
 
 def test_dense_eigensolve_holds_one_array():
-    # The path Laplacian at m = 800: the in-place branch peaks near one m x m
-    # array (plus one block of |S| rows), the old branch at two.
-    m = 800
+    # The path Laplacian at m = DENSE_EIG_CUTOFF, the largest the dense branch
+    # takes: the in-place branch peaks near one m x m array (plus one block of
+    # |S| rows), the old branch at two.
+    m = 700
+    assert m == hodge.DENSE_EIG_CUTOFF
     S = sp.diags([-np.ones(m - 1), 2.0 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1], format="csr")
     peaks = {}
     for name, solve in (("in_place", hodge._low_spectrum), ("oracle", dense_low_spectrum)):
         tracemalloc.start()
         try:
-            solve(S)
+            eigs, _ = solve(S)
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert eigs.size == m  # the whole spectrum: the dense branch ran
     array = m * m * 8
     assert peaks["in_place"] < 1.1 * array
     assert peaks["oracle"] >= 2 * array
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_branches_meet_at_the_cutoff(offset):
+    # circle degree 0 at m = DENSE_EIG_CUTOFF (dense) and one above (sparse):
+    # the same count, and the low end of the dense oracle's spectrum
+    n = hodge.DENSE_EIG_CUTOFF + offset
+    space = gen_circle(n)
+    cx = build_weighted_complex(space, rips_system(3.5 * 2 * np.pi / n), fractional_kernel(1.0, 0.5), 0)
+    S = hodge._laplacian_csr(cx, 0)
+    assert S.shape[0] == n
+    eigs, bound = hodge._low_spectrum(S)
+    want, want_bound = dense_low_spectrum(S)
+    assert eigs.size == (n if offset == 0 else hodge.EIGSH_K)
+    assert np.allclose(eigs, want[: eigs.size], rtol=0, atol=1e-10)
+    assert bound == pytest.approx(want_bound, rel=1e-12)
+    assert harmonic_dimension(cx, 0).dimension == 1
+
+
+def test_a_ghost_ritz_vector_is_uncertain(circle_complex, monkeypatch):
+    # A copy of the first Ritz pair in place of the last has a tiny residual,
+    # but V^T V is not the identity: the guard refuses the count.
+    eigsh = hodge.spla.eigsh
+
+    def ghost(*args, **kwargs):
+        vals, V = eigsh(*args, **kwargs)
+        vals[-1], V[:, -1] = vals[0], V[:, 0]
+        return vals, V
+
+    monkeypatch.setattr(hodge.spla, "eigsh", ghost)
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    with pytest.raises(hodge.NumericalError, match="orthogonality"):
+        hodge._low_spectrum(hodge._laplacian_csr(circle_complex, 1))
+    assert harmonic_dimension(circle_complex, 1).dimension is None
+
+
+@pytest.fixture(scope="module")
+def sphere_eps35():
+    # degree 1 of sphere n=200 at rips 0.35: m = 538 with 53 harmonic forms, the
+    # 16 asked of eigsh first are all harmonic, and k doubles twice
+    space = gen_sphere(200)
+    return build_weighted_complex(space, rips_system(0.35), fractional_kernel(2.0, 0.5), 1)
+
+
+def test_sparse_eigensolve_counts_a_large_kernel(sphere_eps35, monkeypatch):
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    assert sphere_eps35.dim(1) == 538
+    report = hodge_report(sphere_eps35, 1, oracle=exact_betti(sphere_eps35).betti[1])
+    assert (report.harmonic_dim, report.oracle_betti) == (53, 53)
+    assert not report.flagged and not report.oracle_used
+
+
+def test_a_near_singular_shift_is_uncertain_not_a_count(sphere_eps35, monkeypatch):
+    # A shift of -1e-12 (of the Gershgorin bound here; the old branch used
+    # -1e-12 itself and counted 60) leaves S - sigma I numerically singular:
+    # Ritz residuals reach about 10, and the guard makes the degree uncertain.
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    monkeypatch.setattr(hodge, "EIGSH_SHIFT", -1e-12)
+    with pytest.raises(hodge.NumericalError, match="Ritz"):
+        hodge._low_spectrum(hodge._laplacian_csr(sphere_eps35, 1))
+    hc = harmonic_dimension(sphere_eps35, 1)
+    assert hc.dimension is None and hc.eigenvalues.size == 0
+    report = hodge_report(sphere_eps35, 1, oracle=53)
+    assert report.harmonic_dim is None
+    assert json.loads(json.dumps(report.to_json()))["harmonic_dim"] is None
+    agreement = compare_numeric_exact([report], exact_betti(sphere_eps35))
+    assert agreement.status == ("uncertain",) and not agreement.all_agree
 
 
 def test_eigsh_doubles_k_until_the_low_end_shows_a_gap(circle_complex, monkeypatch):
