@@ -347,8 +347,10 @@ def _suite_mv():
                  f"rows={[r['exact'] for r in cert.rows]} recon={cert.reconstruction_ok}")
             )
         nerve = cech_nerve_betti(cov, q_max=1)
+        uncertain = any(nerve.uncertain)
         checks.append(
-            (f"cech-nerve-{name}", nerve.betti[:2] == REFERENCE_BETTI[name][:2], f"{nerve.betti}")
+            (f"cech-nerve-{name}", nerve.betti[:2] == REFERENCE_BETTI[name][:2] and not uncertain,
+             f"{nerve.betti}{' uncertain' if uncertain else ''}")
         )
     return checks
 
@@ -382,6 +384,8 @@ def _suite_recovery():
         rep = derham_recovery_report(cx, cov)
         flagged = [p for p, f in enumerate(rep["spectral_flagged"]) if f]
         cech = f" cech={rep['cech']}" if "cech" in rep else ""
+        if any(rep.get("cech_uncertain", ())):
+            cech += " uncertain"
         checks.append(
             (f"recovery-{name}", rep["all_agree"],
              f"reference={rep['reference']} exact={rep['exact']} spectral={rep['spectral']}"

@@ -18,13 +18,17 @@ import scipy.sparse as sp
 
 from .space import MetricMeasureSpace
 from .neighborhoods import NeighborhoodSystem, TupleSet, _row_rounds, faces
-from .cohomology import rank_exact, BettiReport, PRIME_MAIN
+from .cohomology import _cleared_rank, BettiReport
 from .hodge import WeightedComplex
 
 
 # Mayer-Vietoris rows whose assembled matrices hold at most this many rows
 # are also ranked as a whole.
 MV_CROSSCHECK_CUTOFF = 2000
+# Entries of the dense accumulator that sums a homotopy residual, one block
+# of rows at a time (64 KB; smaller and larger blocks were slower on the
+# interval32 residuals).
+RESIDUAL_BLOCK = 1 << 13
 
 
 class CoverError(ValueError):
@@ -52,6 +56,7 @@ class CoverSystem:
     centers: np.ndarray
     big_masks: np.ndarray = field(init=False)
     bumps: np.ndarray = field(init=False)
+    _membership: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=int)
@@ -122,40 +127,33 @@ class LocalComplex:
 
         Read from the global CSR rows of the inside (p+1)-tuples, which hold
         one entry per face; every face of an inside tuple is inside, so each
-        global column has a local one. The removed point is the member sum of
-        the row's tuple minus that of the column's, exact in int64. Memoized.
+        global column has a local one. A row's columns are sorted, and the
+        faces of a sorted tuple sort as dropping its last member first, so
+        the removed points are the row tuple's members in reverse. Memoized.
         """
         if p not in self._entries:
             rows, cols = self.global_rows[p + 1], self.global_rows[p]
             mat = self.complex_.coboundary(p).matrix
             k = p + 2
-            faces = mat.indices.reshape(-1, k)[rows]
-            sign = mat.data.reshape(-1, k)[rows]
-            ts = self.complex_.tuple_sets
-            removed = ts[p + 1].tuples[rows].sum(axis=1)[:, None] - ts[p].tuples[faces].sum(axis=2)
+            local = np.empty(mat.shape[1], dtype=np.int64)  # read only at inside columns
+            local[cols] = np.arange(cols.size)
             self._entries[p] = (
                 np.repeat(np.arange(rows.size), k),
-                np.searchsorted(cols, faces.ravel()),
-                sign.ravel(),
-                removed.ravel(),
+                local[mat.indices.reshape(-1, k)[rows].ravel()],
+                mat.data.reshape(-1, k)[rows].ravel(),
+                self.complex_.tuple_sets[p + 1].tuples[rows, ::-1].ravel(),
             )
         return self._entries[p]
-
-    def coboundary(self, p: int) -> np.ndarray:
-        """Dense float matrix of delta_p restricted here, scattered from its entries."""
-        row, col, sign, _ = self.coboundary_entries(p)
-        out = np.zeros((self.dim(p + 1), self.dim(p)))
-        out[row, col] = sign
-        return out
 
 
 def restrict_complex(cover: CoverSystem, complex_: WeightedComplex, alphas,
                      max_degree: int) -> LocalComplex:
-    """Restrict a complex to the tuples supported inside an intersection."""
+    """Restrict a complex to the tuples supported inside an intersection: those
+    that every ball of the intersection holds, an AND of membership rows."""
     alphas = tuple(sorted(int(a) for a in alphas))
     mask = cover.intersection_mask(alphas)
     global_rows = [
-        np.nonzero(mask[complex_.tuple_sets[p].tuples].all(axis=1))[0]
+        np.nonzero(_tuple_ball_membership(complex_, cover, p)[list(alphas)].all(axis=0))[0]
         for p in range(max_degree + 1)
     ]
     return LocalComplex(alphas, mask, complex_, global_rows)
@@ -200,7 +198,7 @@ class MVCertificate:
     rows: tuple  # per-q dicts: dim, rank_in, dim_kernel, exact
     reconstruction_ok: bool
     exact: bool
-    crosscheck: str = "skipped"  # global-assembly rank comparison: pass/skipped/fail
+    crosscheck: str = "skipped"  # global-assembly rank comparison: pass/skipped/fail/uncertain
     multiplicity_histogram: tuple = ()  # (#covering balls, #tuples) pairs
 
     def to_json(self) -> dict:
@@ -226,9 +224,12 @@ def _cech_differences(levels) -> list[sp.csr_matrix]:
     inside in row-major order. Every face of a combo of level k+1 is a combo
     of level k, whose inside holds every item of the combo's. Coordinate
     (c, j) maps to (face, j) for each face, found by one `TupleSet.locate` of
-    all faces and one `np.searchsorted` of the flat keys row*m + item.
-    Dropping the i-th ball gives sign (-1)^i; a combo of one ball has the
-    level of width 0 as its only face. Level sizes are the shapes.
+    all faces and one `np.searchsorted` per face position of the flat keys
+    row*m + item. Dropping the i-th ball gives sign (-1)^i; a combo of one
+    ball has the level of width 0 as its only face. Level sizes are the
+    shapes. A combo's faces sort as dropping its last ball first, so each
+    row's columns come sorted with i from k-1 down to 0, and the CSR arrays
+    are written directly, k entries a row.
     """
     deltas = []
     for (lo_combos, lo_inside), (up_combos, up_inside) in zip(levels, levels[1:]):
@@ -241,16 +242,66 @@ def _cech_differences(levels) -> list[sp.csr_matrix]:
         lo_r, lo_j = lo_inside.nonzero()
         up_r, up_j = up_inside.nonzero()
         lo_keys = lo_r.astype(np.int64) * m + lo_j
-        cols = np.searchsorted(lo_keys, face_rows[up_r] * m + up_j[:, None])
-        rows = np.repeat(np.arange(up_r.size), k)
-        data = np.tile((-1) ** np.arange(k, dtype=np.int64), up_r.size)
-        deltas.append(sp.csr_matrix((data, (rows, cols.ravel())), shape=(up_r.size, lo_r.size)))
+        index = np.int32 if k * up_r.size <= np.iinfo(np.int32).max else np.int64
+        indices = np.empty((up_r.size, k), dtype=index)
+        for i in range(k):
+            indices[:, k - 1 - i] = np.searchsorted(lo_keys, face_rows[up_r, i] * m + up_j)
+        data = np.tile((-1) ** np.arange(k - 1, -1, -1, dtype=np.int64), up_r.size)
+        indptr = np.arange(0, k * up_r.size + 1, k, dtype=index)
+        deltas.append(
+            sp.csr_matrix((data, indices.ravel(), indptr), shape=(up_r.size, lo_r.size))
+        )
     return deltas
 
 
+def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, k) with start[i] <= k < stop[i], ordered by i, then k."""
+    n = stop - start
+    i = np.repeat(np.arange(n.size), n)
+    return i, np.arange(i.size) + np.repeat(start - (np.cumsum(n) - n), n)
+
+
+def _nerve_levels(masks: sp.csr_matrix, nerve) -> list[tuple]:
+    """(combos, inside) per nerve level: inside[c, j] says that every ball of
+    combo c holds item j.
+
+    Level 0's rows are the mask rows of its balls. An entry (c, j) extends to
+    the next level by each ball b after c's last that holds j, a range of j's
+    sorted holders; the combo c + b is found by one `np.searchsorted` of the
+    keys prefix row * n_balls + last ball, which sort like the level's
+    combos. Work and memory follow the entries: no level is ever dense.
+    """
+    n_balls, m = masks.shape
+    holders = sp.csr_matrix(masks.T)  # item j -> the sorted balls holding it
+    held_items, balls = holders.nonzero()
+    held = held_items.astype(np.int64) * n_balls + balls  # sorted
+    levels = [(nerve[0], masks[nerve[0][:, 0]])] if nerve else []
+    for combos in nerve[1:]:
+        lo_combos, lo_inside = levels[-1]
+        prefix = TupleSet(lo_combos.shape[1] - 1, lo_combos).locate(combos[:, :-1])
+        rows, items = (x.astype(np.int64) for x in lo_inside.nonzero())
+        after = np.searchsorted(held, items * n_balls + lo_combos[rows, -1], side="right")
+        e, k = _ranges(after, holders.indptr[items + 1])
+        found = np.searchsorted(prefix * n_balls + combos[:, -1], rows[e] * n_balls + balls[k])
+        inside = sp.csr_matrix(
+            (np.ones(e.size, dtype=bool), (found, items[e])), shape=(len(combos), m)
+        )
+        levels.append((combos, inside))
+    return levels
+
+
 def _tuple_ball_membership(complex_: WeightedComplex, cover: CoverSystem, p: int) -> np.ndarray:
-    """(n_balls, m) bool: tuple row fully inside the big ball."""
-    return cover.big_masks[:, complex_.tuple_sets[p].tuples].all(axis=2)
+    """(n_balls, m) bool, read-only: tuple row fully inside the big ball.
+
+    Memoized on the cover per tuple set, which the memo keeps alive so that
+    its id stays unique.
+    """
+    ts = complex_.tuple_sets[p]
+    if id(ts) not in cover._membership:
+        inside = cover.big_masks[:, ts.tuples].all(axis=2)
+        inside.setflags(write=False)
+        cover._membership[id(ts)] = ts, inside
+    return cover._membership[id(ts)][1]
 
 
 def _blockwise_ranks(s_counts: dict[int, int], q_max: int) -> tuple[list[int], list[int]]:
@@ -285,7 +336,7 @@ def _enumerate_blocks(membership: np.ndarray, cover: CoverSystem,
     """
     everything = sp.csr_matrix(np.ones((1, membership.shape[1]), dtype=bool))
     levels = [(np.empty((1, 0), dtype=np.int64), everything)]
-    levels += [(c, sp.csr_matrix(membership[c].all(axis=1))) for c in _nerve(cover, depth)]
+    levels += _nerve_levels(sp.csr_matrix(membership), _nerve(cover, depth))
     return levels, _cech_differences(levels)
 
 
@@ -335,10 +386,11 @@ def mayer_vietoris_check(
 
     crosscheck = "skipped"
     if run_crosscheck:
-        whole_ranks = [rank_exact(D) if min(D.shape) else 0 for D in deltas]
-        agree = whole_ranks == [rank_R] + ranks_delta and [D.shape[0] for D in deltas] == dims
-        crosscheck = "pass" if agree else "fail"
-        exact_all = exact_all and agree
+        # each matrix from scratch: clearing would assume D_{q+1} D_q = 0
+        whole_ranks, certain = zip(*(_cleared_rank(D, {}) for D in deltas))
+        agree = list(whole_ranks) == [rank_R] + ranks_delta and [D.shape[0] for D in deltas] == dims
+        crosscheck = "uncertain" if not all(certain) else "pass" if agree else "fail"
+        exact_all = exact_all and agree and all(certain)
 
     hist = tuple((int(s), int(c)) for s, c in sorted(s_counts.items()))
     return MVCertificate(
@@ -391,8 +443,7 @@ def _nerve_differences(cover: CoverSystem, q_max: int) -> list[sp.csr_matrix]:
     from scipy.sparse.csgraph import connected_components
 
     near = sp.csr_matrix(cover.space.dist < cover.eps)
-    nerve = _nerve(cover, q_max + 1)
-    levels = [(c, sp.csr_matrix(cover.big_masks[c].all(axis=1))) for c in nerve]
+    levels = _nerve_levels(sp.csr_matrix(cover.big_masks), _nerve(cover, q_max + 1))
     components = []
     for _, inside in levels:
         r, x = inside.nonzero()
@@ -420,17 +471,20 @@ def cech_nerve_betti(cover: CoverSystem, q_max: int = 2) -> BettiReport:
 
     Cochains are locally constant on each intersection: one coordinate per
     connected component (eps-connectivity), so disconnected overlaps are
-    handled correctly. Ranks of the Cech differentials are exact.
+    handled correctly. Ranks of the Cech differentials are exact, over both
+    primes with clearing across levels as in `exact_betti`, and a degree that
+    reads an unsettled rank is uncertain.
     """
     deltas = _nerve_differences(cover, q_max)
-    ranks = [rank_exact(D) if min(D.shape) else 0 for D in deltas]
+    cleared: dict = {}
+    ranks, certain = zip(*(_cleared_rank(D, cleared) for D in deltas))
     dims = [D.shape[1] for D in deltas]
     betti = [dims[q] - ranks[q] - (ranks[q - 1] if q else 0) for q in range(q_max + 1)]
     return BettiReport(
         tuple(betti),
         tuple(dims),
-        tuple(ranks),
-        PRIME_MAIN,
+        ranks,
+        certain,
         {"route": "cech-nerve", "eps": cover.eps, "eta": cover.eta, "n_balls": cover.n_balls},
     )
 
@@ -447,9 +501,9 @@ class HomotopyOperator:
     (Psi F)(x_0..x_{p-1}) = (1/mass(W)) * sum_{t in W} w_t F(t, x_0..x_{p-1});
     valid whenever prepending any t in W to an admissible tuple with at most
     `level` points stays admissible (checked constructively at build time).
-    psi[p - 1] is the dense matrix of Psi from local degree p to p-1: the
-    transpose of the local delta_{p-1}, each entry weighted by w_t/mass of its
-    removed point t and kept only for t in W.
+    psi[p - 1] holds the entries (row, col, value) of Psi from local degree p
+    to p-1, sorted by row: the transpose of the local delta_{p-1}, each entry
+    weighted by w_t/mass of its removed point t and kept only for t in W.
     """
 
     alphas: tuple
@@ -458,13 +512,14 @@ class HomotopyOperator:
     weights: np.ndarray
     mass: float
     local: LocalComplex
-    psi: list[np.ndarray]
+    psi: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    def psi_matrix(self, p: int) -> np.ndarray:
-        """Matrix of Psi: local degree p -> degree p-1 (1 <= p <= level)."""
+    def psi_matrix(self, p: int) -> sp.csr_matrix:
+        """CSR matrix of Psi: local degree p -> degree p-1 (1 <= p <= level)."""
         if not (1 <= p <= self.level):
             raise CoverError(f"Psi valid for degrees 1..{self.level}")
-        return self.psi[p - 1]
+        row, col, value = self.psi[p - 1]
+        return sp.csr_matrix((value, (row, col)), shape=(self.local.dim(p - 1), self.local.dim(p)))
 
 
 def build_slice_and_psi(
@@ -510,24 +565,59 @@ def build_slice_and_psi(
     psi = []
     for ell in range(1, level + 1):
         row, col, sign, removed = loc.coboundary_entries(ell - 1)
-        hit = in_W[removed]
-        out = np.zeros((loc.dim(ell - 1), loc.dim(ell)))
-        out[col[hit], row[hit]] = sign[hit] * cover.space.weights[removed[hit]] / mass
-        psi.append(out)
+        hit = np.nonzero(in_W[removed])[0]
+        hit = hit[np.argsort(col[hit], kind="stable")]
+        psi.append((col[hit], row[hit], sign[hit] * cover.space.weights[removed[hit]] / mass))
     return HomotopyOperator(loc.alphas, level, W, weights, mass, loc, psi)
 
 
+def _join(keys: np.ndarray, sorted_keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, j) with keys[i] == sorted_keys[j], all keys below `size`,
+    ordered by i, then j."""
+    count = np.bincount(sorted_keys, minlength=size)
+    start = np.cumsum(count) - count
+    return _ranges(start[keys], (start + count)[keys])
+
+
 def homotopy_identity_residual(op: HomotopyOperator, p: int) -> float:
-    """Max-abs residual of Psi delta + delta Psi = identity on local degree p."""
+    """Max-abs residual of Psi delta + delta Psi = identity on local degree p.
+
+    Every entry of the residual is formed from entries, off the diagonal too
+    (Gustavson's row-wise sparse product). Psi_{p+1} delta_p joins each Psi
+    entry (a, r) to the entries (r, b) of delta_p's row r, and delta_{p-1}
+    Psi_p each delta entry (a, c) to the Psi entries (c, b) of row c; both
+    right-hand lists are sorted by row, and both products come out sorted by
+    a. A block of rows is summed into a dense accumulator of at most
+    RESIDUAL_BLOCK entries by one bincount per product on the keys a*m + b,
+    then the identity is subtracted: (Psi delta + delta Psi) - id, in the
+    order dense products would add them. No m x m array is formed unless it
+    fits in one block.
+    """
     if not (1 <= p <= op.level - 1):
         raise CoverError(f"identity checkable for degrees 1..{op.level - 1}")
-    m = op.local.dim(p)
+    loc = op.local
+    m = loc.dim(p)
     if m == 0:
         return 0.0
-    loc = op.local
-    lhs = op.psi_matrix(p + 1) @ loc.coboundary(p) + loc.coboundary(p - 1) @ op.psi_matrix(p)
-    lhs.flat[:: m + 1] -= 1.0
-    return float(np.abs(lhs).max())
+    psi_row, psi_col, psi_val = op.psi[p]  # Psi_{p+1} delta_p
+    row, col, sign, _ = loc.coboundary_entries(p)
+    i, j = _join(psi_col, row, loc.dim(p + 1))
+    products = [(psi_row[i], psi_row[i] * m + col[j], psi_val[i] * sign[j])]
+    row, col, sign, _ = loc.coboundary_entries(p - 1)  # delta_{p-1} Psi_p
+    psi_row, psi_col, psi_val = op.psi[p - 1]
+    i, j = _join(col, psi_row, loc.dim(p - 1))
+    products.append((row[i], row[i] * m + psi_col[j], sign[i] * psi_val[j]))
+    rows = max(1, RESIDUAL_BLOCK // m)
+    worst = 0.0
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        lhs = np.zeros((stop - start) * m)
+        for a, keys, vals in products:
+            part = slice(*np.searchsorted(a, (start, stop)))
+            lhs += np.bincount(keys[part] - start * m, vals[part], lhs.size)
+        lhs[np.arange(stop - start) * (m + 1) + start] -= 1.0
+        worst = max(worst, float(np.abs(lhs).max()))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -545,7 +635,11 @@ class PoincareCheck:
 def poincare_suite(
     cover: CoverSystem, complex_: WeightedComplex, p_check: int, max_depth: int = 2
 ) -> list[PoincareCheck]:
-    """Homotopy identity on every nonempty intersection up to max_depth balls."""
+    """Homotopy identity on every nonempty intersection up to max_depth balls.
+
+    The tuple membership of each ball is formed once per degree (memoized on
+    the cover), and every intersection's restriction ANDs its balls' rows.
+    """
     out = []
     level = p_check + 1
     for combos in _nerve(cover, max_depth - 1):
@@ -584,6 +678,7 @@ def derham_recovery_report(
 
     The spectral counts match the exact ones only when every degree's status
     is 'agree': a disagreement or an uncertain count fails the comparison.
+    The Cech numbers match the reference only when no nerve degree is uncertain.
     """
     from .cohomology import exact_betti, compare_numeric_exact
     from .hodge import hodge_report
@@ -608,7 +703,10 @@ def derham_recovery_report(
         nerve = cech_nerve_betti(cover, q_max=min(q_max, complex_.p_max))
         nerve_trunc = tuple(nerve.betti[: complex_.p_max + 1])
         out["cech"] = list(nerve.betti)
-        out["cech_matches_reference"] = nerve_trunc == ref[: len(nerve_trunc)]
+        out["cech_uncertain"] = list(nerve.uncertain)
+        out["cech_matches_reference"] = nerve_trunc == ref[: len(nerve_trunc)] and not any(
+            nerve.uncertain
+        )
     out["all_agree"] = out["exact_matches_reference"] and out["spectral_matches_exact"] and (
         cover is None or out["cech_matches_reference"]
     )

@@ -17,6 +17,10 @@ restriction (its own tuple sets and coboundaries) and the dense slice
 homotopy on it that the global-row slices of `restrict_complex` replaced;
 `slice_oracle` and `psi_oracle` are its point-by-point slice test and
 insertion-built Psi, which the local coboundary entries replaced.
+`dense_coboundary` and `dense_psi` densify a local coboundary and a Psi, as
+the package did before the residual was summed from entries; `dense_levels`
+is the dense AND that built each nerve level's inside before the sparse
+products of `_nerve_levels`.
 `triangle_scan` is the one-intermediate-point-per-pass triangle check that
 the blocked min-plus scan of `_check_metric` replaced. `mesh_width` is
 `MetricMeasureSpace.mesh_width` before it took row minima block by block:
@@ -228,6 +232,25 @@ def psi_oracle(sets, W, weights, mass, p: int) -> np.ndarray:
     out = np.zeros((dst.size, src.size))
     out[r, src.locate(keys[r, j])] = sign[r, j] * weights[j] / mass
     return out
+
+
+def dense_coboundary(loc, p: int) -> np.ndarray:
+    """Dense float delta_p of a LocalComplex, scattered from its entries."""
+    row, col, sign, _ = loc.coboundary_entries(p)
+    out = np.zeros((loc.dim(p + 1), loc.dim(p)))
+    out[row, col] = sign
+    return out
+
+
+def dense_psi(op, p: int) -> np.ndarray:
+    """Dense Psi_p of a HomotopyOperator, from its CSR matrix."""
+    return op.psi_matrix(p).toarray()
+
+
+def dense_levels(masks: np.ndarray, nerve) -> list[tuple]:
+    """(combos, inside) per nerve level, each inside the CSR of a dense
+    K x k x m AND of the combos' mask rows."""
+    return [(c, sp.csr_matrix(masks[c].all(axis=1))) for c in nerve]
 
 
 def poincare_check(cover, complex_, alphas, level: int):

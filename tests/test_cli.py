@@ -367,6 +367,29 @@ def test_verify_recovery_fails_on_a_wrong_reference(monkeypatch, capsys):
     assert "PASS recovery-interval" in out and "PASS recovery-sphere" in out
 
 
+def test_verify_mv_fails_on_an_uncertain_nerve(monkeypatch, capsys):
+    # The fallback prime finds one pivot fewer on every matrix and rational
+    # elimination has no room: each nerve degree is uncertain, so the suite
+    # fails its nerve checks (and the crosschecked rows) and exits 2.
+    from nlhodge import cli, cohomology
+
+    pivots = cohomology._pivot_columns
+
+    def lose_one(matrix, prime, cleared=frozenset()):
+        reduced = pivots(matrix, prime, cleared)
+        if prime == cohomology.PRIME_FALLBACK and reduced:
+            reduced.pop(max(reduced))
+        return reduced
+
+    monkeypatch.setattr(cohomology, "_pivot_columns", lose_one)
+    monkeypatch.setattr(cohomology, "RATIONAL_RANK_CAP", 0)
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    assert cli.main(["verify", "--suite", "mv"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL cech-nerve-circle ((1, 1) uncertain)" in out
+    assert "FAIL cech-nerve-interval ((1, 0) uncertain)" in out
+
+
 def test_verify_all_runs_every_suite(tmp_path, monkeypatch, capsys):
     from nlhodge import cli
 

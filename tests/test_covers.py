@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +14,7 @@ from nlhodge.neighborhoods import TupleSet, full_system, hausdorff_system, rips_
 from nlhodge.kernels import fractional_kernel
 from nlhodge.hodge import build_weighted_complex
 from nlhodge.covers import (
+    RESIDUAL_BLOCK,
     CoverError,
     CoverSystem,
     SliceEmptyError,
@@ -18,6 +22,7 @@ from nlhodge.covers import (
     _enumerate_blocks,
     _nerve,
     _nerve_differences,
+    _nerve_levels,
     _tuple_ball_membership,
     build_slice_and_psi,
     cech_nerve_betti,
@@ -31,11 +36,15 @@ from nlhodge.covers import (
     restrict_complex,
 )
 from nlhodge.cochains import build_coboundary
-from nlhodge.cohomology import rank_exact
+from nlhodge import cohomology
+from nlhodge.cohomology import PRIMES, rank_exact
 
 from oracles import (
     assembled_matrices,
     cech_sign,
+    dense_coboundary,
+    dense_levels,
+    dense_psi,
     loop_nerve_differences,
     nerve_combos,
     partition_supported,
@@ -214,7 +223,7 @@ def test_restrict_complex_matches_brute_force(circle_setup):
         got = sp.csr_matrix((sign, (row, col)), shape=want.shape)
         assert got.nnz == row.size == want.nnz
         assert (got != want).nnz == 0
-        assert np.array_equal(loc.coboundary(p), want.astype(float).toarray())
+        assert np.array_equal(dense_coboundary(loc, p), want.astype(float).toarray())
         for r, c, t in zip(row, col, removed):
             y, x = sets[p + 1].tuples[r].tolist(), sets[p].tuples[c].tolist()
             assert sorted(x + [t]) == y
@@ -288,8 +297,13 @@ def test_mayer_vietoris_crosscheck_skipped_and_failed(monkeypatch):
         skipped = mayer_vietoris_check(complex_, cover, 1, q_max=1)
     assert skipped.crosscheck == "skipped"
     assert skipped.rows == ran.rows and skipped.exact
-    rank = nlhodge.covers.rank_exact
-    monkeypatch.setattr(nlhodge.covers, "rank_exact", lambda D: rank(D) + 1)
+    rank = nlhodge.covers._cleared_rank
+
+    def one_too_high(D, cleared):
+        r, certain = rank(D, cleared)
+        return r + 1, certain
+
+    monkeypatch.setattr(nlhodge.covers, "_cleared_rank", one_too_high)
     failed = mayer_vietoris_check(complex_, cover, 1, q_max=1)
     assert failed.crosscheck == "fail"
     assert failed.rows == ran.rows and not failed.exact
@@ -376,6 +390,47 @@ def test_nerve_levels_match_brute_force(any_setup):
     assert _nerve(cover, -2) == []
 
 
+def test_nerve_levels_match_the_dense_oracle(any_setup):
+    # Each level's inside, built from the level below, equals the dense AND
+    # of its combos' mask rows byte for byte: for the tuple membership of
+    # every degree and for the point masks of the nerve.
+    (_, _, complex_, cover), depth = any_setup
+    nerve = _nerve(cover, depth + 1)
+    masks = [_tuple_ball_membership(complex_, cover, p) for p in range(3)] + [cover.big_masks]
+    for mask in masks:
+        got, want = _nerve_levels(sp.csr_matrix(mask), nerve), dense_levels(mask, nerve)
+        assert len(got) == len(want) == depth + 2
+        for (got_combos, got_inside), (want_combos, want_inside) in zip(got, want):
+            assert got_combos is want_combos
+            assert_same_csr(got_inside, want_inside)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_restriction_row_is_never_dense(interval_setup):
+    # interval32 at p = 2 through nerve level 2 (as the MV crosscheck reaches
+    # it): the dense AND of level 2 alone is K x 3 x m bytes, about 9.2 MB.
+    # The whole row, levels and differences, peaks below 70 % of it, and the
+    # levels alone below 60 %.
+    _, _, complex_, cover = interval_setup
+    membership = _tuple_ball_membership(complex_, cover, 2)
+    nerve = _nerve(cover, 2)
+    dense_level = nerve[2].shape[0] * 3 * membership.shape[1]
+    assert dense_level > 9e6
+    row = _traced_peak(_enumerate_blocks, membership, cover, 2)
+    sparse = _traced_peak(_nerve_levels, sp.csr_matrix(membership), nerve)
+    dense = _traced_peak(dense_levels, membership, nerve)
+    assert row < 0.7 * dense_level
+    assert sparse < 0.6 * dense_level < dense
+
+
 def test_certificate_json_shape(circle_setup):
     import json
 
@@ -436,6 +491,56 @@ def test_relabelled_overlaps_interleave_point_ids():
     assert nerve.dims == (4, 8, 4)
 
 
+@pytest.mark.parametrize("name", ["circle", "interval"])
+def test_nerve_report_round_trips(request, name):
+    _, _, _, cover = request.getfixturevalue(f"{name}_setup")
+    report = cech_nerve_betti(cover, q_max=1)
+    data = report.to_json()
+    assert json.loads(json.dumps(data)) == data
+    assert data["schema"] == 2 and data["primes"] == list(PRIMES)
+    assert data["betti"] == list(report.betti) and data["uncertain"] == [False, False]
+    assert data["coboundary_ranks"] == list(report.ranks)
+
+
+def _lose_a_pivot(monkeypatch, shape=None):
+    """Make the fallback prime find one pivot fewer (on matrices of `shape`
+    only, if given) and leave no room for rational elimination."""
+    pivots = cohomology._pivot_columns
+
+    def lose_one(matrix, prime, cleared=frozenset()):
+        reduced = pivots(matrix, prime, cleared)
+        if prime == cohomology.PRIME_FALLBACK and reduced and shape in (None, matrix.shape):
+            reduced.pop(max(reduced))
+        return reduced
+
+    monkeypatch.setattr(cohomology, "_pivot_columns", lose_one)
+    monkeypatch.setattr(cohomology, "RATIONAL_RANK_CAP", 0)
+
+
+def test_nerve_prime_disagreement_is_uncertain(circle_setup, monkeypatch):
+    # A disagreement on the top nerve difference leaves the top degree
+    # uncertain, with the main prime's count, and fails the recovery report's
+    # Cech comparison; the lower degrees stay certain.
+    _, _, complex_, cover = circle_setup
+    top = _nerve_differences(cover, 2)[-1]
+    assert top.nnz
+    _lose_a_pivot(monkeypatch, top.shape)
+    nerve = cech_nerve_betti(cover, q_max=2)
+    assert nerve.betti == (1, 1, 0)
+    assert nerve.uncertain == (False, False, True)
+    assert nerve.to_json()["uncertain"] == [False, False, True]
+    report = derham_recovery_report(complex_, cover)
+    assert report["cech"] == [1, 1, 0] and report["cech_uncertain"] == [False, False, True]
+    assert not report["cech_matches_reference"] and not report["all_agree"]
+
+
+def test_mv_crosscheck_prime_disagreement_is_uncertain(monkeypatch):
+    _, _, complex_, cover = SMALL_SETUPS["two_balls"]()
+    _lose_a_pivot(monkeypatch)
+    cert = mayer_vietoris_check(complex_, cover, 1, q_max=1)
+    assert cert.crosscheck == "uncertain" and not cert.exact
+
+
 def test_single_ball_cover_is_trivially_exact():
     space = gen_interval(12)
     system = rips_system(0.4)
@@ -473,25 +578,41 @@ def test_poincare_suite_on_circle_and_interval(circle_setup, interval_setup):
         assert worst <= 1e-12
 
 
+def assert_close_to_oracle(got, want, w_size):
+    """A residual summed from entries against the oracle's dense products.
+
+    The two sum in different orders, so the last bits may differ: an oracle
+    0.0 must stay exactly 0.0, and any other residual must stay within 1e-12
+    and within w_size * 2**-52 of the oracle's. A diagonal entry sums w_size
+    terms w_t/mass in [0, 1] to 1, so two summation orders differ by less
+    than w_size units of 2**-52.
+    """
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w == 0.0:
+            assert g == 0.0
+        else:
+            assert g <= 1e-12 and abs(g - w) <= w_size * 2**-52, (g, w)
+
+
 @pytest.mark.parametrize("p_check", [1, 2])
 def test_poincare_residuals_match_the_oracle(any_setup, p_check):
-    # Slice sizes and residuals, as float hex, equal the homotopy rebuilt on
-    # each intersection's own tuple sets; an empty slice is empty in both.
+    # Slice sizes equal those of the homotopy rebuilt densely on each
+    # intersection's own tuple sets, an empty slice is empty in both, and the
+    # residuals are close to the oracle's (assert_close_to_oracle).
     (_, _, complex_, cover), _ = any_setup
     level = p_check + 1
     combos = nerve_combos(cover, 0) + nerve_combos(cover, 1)
-    want = {}
-    for combo in combos:
-        ref = poincare_check(cover, complex_, combo, level)
-        want[combo] = None if ref is None else (ref[0], [r.hex() for r in ref[1]])
+    want = {combo: poincare_check(cover, complex_, combo, level) for combo in combos}
     for combo, ref in want.items():
         if ref is None:
             with pytest.raises(SliceEmptyError):
                 build_slice_and_psi(cover, complex_, combo, level)
             continue
         op = build_slice_and_psi(cover, complex_, combo, level)
-        got = [homotopy_identity_residual(op, p).hex() for p in range(1, level)]
-        assert (op.W.size, got) == ref, combo
+        assert op.W.size == ref[0], combo
+        assert_close_to_oracle([homotopy_identity_residual(op, p) for p in range(1, level)],
+                               ref[1], ref[0])
     for max_depth in (1, 2):
         expect = [c for c in combos if len(c) <= max_depth]
         if any(want[c] is None for c in expect):
@@ -500,8 +621,9 @@ def test_poincare_residuals_match_the_oracle(any_setup, p_check):
             continue
         checks = poincare_suite(cover, complex_, p_check, max_depth)
         assert [c.alphas for c in checks] == expect
-        got = [(c.w_size, [r.hex() for r in c.residuals]) for c in checks]
-        assert got == [want[c] for c in expect]
+        for check in checks:
+            assert check.w_size == want[check.alphas][0]
+            assert_close_to_oracle(list(check.residuals), want[check.alphas][1], check.w_size)
 
 
 def test_psi_matches_the_insertion_oracle(any_setup):
@@ -520,7 +642,7 @@ def test_psi_matches_the_insertion_oracle(any_setup):
         assert np.array_equal(op.W, ref[1]), combo
         assert op.mass == ref[3]
         for ell in range(1, level + 1):
-            assert np.array_equal(op.psi_matrix(ell), psi_oracle(*ref, ell)), (combo, ell)
+            assert np.array_equal(dense_psi(op, ell), psi_oracle(*ref, ell)), (combo, ell)
 
 
 def _record_calls(monkeypatch, calls):
@@ -578,9 +700,9 @@ def test_psi_annihilates_coboundaries_of_contracted_forms(circle_setup):
     op = build_slice_and_psi(cover, complex_, (3,), 2)
     loc = op.local
     f = rng.standard_normal(loc.dim(0))
-    dF = loc.coboundary(0) @ f
-    psi = op.psi_matrix(1) @ dF
-    again = loc.coboundary(0) @ psi
+    dF = dense_coboundary(loc, 0) @ f
+    psi = dense_psi(op, 1) @ dF
+    again = dense_coboundary(loc, 0) @ psi
     assert np.allclose(again, dF, atol=1e-12 * max(np.abs(dF).max(), 1.0))
 
 
@@ -591,6 +713,78 @@ def test_slice_empty_for_scales_below_the_ball_size():
     complex_ = build_weighted_complex(space, system, fractional_kernel(1.0, 0.5), 1)
     with pytest.raises(SliceEmptyError, match=r"\(15,\)"):
         build_slice_and_psi(cover, complex_, (15,), 2)
+
+
+def _mutated_suite(monkeypatch, setup, mutate):
+    """poincare_suite with every operator passed through `mutate` once built,
+    and the local dims of each intersection."""
+    _, _, complex_, cover = setup
+    build = nlhodge.covers.build_slice_and_psi
+    dims = {}
+
+    def mutated(*args):
+        op = build(*args)
+        mutate(op)
+        dims[op.alphas] = [op.local.dim(p) for p in range(op.level + 1)]
+        return op
+
+    monkeypatch.setattr(nlhodge.covers, "build_slice_and_psi", mutated)
+    return poincare_suite(cover, complex_, p_check=2, max_depth=2), dims
+
+
+def _weight_not_normalized(op):
+    op.psi = [(row, col, value * op.mass) for row, col, value in op.psi]
+
+
+def _drop_delta_1_entry(op):
+    op.local._entries[1] = tuple(a[:-1] for a in op.local.coboundary_entries(1))
+
+
+def _flip_delta_1_sign(op):
+    row, col, sign, removed = op.local.coboundary_entries(1)
+    sign = sign.copy()
+    sign[-1:] *= -1
+    op.local._entries[1] = row, col, sign, removed
+
+
+@pytest.mark.parametrize(
+    "mutate", [_weight_not_normalized, _drop_delta_1_entry, _flip_delta_1_sign]
+)
+@pytest.mark.parametrize("name", ["circle", "interval"])
+def test_poincare_suite_fails_on_mutants(request, monkeypatch, name, mutate):
+    # Psi weighted w_t instead of w_t/mass, one entry of delta_1 dropped and
+    # one sign of delta_1 flipped each push the residual of every intersection
+    # they touch above 1e-12, summed in one block of RESIDUAL_BLOCK entries or
+    # in several: the circle's residuals all fit in one, the interval has
+    # both kinds.
+    checks, dims = _mutated_suite(monkeypatch, request.getfixturevalue(f"{name}_setup"), mutate)
+    touched = 1 if mutate is _weight_not_normalized else 2
+    large = []
+    for check in checks:
+        if dims[check.alphas][touched] == 0:
+            continue
+        assert check.max_residual > 1e-12, check.alphas
+        large.append(max(dims[check.alphas][1:3]) ** 2 > RESIDUAL_BLOCK)
+    assert set(large) == ({False, True} if name == "interval" else {False})
+
+
+def test_poincare_suite_has_no_dense_operators(interval_setup):
+    # One dense Psi_3 of the largest interval32 intersection (418 x 1155
+    # floats, 3.9 MB) is more than the whole suite may allocate at its peak.
+    space, system, complex_, _ = interval_setup
+    cover = default_cover(space, system)
+    peak = _traced_peak(poincare_suite, cover, complex_, 2, 2)
+    assert peak < 418 * 1155 * 8
+    assert len(cover._membership) == 4  # one membership per degree 0..3
+
+
+def test_membership_is_memoized_read_only(circle_setup):
+    space, system, complex_, _ = circle_setup
+    cover = default_cover(space, system)
+    first = _tuple_ball_membership(complex_, cover, 1)
+    assert _tuple_ball_membership(complex_, cover, 1) is first
+    assert not first.flags.writeable
+    assert np.array_equal(first, cover.big_masks[:, complex_.tuple_sets[1].tuples].all(axis=2))
 
 
 def test_slice_guards(circle_setup):
