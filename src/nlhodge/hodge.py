@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .space import MetricMeasureSpace
 from .neighborhoods import NeighborhoodSystem, TupleSet, enumerate_tuples
-from .kernels import KernelModel, WeightAssignment, assemble_weights
+from .kernels import KernelModel, WeightAssignment, _pair_kernel, assemble_weights
 from .cochains import Cochain, CoboundaryOperator, build_coboundary
 
 # Largest Laplacian solved densely: above it one shift-invert eigsh is faster.
@@ -401,14 +401,12 @@ def multiplier_constant(complex_: WeightedComplex, p: int, chi: np.ndarray) -> f
     n = complex_.space.n
     acc = np.zeros(n)
     if pairs.size:
-        from .kernels import kernel_matrix
-
-        kmat = kernel_matrix(complex_.kernel, complex_.space)
         w = complex_.space.weights
         for a, b in ((0, 1), (1, 0)):
             x = pairs[:, a]
             y = pairs[:, b]
-            np.add.at(acc, x, (chi[y] - chi[x]) ** 2 * kmat[x, y] * w[y])
+            kxy = _pair_kernel(complex_.kernel, complex_.space, x, y)
+            np.add.at(acc, x, (chi[y] - chi[x]) ** 2 * kxy * w[y])
     grad_sup = float(np.sqrt(acc.max(initial=0.0)))
     return sup**p * (1.0 + sup + (p + 1) * grad_sup)
 

@@ -115,19 +115,28 @@ def load_kernel_table(path, n: int) -> KernelModel:
 
 def kernel_matrix(model: KernelModel, space: MetricMeasureSpace) -> np.ndarray:
     """Dense kernel values with a zero diagonal (the diagonal is never used)."""
+    k = _pair_kernel(model, space, *np.indices((space.n, space.n)))
+    np.fill_diagonal(k, 0.0)
+    return k
+
+
+def _pair_kernel(model: KernelModel, space: MetricMeasureSpace, i, j) -> np.ndarray:
+    """j(x_i, x_j) at each index pair, elementwise; pairs with i == j are meaningless.
+
+    The truncation and the floor apply pointwise, and (i, j) reads dist[i, j],
+    which equals dist[j, i] only within the metric tolerance.
+    """
     if model.kind == "constant":
-        k = np.full_like(space.dist, model.scale)
-    elif model.kind == "custom":
+        return np.full(np.shape(i), model.scale)
+    if model.kind == "custom":
         if model.table.shape[0] != space.n:
             raise KernelError("custom kernel table size does not match the space")
-        k = model.table.copy()
-    else:
-        with np.errstate(divide="ignore", over="ignore"):
-            rho = space.dist + np.eye(space.n)
-            k = model.scale * rho ** (-(model.d + model.alpha))
-        if model.kind == "truncated_fractional":
-            k = np.where(space.dist < model.eps_trunc, k, model.floor)
-    np.fill_diagonal(k, 0.0)
+        return model.table[i, j]
+    d = space.dist[i, j]
+    with np.errstate(divide="ignore", over="ignore"):
+        k = model.scale * d ** (-(model.d + model.alpha))
+    if model.kind == "truncated_fractional":
+        k = np.where(d < model.eps_trunc, k, model.floor)
     return k
 
 
@@ -155,14 +164,13 @@ def assemble_weights(
         return WeightAssignment(0, masses)
     if t.shape[0] == 0:
         return WeightAssignment(p, np.empty(0))
-    kmat = kernel_matrix(model, space)
     m = t.shape[0]
     density = np.zeros(m)
     for k in range(p + 1):
         prod = np.ones(m)
         for l in range(p + 1):
             if l != k:
-                prod = prod * kmat[t[:, k], t[:, l]]
+                prod = prod * _pair_kernel(model, space, t[:, k], t[:, l])
         density += prod
     density /= p + 1
     wprod = np.prod(space.weights[t], axis=1)

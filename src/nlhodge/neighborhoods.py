@@ -13,7 +13,7 @@ from itertools import islice
 import numpy as np
 import scipy.sparse as sp
 
-from .space import MetricMeasureSpace
+from .space import _SWEEP_ROWS, MetricMeasureSpace
 
 
 class AdmissibilityError(ValueError):
@@ -78,13 +78,16 @@ class TupleSet:
         if not (t[:, 1:] > t[:, :-1]).all():
             raise AdmissibilityError("tuples must be strictly increasing")
         keys = _sort_keys(t)
-        if (keys[1:] < keys[:-1]).any():
-            raise AdmissibilityError("tuples must be lexicographically sorted")
-        if (keys[1:] == keys[:-1]).any():
+        if not (keys[1:] > keys[:-1]).all():
+            if (keys[1:] < keys[:-1]).any():
+                raise AdmissibilityError("tuples must be lexicographically sorted")
             raise AdmissibilityError("duplicate tuples")
         t.setflags(write=False)
         object.__setattr__(self, "tuples", t)
         object.__setattr__(self, "_keys", keys)
+        # m sorted distinct points running from 0 to m-1 are all of 0..m-1
+        identity = t.shape[1] == 1 and t.size > 0 and t[0, 0] == 0 and t[-1, 0] == t.shape[0] - 1
+        object.__setattr__(self, "_identity", bool(identity))
 
     @property
     def size(self) -> int:
@@ -94,14 +97,18 @@ class TupleSet:
         """Row index of each query row, -1 where a row is absent.
 
         rows has shape (..., degree+1); the result has shape rows.shape[:-1].
-        Rows are searched as byte strings that sort like the rows themselves
-        (see _sort_keys), so one binary search answers every query.
+        Rows are searched as keys that sort like the rows themselves (see
+        _sort_keys), so one binary search answers every query. A set of the
+        single points 0..m-1 maps each point in range to itself.
         """
         q = np.asarray(rows, dtype=np.int64)
         k = self.degree + 1
         if q.shape[-1:] != (k,) or self.size == 0:
             return np.full(q.shape[:-1], -1, dtype=np.int64)
         flat = q.reshape(-1, k)
+        if self._identity:
+            v = flat[:, 0]
+            return np.where((v >= 0) & (v < self.size), v, -1).reshape(q.shape[:-1])
         pos = np.searchsorted(self._keys, _sort_keys(flat))
         np.minimum(pos, self.size - 1, out=pos)
         found = (self.tuples[pos] == flat).all(axis=1)
@@ -122,10 +129,15 @@ class TupleSet:
 
 
 def _sort_keys(rows: np.ndarray) -> np.ndarray:
-    """(m, k) int64 rows as m byte strings whose bytewise order is the rows'
-    lexicographic order: sign bit flipped, then big-endian. Unlike a mixed-radix
-    key these cannot overflow, and numpy compares them natively (memcmp).
+    """(m, k) int64 rows as m keys in the rows' lexicographic order.
+
+    A single column is its own key. Wider rows become byte strings whose
+    bytewise order is the rows' order: sign bit flipped, then big-endian.
+    Unlike a mixed-radix key these cannot overflow, and numpy compares them
+    natively (memcmp).
     """
+    if rows.shape[1] == 1:
+        return rows[:, 0]
     return (rows ^ np.int64(-(2**63))).astype(">i8").view(f"S{8 * rows.shape[1]}").ravel()
 
 
@@ -152,14 +164,22 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
     if p < 0:
         raise AdmissibilityError("degree must be nonnegative")
     n = space.n
-    if system.kind == "full":
-        holds = np.ones((n, n), dtype=bool)
-    elif system.kind == "rips":
-        holds = space.dist < system.eps if system.strict else space.dist <= system.eps
-    else:
-        # balls around sample points, see NeighborhoodSystem
-        holds = space.dist <= system.eps
-    rounds = _row_rounds(sp.csr_matrix(holds), set_family=system.kind == "hausdorff")
+    if p == 0 and system.kind != "hausdorff":
+        # the clique rule's empty row allows every point
+        return TupleSet(0, np.arange(n)[:, None])
+    # full: every pair; hausdorff: balls around sample points, see NeighborhoodSystem
+    eps = np.inf if system.kind == "full" else system.eps
+    admits = np.less if system.kind == "rips" and system.strict else np.less_equal
+    # the CSR of holds, a block of rows at a time: no n x n temporary
+    indices, counts = [], []
+    for r0 in range(0, n, _SWEEP_ROWS):
+        block = admits(space.dist[r0 : r0 + _SWEEP_ROWS], eps)
+        indices.append((np.flatnonzero(block) % n).astype(np.int32))
+        counts.append(np.count_nonzero(block, axis=1))
+    indices = np.concatenate(indices)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    holds = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n))
+    rounds = _row_rounds(holds, set_family=system.kind == "hausdorff")
     return TupleSet(p, next(islice(rounds, p, None)))
 
 
@@ -167,16 +187,21 @@ def _row_rounds(holds: sp.csr_matrix, set_family: bool):
     """Admissible rows of 1, 2, 3, ... members, one int64 array per round, by
     the rules of enumerate_tuples; holds[v, w] says that witness w admits item
     v. A round's witnesses are computed only when the next round is asked for.
+    The one-member row (v) has the witnesses holds[v] under both rules.
     """
     # sets[w, v] = holds[v, w]; a sparse boolean product ORs the sets holding a row
     sets = holds.T.tocsr() if set_family else None
-    rows = np.empty((1, 0), dtype=np.int64)
-    witnesses = sp.csr_matrix(np.ones((1, holds.shape[1]), dtype=bool))
+    # the empty row allows every point under the clique rule, and under the
+    # set-family rule every item that some set holds
+    v = np.flatnonzero(holds.getnnz(axis=1)) if set_family else np.arange(holds.shape[0])
+    rows = v[:, None]
+    yield rows
+    witnesses = holds[v]
     while True:
         allowed = witnesses if sets is None else witnesses @ sets
         allowed.sort_indices()
         r, v = allowed.nonzero()
-        above = v > rows.max(axis=1, initial=-1)[r]
+        above = v > rows[r, -1]
         r, v = r[above], v[above]
         rows = np.column_stack([rows[r], v])
         yield rows

@@ -46,7 +46,7 @@ MIN_SEPARATION_WARN = 1e-9
 # Tiling of the triangle scan: rows per block and intermediate points per
 # NumPy call; each worker's scratch holds _scratch_size(n, itemsize) entries.
 _ROW_BLOCK = 16
-_J_CHUNK = 8
+_J_CHUNK = 16
 # Rows per step of the O(n^2) sweeps that would otherwise make an n x n temporary.
 _SWEEP_ROWS = 64
 
@@ -320,10 +320,11 @@ def gen_circle(n: int, radius: float = 1.0) -> MetricMeasureSpace:
     if radius <= 0:
         raise SpaceValidationError("radius must be positive")
     idx = np.arange(n)
-    k = np.abs(idx[:, None] - idx[None, :])
-    k = np.minimum(k, n - k)
     step = radius * (2.0 * np.pi / n)
-    dist = step * k
+    dist = np.empty((n, n))
+    for r0 in range(0, n, _SWEEP_ROWS):
+        k = np.abs(idx[r0 : r0 + _SWEEP_ROWS, None] - idx[None, :])
+        np.multiply(step, np.minimum(k, n - k, out=k), out=dist[r0 : r0 + _SWEEP_ROWS])
     weights = np.full(n, 2.0 * np.pi * radius / n)
     return MetricMeasureSpace(dist, weights, {"generator": "circle", "n": n, "radius": radius, "dim": 1})
 

@@ -28,6 +28,10 @@ three n x n temporaries (the identity, its scaled copy and the masked sum).
 `dense_low_spectrum` is the dense branch of `hodge._low_spectrum` before it
 solved in place: a whole |S| temporary for the Gershgorin bound and numpy's
 `eigvalsh`, which solves a private copy, so two m x m arrays are live at once.
+`dense_masses` is `assemble_weights` before it evaluated the kernel on the
+tuples' own pairs: the dense kernel matrix (distances plus the identity,
+raised to the power, truncated, zero diagonal), read at every ordered member
+pair.
 `partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
 helpers that only the tests use.
 `cover_system` and `admissible_tuples` are the cover-set neighbourhood
@@ -137,6 +141,31 @@ def dense_low_spectrum(S) -> tuple[np.ndarray, float]:
     gersh = float(abs(S).sum(axis=1).max())
     eigs = np.linalg.eigvalsh(S)
     return eigs, max(gersh, float(eigs[-1]))
+
+
+def dense_masses(model, space, tuples: np.ndarray) -> np.ndarray:
+    """Tuple masses of degree >= 1 through the dense n x n kernel matrix."""
+    if model.kind == "constant":
+        kmat = np.full_like(space.dist, model.scale)
+    elif model.kind == "custom":
+        kmat = model.table.copy()
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            rho = space.dist + np.eye(space.n)
+            kmat = model.scale * rho ** (-(model.d + model.alpha))
+        if model.kind == "truncated_fractional":
+            kmat = np.where(space.dist < model.eps_trunc, kmat, model.floor)
+    np.fill_diagonal(kmat, 0.0)
+    m, k = tuples.shape
+    density = np.zeros(m)
+    for a in range(k):
+        prod = np.ones(m)
+        for b in range(k):
+            if b != a:
+                prod = prod * kmat[tuples[:, a], tuples[:, b]]
+        density += prod
+    density /= k
+    return math.factorial(k) * density * np.prod(space.weights[tuples], axis=1)
 
 
 def dict_locate(stored, queries) -> np.ndarray:

@@ -18,7 +18,7 @@ from nlhodge.kernels import (
     truncated_fractional_kernel,
 )
 
-from oracles import check_kernel_conditions, eval_kernel, rescaled
+from oracles import check_kernel_conditions, dense_masses, eval_kernel, rescaled
 
 
 def unit_triangle(side=1.0):
@@ -305,3 +305,35 @@ def test_masses_on_scale_restricted_tuples():
     w_all = assemble_weights(model, space, all_pairs)
     for row, mass in zip(restricted.tuples, w_restricted.masses):
         assert mass == w_all.masses[all_pairs.index_of(row)]
+
+
+# --- masses from the tuples' own pairs ----------------------------------------
+
+
+def nearly_symmetric(rng, a):
+    """a with its upper triangle one ulp higher: symmetric only within tolerance."""
+    a = a.copy()
+    upper = np.triu_indices(a.shape[0], 1)
+    a[upper] = np.nextafter(a[upper], np.inf)
+    assert not np.array_equal(a, a.T)
+    return a
+
+
+@pytest.mark.parametrize("kind", ["fractional", "truncated_fractional", "constant", "custom"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_masses_equal_the_dense_kernel_formula_bit_for_bit(kind, p):
+    # Every ordered member pair (k, l) reads dist[t_k, t_l], and dist[t_l, t_k]
+    # differs from it in the last bit, so a kernel read in one order only fails.
+    rng = np.random.default_rng(31)
+    base = random_space(rng, 9)
+    space = MetricMeasureSpace(nearly_symmetric(rng, base.dist), base.weights)
+    table = rng.uniform(1.0, 2.0, (9, 9))
+    model = {
+        "fractional": fractional_kernel(1.0, 0.7, scale=1.3),
+        "truncated_fractional": truncated_fractional_kernel(1.0, 1.1, eps_trunc=0.4, floor=0.5),
+        "constant": constant_kernel(3.0),
+        "custom": custom_kernel(nearly_symmetric(rng, (table + table.T) / 2)),
+    }[kind]
+    ts = enumerate_tuples(space, full_system(), p)
+    got = assemble_weights(model, space, ts).masses
+    assert np.array_equal(got, dense_masses(model, space, ts.tuples))

@@ -1,16 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlhodge import neighborhoods
 from nlhodge.space import MetricMeasureSpace, gen_circle, gen_interval
 from nlhodge.neighborhoods import (
     AdmissibilityError,
     TupleSet,
     check_face_closure,
     enumerate_tuples,
+    faces,
     full_system,
     hausdorff_system,
     rips_system,
@@ -220,3 +223,62 @@ def test_empty_degree_above_point_count():
     space = gen_interval(3)
     ts = enumerate_tuples(space, full_system(), 5)
     assert ts.size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_locate_on_the_points_0_to_m_matches_a_dict_lookup(m, data):
+    # the set every enumeration gives at degree 0; queries may be negative,
+    # too large, anywhere in int64, or repeated
+    ts = TupleSet(0, np.arange(m)[:, None])
+    point = st.one_of(st.integers(-3, m + 3), st.integers(-(2**63), 2**63 - 1))
+    queries = data.draw(st.lists(point, max_size=20))
+    queries = np.array(queries + queries[:3], dtype=np.int64).reshape(-1, 1)
+    got = ts.locate(queries)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, dict_locate(ts.tuples, queries))
+    assert np.array_equal(ts.locate(queries.reshape(-1, 1, 1)), got.reshape(-1, 1))
+
+
+@pytest.mark.parametrize("system", [rips_system(1.1), hausdorff_system(0.6), full_system()],
+                         ids=["rips", "hausdorff", "full"])
+def test_enumerated_points_are_located_without_a_search(system, monkeypatch):
+    space = gen_circle(12)
+    points = enumerate_tuples(space, system, 0)
+    pairs = enumerate_tuples(space, system, 1)
+    assert np.array_equal(points.tuples, np.arange(12)[:, None])
+
+    def no_search(rows):
+        raise AssertionError("degree-0 lookup searched its keys")
+
+    monkeypatch.setattr(neighborhoods, "_sort_keys", no_search)
+    cols = points.locate(faces(pairs.tuples))
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, pairs.tuples[:, ::-1])
+
+
+@pytest.fixture(scope="module")
+def circles():
+    return {n: gen_circle(n) for n in (1024, 2048)}
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("p", [1, 2])
+def test_enumeration_and_masses_peak_near_their_output(circles, n, p):
+    # strict rips at 7 steps: 6 neighbours on each side. Nothing n x n is
+    # built, so each peak is a small multiple of what the call returns.
+    from nlhodge.kernels import assemble_weights, fractional_kernel
+
+    space = circles[n]
+    tracemalloc.start()
+    try:
+        ts = enumerate_tuples(space, rips_system(7 * 2 * np.pi / n), p)
+        held, enum_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        masses = assemble_weights(fractional_kernel(1.0, 0.5), space, ts).masses
+        mass_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert ts.size == n * (6, 15)[p - 1]
+    assert enum_peak < 10 * ts.tuples.nbytes
+    assert mass_peak < 8 * masses.nbytes

@@ -14,6 +14,7 @@ from nlhodge import space as space_module
 from nlhodge.space import (
     _J_CHUNK,
     _ROW_BLOCK,
+    _SWEEP_ROWS,
     METRIC_TOL,
     MIN_SEPARATION_WARN,
     MetricMeasureSpace,
@@ -37,6 +38,15 @@ def test_circle_distances_follow_arc_law_exactly():
         for j in range(n):
             k = min(abs(i - j), n - abs(i - j))
             assert space.dist[i, j] == step * k
+
+
+def test_circle_row_blocks_give_the_closed_form_bits():
+    # several row blocks and a short last one
+    n, radius = 3 * _SWEEP_ROWS + 5, 1.7
+    idx = np.arange(n)
+    k = np.abs(idx[:, None] - idx[None, :])
+    want = radius * (2.0 * np.pi / n) * np.minimum(k, n - k)
+    assert np.array_equal(gen_circle(n, radius).dist, want)
 
 
 def test_circle_total_mass_is_circumference():
@@ -615,3 +625,9 @@ def test_more_workers_than_cores_find_a_violation_in_any_block(monkeypatch):
                 assert _outcome(_check_metric, d) == expected, (a, cap)
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_scan_scratch_stays_small_at_n_1024():
+    # one worker's scratch against the 8 MiB matrix it scans: a wider j-chunk
+    # multiplies it, so raising _J_CHUNK past 16 fails here
+    assert space_module._scratch_size(1024, 8) * 8 < 3 * 2**20
