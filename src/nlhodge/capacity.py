@@ -41,10 +41,7 @@ class CapacityError(ValueError):
 @dataclass(eq=False)
 class CapacityProblem:
     space: MetricMeasureSpace
-    system: NeighborhoodSystem
-    kernel: KernelModel
-    target: np.ndarray  # K, point indices
-    clamp: np.ndarray  # K plus the one-mesh-width ring
+    clamp: np.ndarray  # the target set K plus the one-mesh-width ring
     energy: sp.csr_matrix  # W_0 + B_0^T W_1 B_0
 
 
@@ -70,7 +67,7 @@ def build_capacity_problem(
     W0 = sp.diags(cx.mass_vector(0))
     W1 = sp.diags(cx.mass_vector(1))
     energy = (W0 + B0.T @ W1 @ B0).tocsr()
-    return CapacityProblem(space, system, kernel, target, clamp, energy)
+    return CapacityProblem(space, clamp, energy)
 
 
 @dataclass(frozen=True)

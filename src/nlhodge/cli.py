@@ -171,8 +171,6 @@ def _agreement_exit(statuses) -> int:
 def cmd_sweep(args) -> int:
     from dataclasses import replace
 
-    import numpy as np
-
     from .hodge import build_weighted_complex, hodge_report
     from .cohomology import exact_betti, compare_numeric_exact
     from .kernels import assemble_weights
@@ -209,10 +207,12 @@ def cmd_sweep(args) -> int:
                 ]
             row = [f"{eps:.17g}", f"{alpha:.17g}"]
             for p, rep in enumerate(reports[id(k)]):
-                eigs = np.asarray(rep.eigenvalues)
-                pos = eigs[eigs >= rep.threshold] if eigs.size else np.empty(0)
-                min_pos = float(pos[0]) if pos.size else float("nan")
-                harmonic = "uncertain" if rep.harmonic_dim is None else str(rep.harmonic_dim)
+                # the eigenvalues ascend, so the lowest non-harmonic one sits
+                # at index harmonic_dim, if the eigensolve computed it
+                h = rep.harmonic_dim
+                computed = h is not None and h < len(rep.eigenvalues)
+                min_pos = rep.eigenvalues[h] if computed else float("nan")
+                harmonic = "uncertain" if h is None else str(h)
                 row += [str(betti.betti[p]), harmonic, f"{min_pos:.17g}"]
             lines.append(",".join(row))
             statuses += compare_numeric_exact(reports[id(k)], betti).status

@@ -7,7 +7,6 @@ of the sorting permutation, and repeated-index tuples evaluate to zero.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,15 +64,6 @@ class Cochain:
         except KeyError:
             raise CochainError(f"tuple {key} is not admissible at degree {self.degree}")
         return sign * float(self.values[row])
-
-    def to_json(self) -> dict:
-        digest = hashlib.sha256(self.tuple_set.tuples.tobytes()).hexdigest()
-        return {
-            "schema": 1,
-            "degree": self.degree,
-            "tuple_set_sha256": digest,
-            "values": self.values.tolist(),
-        }
 
 
 def alt_project(evaluator, tuple_set: TupleSet) -> Cochain:
@@ -143,10 +133,6 @@ class CoboundaryOperator:
     source: TupleSet
     target: TupleSet
     matrix: sp.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def build_coboundary(source: TupleSet, target: TupleSet) -> CoboundaryOperator:

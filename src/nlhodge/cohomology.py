@@ -147,20 +147,24 @@ class BettiReport:
         }
 
 
+def _betti(differences: list, parameters: dict) -> BettiReport:
+    """Betti numbers of the cochain complex with differences D_0, D_1, ...
+
+    dim_q is D_q.shape[1], and beta_q = dim_q - rank D_q - rank D_{q-1}. Each
+    rank is reduced over both primes, with clearing across degrees.
+    """
+    cleared: dict = {}
+    ranks, certain = zip(*(_cleared_rank(D, cleared) for D in differences))
+    dims = tuple(D.shape[1] for D in differences)
+    betti = tuple(dims[q] - ranks[q] - (ranks[q - 1] if q else 0) for q in range(len(dims)))
+    return BettiReport(betti, dims, ranks, certain, parameters)
+
+
 def exact_betti(complex_, parameters: dict | None = None) -> BettiReport:
     """Betti numbers for degrees 0..p_max of a weighted complex, each rank
     over two primes."""
-    p_max = complex_.p_max
-    dims = [complex_.dim(p) for p in range(p_max + 1)]
-    cleared: dict = {}
-    ranks, certain = zip(
-        *(_cleared_rank(complex_.coboundary(p).matrix, cleared) for p in range(p_max + 1))
-    )
-    betti = []
-    for p in range(p_max + 1):
-        below = ranks[p - 1] if p >= 1 else 0
-        betti.append(dims[p] - ranks[p] - below)
-    return BettiReport(tuple(betti), tuple(dims), ranks, certain, dict(parameters or {}))
+    differences = [complex_.coboundary(p).matrix for p in range(complex_.p_max + 1)]
+    return _betti(differences, dict(parameters or {}))
 
 
 @dataclass(frozen=True)

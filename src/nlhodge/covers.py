@@ -18,8 +18,8 @@ import scipy.sparse as sp
 
 from .space import MetricMeasureSpace
 from .neighborhoods import NeighborhoodSystem, TupleSet, _row_rounds, faces
-from .cohomology import _cleared_rank, BettiReport
-from .hodge import WeightedComplex
+from .cohomology import BettiReport, _betti, _cleared_rank, compare_numeric_exact, exact_betti
+from .hodge import WeightedComplex, hodge_report
 
 
 # Mayer-Vietoris rows whose assembled matrices hold at most this many rows
@@ -193,26 +193,12 @@ def _nerve(cover: CoverSystem, depth: int) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class MVCertificate:
     degree: int
-    q_max: int
     injective: bool
     rows: tuple  # per-q dicts: dim, rank_in, dim_kernel, exact
     reconstruction_ok: bool
     exact: bool
     crosscheck: str = "skipped"  # global-assembly rank comparison: pass/skipped/fail/uncertain
     multiplicity_histogram: tuple = ()  # (#covering balls, #tuples) pairs
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "degree": self.degree,
-            "q_max": self.q_max,
-            "injective": self.injective,
-            "rows": list(self.rows),
-            "reconstruction_ok": self.reconstruction_ok,
-            "exact": self.exact,
-            "crosscheck": self.crosscheck,
-            "multiplicity_histogram": [list(pair) for pair in self.multiplicity_histogram],
-        }
 
 
 def _cech_differences(levels) -> list[sp.csr_matrix]:
@@ -394,8 +380,7 @@ def mayer_vietoris_check(
 
     hist = tuple((int(s), int(c)) for s, c in sorted(s_counts.items()))
     return MVCertificate(
-        p, q_max, injective, tuple(rows_out), recon_ok, bool(exact_all and recon_ok),
-        crosscheck, hist,
+        p, injective, tuple(rows_out), recon_ok, bool(exact_all and recon_ok), crosscheck, hist
     )
 
 
@@ -440,6 +425,8 @@ def _nerve_differences(cover: CoverSystem, q_max: int) -> list[sp.csr_matrix]:
     the point difference at its smallest point, with columns read through
     the lower level's labels.
     """
+    # scipy.sparse does not load csgraph: importing it here keeps its ~0.9 MB
+    # out of every process that only imports this module
     from scipy.sparse.csgraph import connected_components
 
     near = sp.csr_matrix(cover.space.dist < cover.eps)
@@ -471,20 +458,12 @@ def cech_nerve_betti(cover: CoverSystem, q_max: int = 2) -> BettiReport:
 
     Cochains are locally constant on each intersection: one coordinate per
     connected component (eps-connectivity), so disconnected overlaps are
-    handled correctly. Ranks of the Cech differentials are exact, over both
-    primes with clearing across levels as in `exact_betti`, and a degree that
-    reads an unsettled rank is uncertain.
+    handled correctly. The Betti numbers come from the Cech differentials by
+    the formula of `exact_betti`: exact ranks over both primes, with clearing
+    across levels, and a degree that reads an unsettled rank is uncertain.
     """
-    deltas = _nerve_differences(cover, q_max)
-    cleared: dict = {}
-    ranks, certain = zip(*(_cleared_rank(D, cleared) for D in deltas))
-    dims = [D.shape[1] for D in deltas]
-    betti = [dims[q] - ranks[q] - (ranks[q - 1] if q else 0) for q in range(q_max + 1)]
-    return BettiReport(
-        tuple(betti),
-        tuple(dims),
-        ranks,
-        certain,
+    return _betti(
+        _nerve_differences(cover, q_max),
         {"route": "cech-nerve", "eps": cover.eps, "eta": cover.eta, "n_balls": cover.n_balls},
     )
 
@@ -671,18 +650,14 @@ def reference_betti(space: MetricMeasureSpace, p_max: int) -> tuple:
     return tuple(ref[p] if p < len(ref) else 0 for p in range(p_max + 1))
 
 
-def derham_recovery_report(
-    complex_: WeightedComplex, cover: CoverSystem | None = None, q_max: int = 2
-) -> dict:
+def derham_recovery_report(complex_: WeightedComplex, cover: CoverSystem | None = None) -> dict:
     """Compare spectral, exact-field, and (optionally) Cech-nerve Betti numbers.
 
     The spectral counts match the exact ones only when every degree's status
     is 'agree': a disagreement or an uncertain count fails the comparison.
-    The Cech numbers match the reference only when no nerve degree is uncertain.
+    The Cech numbers, in degrees up to min(2, p_max), match the reference only
+    when no nerve degree is uncertain.
     """
-    from .cohomology import exact_betti, compare_numeric_exact
-    from .hodge import hodge_report
-
     betti = exact_betti(complex_)
     reports = [
         hodge_report(complex_, p, oracle=betti.betti[p]) for p in range(complex_.p_max + 1)
@@ -700,7 +675,7 @@ def derham_recovery_report(
         "spectral_matches_exact": agreement.all_agree,
     }
     if cover is not None:
-        nerve = cech_nerve_betti(cover, q_max=min(q_max, complex_.p_max))
+        nerve = cech_nerve_betti(cover, q_max=min(2, complex_.p_max))
         nerve_trunc = tuple(nerve.betti[: complex_.p_max + 1])
         out["cech"] = list(nerve.betti)
         out["cech_uncertain"] = list(nerve.uncertain)

@@ -20,8 +20,8 @@ import scipy.sparse.linalg as spla
 
 from .space import MetricMeasureSpace
 from .neighborhoods import NeighborhoodSystem, TupleSet, enumerate_tuples
-from .kernels import KernelModel, WeightAssignment, _pair_kernel, assemble_weights
-from .cochains import Cochain, CoboundaryOperator, build_coboundary
+from .kernels import KernelModel, _pair_kernel, assemble_weights
+from .cochains import Cochain, CoboundaryOperator, build_coboundary, multiply_power
 
 # Largest Laplacian solved densely: above it one shift-invert eigsh is faster.
 DENSE_EIG_CUTOFF = 700
@@ -61,14 +61,14 @@ class WeightedComplex:
     kernel: KernelModel
     p_max: int
     tuple_sets: list[TupleSet]
-    weights: list[WeightAssignment]
+    weights: list[np.ndarray]  # read-only tuple masses W_p
     coboundaries: list[CoboundaryOperator]  # B_p: degree p -> p+1, p = 0..p_max
 
     def dim(self, p: int) -> int:
         return self.tuple_sets[p].size if 0 <= p <= self.p_max + 1 else 0
 
     def mass_vector(self, p: int) -> np.ndarray:
-        return self.weights[p].masses
+        return self.weights[p]
 
     def coboundary(self, p: int) -> CoboundaryOperator:
         if not (0 <= p <= self.p_max):
@@ -197,7 +197,6 @@ class HarmonicCount:
     dimension: int | None  # None: the eigensolve failed its guard, so there is no count
     eigenvalues: np.ndarray
     threshold: float | None
-    max_eig_bound: float | None
     flagged: bool
     oracle_used: bool = False
 
@@ -216,12 +215,12 @@ def harmonic_dimension(
     try:
         eigs, max_eig = _low_spectrum(_laplacian_csr(complex_, p))
     except NumericalError:
-        return HarmonicCount(None, np.empty(0), None, None, False)
+        return HarmonicCount(None, np.empty(0), None, False)
     m = complex_.dim(p)
     tau = m * max_eig * HARMONIC_TOL_FACTOR
     if max_eig == 0.0:
         # identically zero operator (or no tuples): everything is harmonic
-        return HarmonicCount(m, eigs, 0.0, 0.0, False)
+        return HarmonicCount(m, eigs, 0.0, False)
     count = int(np.sum(eigs < tau))
     below = eigs[eigs < tau]
     above = eigs[eigs >= tau]
@@ -232,7 +231,7 @@ def harmonic_dimension(
         if lo > 0 and hi / lo < GAP_AMBIGUITY_FACTOR:
             flagged = True
     oracle_used = flagged and oracle is not None and oracle != count
-    return HarmonicCount(count, eigs, tau, max_eig, flagged, oracle_used)
+    return HarmonicCount(count, eigs, tau, flagged, oracle_used)
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,7 @@ class HodgeReport:
     degree: int
     dimension: int
     harmonic_dim: int | None
-    eigenvalues: tuple
+    eigenvalues: tuple  # every computed eigenvalue, ascending; the JSON keeps 32
     threshold: float | None
     flagged: bool
     oracle_betti: int | None
@@ -266,7 +265,7 @@ def hodge_report(complex_: WeightedComplex, p: int, oracle: int | None = None) -
         p,
         complex_.dim(p),
         hc.dimension,
-        tuple(float(v) for v in hc.eigenvalues[: min(64, hc.eigenvalues.size)]),
+        tuple(float(v) for v in hc.eigenvalues),
         hc.threshold,
         hc.flagged,
         oracle,
@@ -415,8 +414,6 @@ def multiplier_bound_check(
     complex_: WeightedComplex, p: int, chi: np.ndarray, F: Cochain
 ) -> MultiplierCheck:
     """Verify the graph-norm bound for the tensor-power action of chi."""
-    from .cochains import multiply_power
-
     c = multiplier_constant(complex_, p, chi)
     _, _, graph_f = energy_norms(complex_, p, F)
     chiF = multiply_power(chi, F)

@@ -140,46 +140,35 @@ def _pair_kernel(model: KernelModel, space: MetricMeasureSpace, i, j) -> np.ndar
     return k
 
 
-@dataclass(frozen=True, eq=False)
-class WeightAssignment:
-    """Strictly positive tuple masses for one degree."""
-
-    degree: int
-    masses: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.masses, dtype=float))
-        m.setflags(write=False)
-        object.__setattr__(self, "masses", m)
-
-
 def assemble_weights(
     model: KernelModel, space: MetricMeasureSpace, tuple_set: TupleSet
-) -> WeightAssignment:
-    """Fold the degree-p density over sorted tuples into per-tuple masses."""
+) -> np.ndarray:
+    """Fold the degree-p density over sorted tuples into per-tuple masses.
+
+    The masses are strictly positive and come back as a read-only array.
+    """
     p = tuple_set.degree
     t = tuple_set.tuples
     if p == 0:
-        masses = space.weights[t[:, 0]] if t.size else np.empty(0)
-        return WeightAssignment(0, masses)
-    if t.shape[0] == 0:
-        return WeightAssignment(p, np.empty(0))
-    m = t.shape[0]
-    density = np.zeros(m)
-    for k in range(p + 1):
-        prod = np.ones(m)
-        for l in range(p + 1):
-            if l != k:
-                prod = prod * _pair_kernel(model, space, t[:, k], t[:, l])
-        density += prod
-    density /= p + 1
-    wprod = np.prod(space.weights[t], axis=1)
-    masses = math.factorial(p + 1) * density * wprod
-    if not np.isfinite(masses).all():
-        bad = int(np.argwhere(~np.isfinite(masses))[0])
-        raise KernelError(f"non-finite mass for tuple {tuple(t[bad])}")
-    if masses.min() <= 0.0:
-        bad = int(np.argmin(masses))
-        raise KernelError(f"non-positive mass for tuple {tuple(t[bad])}")
-    return WeightAssignment(p, masses)
-
+        masses = space.weights[t[:, 0]]  # a copy: fancy indexing never aliases
+    elif t.shape[0] == 0:
+        masses = np.empty(0)
+    else:
+        m = t.shape[0]
+        density = np.zeros(m)
+        for k in range(p + 1):
+            prod = np.ones(m)
+            for l in range(p + 1):
+                if l != k:
+                    prod = prod * _pair_kernel(model, space, t[:, k], t[:, l])
+            density += prod
+        density /= p + 1
+        masses = math.factorial(p + 1) * density * np.prod(space.weights[t], axis=1)
+        if not np.isfinite(masses).all():
+            bad = int(np.argwhere(~np.isfinite(masses))[0])
+            raise KernelError(f"non-finite mass for tuple {tuple(t[bad])}")
+        if masses.min() <= 0.0:
+            bad = int(np.argmin(masses))
+            raise KernelError(f"non-positive mass for tuple {tuple(t[bad])}")
+    masses.setflags(write=False)
+    return masses

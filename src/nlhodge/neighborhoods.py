@@ -124,9 +124,6 @@ class TupleSet:
     def contains(self, sorted_tuple) -> bool:
         return bool(self.locate(sorted_tuple) >= 0)
 
-    def to_json(self) -> dict:
-        return {"schema": 1, "degree": self.degree, "tuples": self.tuples.tolist()}
-
 
 def _sort_keys(rows: np.ndarray) -> np.ndarray:
     """(m, k) int64 rows as m keys in the rows' lexicographic order.

@@ -55,7 +55,7 @@ class SpaceValidationError(ValueError):
     """Raised when a distance matrix or weight vector fails validation."""
 
 
-def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
+def _check_metric(dist: np.ndarray) -> None:
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise SpaceValidationError(f"distance matrix must be square, got shape {dist.shape}")
     n = dist.shape[0]
@@ -65,12 +65,12 @@ def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
         bad = np.argwhere(~np.isfinite(dist))[0]
         raise SpaceValidationError(f"non-finite distance at ({bad[0]}, {bad[1]})")
     worst, (i, j) = _asymmetry(dist)
-    if worst > tol:
+    if worst > METRIC_TOL:
         raise SpaceValidationError(
             f"asymmetric distances at ({i}, {j}): {dist[i, j]!r} vs {dist[j, i]!r}"
         )
     diag = np.abs(np.diagonal(dist))
-    if diag.max(initial=0.0) > tol:
+    if diag.max(initial=0.0) > METRIC_TOL:
         i = int(np.argmax(diag))
         raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {dist[i, i]!r}")
     if n > 1:
@@ -85,10 +85,10 @@ def _check_metric(dist: np.ndarray, tol: float = METRIC_TOL) -> None:
     for i in np.flatnonzero(np.diagonal(dist) < 0):
         # the triples (i, i, k) and (k, i, i) fail on d_ii alone, so they name it
         row, col = dist[i], dist[:, i]
-        if min(((dist[i, i] + row) - row).min(), ((col + dist[i, i]) - col).min()) < -tol:
+        if min(((dist[i, i] + row) - row).min(), ((col + dist[i, i]) - col).min()) < -METRIC_TOL:
             raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {dist[i, i]!r}")
-    if not _triangle_holds(dist, tol, symmetric=worst == 0):
-        raise SpaceValidationError(_triangle_violation(dist, tol))
+    if not _triangle_holds(dist, METRIC_TOL, symmetric=worst == 0):
+        raise SpaceValidationError(_triangle_violation(dist, METRIC_TOL))
     if n > 1:
         min_sep = min(min_off, np.min(np.diagonal(dist) + dist.max()))
         if min_sep < MIN_SEPARATION_WARN:

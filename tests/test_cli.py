@@ -259,6 +259,38 @@ def test_sweep_parses_the_kernel_table_once(tmp_path, monkeypatch, capsys):
         assert all(r[:1] + r[2:] == first[:1] + first[2:] for r in rest)
 
 
+def _sweep_rows(capsys, *args):
+    from nlhodge import cli
+
+    assert cli.main(["sweep", "--pmax", "1", *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+def test_sweep_min_pos_eig_past_64_harmonic_forms(tmp_path, monkeypatch, capsys):
+    # 70 two-point clusters: 70 harmonic 0-forms, then 70 positive eigenvalues.
+    # The cell used to read only the lowest 64 eigenvalues and print nan.
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    x = (np.arange(70)[:, None] + np.array([0.0, 0.01])).ravel()
+    dist = tmp_path / "clusters.csv"
+    np.savetxt(dist, np.abs(x[:, None] - x[None, :]), delimiter=",", fmt="%.17g")
+    (row,) = _sweep_rows(capsys, "--space", "file", "--dist", str(dist),
+                         "--eps-grid", "0.05", "--alpha-grid", "0.5")
+    assert (row["betti_0"], row["harmonic_0"]) == ("70", "70")
+    assert float(row["min_pos_eig_0"]) > 0.0
+
+
+def test_sweep_min_pos_eig_of_a_zero_laplacian_is_nan(monkeypatch, capsys):
+    # At eps 0.5 the 10-point circle has no edges: every eigenvalue of the
+    # degree-0 Laplacian is a harmonic 0, so none is positive.
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    rows = _sweep_rows(capsys, "--space", "circle", "--n", "10",
+                       "--eps-grid", "0.5", "--alpha-grid", "0.5,1.5")
+    assert len(rows) == 2
+    for row in rows:
+        assert (row["betti_0"], row["harmonic_0"], row["min_pos_eig_0"]) == ("10", "10", "nan")
+
+
 # --- verify ---------------------------------------------------------------------
 
 

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -96,17 +95,6 @@ def test_value_shape_checked():
         Cochain(1, ts, np.zeros(ts.size + 1))
     with pytest.raises(CochainError, match="degree"):
         Cochain(2, ts, np.zeros(ts.size))
-
-
-def test_cochain_json_round_trip():
-    rng = np.random.default_rng(1)
-    ts = full_tuples(5, 1)
-    F = random_cochain(rng, ts)
-    data = json.loads(json.dumps(F.to_json(), sort_keys=True))
-    assert data["schema"] == 1
-    assert data["degree"] == 1
-    assert data["values"] == F.values.tolist()
-    assert len(data["tuple_set_sha256"]) == 64
 
 
 # --- projectors --------------------------------------------------------------

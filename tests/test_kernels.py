@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlhodge.space import MetricMeasureSpace, gen_circle
-from nlhodge.neighborhoods import enumerate_tuples, full_system, rips_system
+from nlhodge.neighborhoods import TupleSet, enumerate_tuples, full_system, rips_system
+from nlhodge.hodge import build_weighted_complex
 from nlhodge.kernels import (
     KernelError,
     assemble_weights,
@@ -93,7 +94,7 @@ def test_point_masses_are_the_point_weights():
     space = unit_triangle()
     ts = enumerate_tuples(space, full_system(), 0)
     w = assemble_weights(fractional_kernel(1.0, 0.5), space, ts)
-    assert np.array_equal(w.masses, space.weights)
+    assert np.array_equal(w, space.weights)
 
 
 def test_triangle_mass_with_unit_kernel_is_six():
@@ -102,8 +103,8 @@ def test_triangle_mass_with_unit_kernel_is_six():
     space = unit_triangle()
     ts = enumerate_tuples(space, full_system(), 2)
     w = assemble_weights(constant_kernel(1.0), space, ts)
-    assert w.masses.shape == (1,)
-    assert w.masses[0] == 6.0
+    assert w.shape == (1,)
+    assert w[0] == 6.0
 
 
 def test_pair_mass_closed_form():
@@ -112,7 +113,7 @@ def test_pair_mass_closed_form():
     model = fractional_kernel(1.0, 0.9)
     ts = enumerate_tuples(space, full_system(), 1)
     w = assemble_weights(model, space, ts)
-    for row, mass in zip(ts.tuples, w.masses):
+    for row, mass in zip(ts.tuples, w):
         i, j = map(int, row)
         want = 2.0 * eval_kernel(model, space, i, j) * space.weights[i] * space.weights[j]
         assert mass == pytest.approx(want, rel=1e-14)
@@ -125,7 +126,7 @@ def test_triangle_mass_closed_form():
     ts = enumerate_tuples(space, full_system(), 2)
     w = assemble_weights(model, space, ts)
     k = kernel_matrix(model, space)
-    for row, mass in zip(ts.tuples, w.masses):
+    for row, mass in zip(ts.tuples, w):
         a, b, c = map(int, row)
         density = (k[a, b] * k[a, c] + k[b, a] * k[b, c] + k[c, a] * k[c, b]) / 3.0
         want = 6.0 * density * space.weights[a] * space.weights[b] * space.weights[c]
@@ -139,8 +140,8 @@ def test_rescaling_by_two_scales_masses_by_two_to_the_p(p):
     space = random_space(rng, 6)
     model = fractional_kernel(1.0, 0.8)
     ts = enumerate_tuples(space, full_system(), p)
-    base = assemble_weights(model, space, ts).masses
-    doubled = assemble_weights(rescaled(model, 2.0), space, ts).masses
+    base = assemble_weights(model, space, ts)
+    doubled = assemble_weights(rescaled(model, 2.0), space, ts)
     assert np.array_equal(doubled, base * 2.0**p)
 
 
@@ -163,9 +164,29 @@ def test_masses_positive_and_finite(n, alpha, p):
     space = random_space(rng, n)
     ts = enumerate_tuples(space, full_system(), p)
     w = assemble_weights(fractional_kernel(1.0, alpha), space, ts)
-    assert w.masses.shape == (ts.size,)
-    assert np.isfinite(w.masses).all()
-    assert (w.masses > 0).all()
+    assert w.shape == (ts.size,)
+    assert np.isfinite(w).all()
+    assert (w > 0).all()
+
+
+def test_masses_are_read_only():
+    # Masses are plain arrays that nothing may write, whatever the degree, for
+    # an empty set, and through a complex's mass_vector; degree-0 masses are a
+    # copy of the point weights, never a view of them.
+    space = random_space(np.random.default_rng(5), 6)
+    model = fractional_kernel(1.0, 0.5)
+    sets = [enumerate_tuples(space, full_system(), p) for p in range(4)]
+    sets.append(TupleSet(2, np.empty((0, 3), dtype=np.int64)))
+    for ts in sets:
+        w = assemble_weights(model, space, ts)
+        assert w.shape == (ts.size,) and not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[...] = 1.0
+    assert not np.shares_memory(assemble_weights(model, space, sets[0]), space.weights)
+    cx = build_weighted_complex(space, full_system(), model, 1)
+    for p in range(3):
+        with pytest.raises(ValueError, match="read-only"):
+            cx.mass_vector(p)[0] = 1.0
 
 
 # --- custom tables ----------------------------------------------------------
@@ -303,8 +324,8 @@ def test_masses_on_scale_restricted_tuples():
     all_pairs = enumerate_tuples(space, full_system(), 1)
     w_restricted = assemble_weights(model, space, restricted)
     w_all = assemble_weights(model, space, all_pairs)
-    for row, mass in zip(restricted.tuples, w_restricted.masses):
-        assert mass == w_all.masses[all_pairs.index_of(row)]
+    for row, mass in zip(restricted.tuples, w_restricted):
+        assert mass == w_all[all_pairs.index_of(row)]
 
 
 # --- masses from the tuples' own pairs ----------------------------------------
@@ -335,5 +356,5 @@ def test_masses_equal_the_dense_kernel_formula_bit_for_bit(kind, p):
         "custom": custom_kernel(nearly_symmetric(rng, (table + table.T) / 2)),
     }[kind]
     ts = enumerate_tuples(space, full_system(), p)
-    got = assemble_weights(model, space, ts).masses
+    got = assemble_weights(model, space, ts)
     assert np.array_equal(got, dense_masses(model, space, ts.tuples))

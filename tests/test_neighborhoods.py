@@ -176,17 +176,11 @@ def test_tuple_set_rejects_duplicates():
         TupleSet(1, np.array([[0, 1], [0, 1]]))
 
 
-def test_tuple_set_round_trip_and_lookup():
-    import json
-
+def test_tuple_set_lookup():
     ts = enumerate_tuples(gen_circle(8), rips_system(1.0), 1)
     assert ts.index_of(ts.tuples[3]) == 3
     assert ts.contains(ts.tuples[0])
     assert not ts.contains((0, 4))
-    data = json.loads(json.dumps(ts.to_json(), sort_keys=True))
-    assert data["schema"] == 1
-    assert data["degree"] == 1
-    assert data["tuples"] == ts.tuples.tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -275,7 +269,7 @@ def test_enumeration_and_masses_peak_near_their_output(circles, n, p):
         ts = enumerate_tuples(space, rips_system(7 * 2 * np.pi / n), p)
         held, enum_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        masses = assemble_weights(fractional_kernel(1.0, 0.5), space, ts).masses
+        masses = assemble_weights(fractional_kernel(1.0, 0.5), space, ts)
         mass_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
