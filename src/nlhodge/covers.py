@@ -198,7 +198,6 @@ class MVCertificate:
     reconstruction_ok: bool
     exact: bool
     crosscheck: str = "skipped"  # global-assembly rank comparison: pass/skipped/fail/uncertain
-    multiplicity_histogram: tuple = ()  # (#covering balls, #tuples) pairs
 
 
 def _cech_differences(levels) -> list[sp.csr_matrix]:
@@ -378,9 +377,8 @@ def mayer_vietoris_check(
         crosscheck = "uncertain" if not all(certain) else "pass" if agree else "fail"
         exact_all = exact_all and agree and all(certain)
 
-    hist = tuple((int(s), int(c)) for s, c in sorted(s_counts.items()))
     return MVCertificate(
-        p, injective, tuple(rows_out), recon_ok, bool(exact_all and recon_ok), crosscheck, hist
+        p, injective, tuple(rows_out), recon_ok, bool(exact_all and recon_ok), crosscheck
     )
 
 
@@ -489,7 +487,6 @@ class HomotopyOperator:
     level: int
     W: np.ndarray
     weights: np.ndarray
-    mass: float
     local: LocalComplex
     psi: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -547,7 +544,7 @@ def build_slice_and_psi(
         hit = np.nonzero(in_W[removed])[0]
         hit = hit[np.argsort(col[hit], kind="stable")]
         psi.append((col[hit], row[hit], sign[hit] * cover.space.weights[removed[hit]] / mass))
-    return HomotopyOperator(loc.alphas, level, W, weights, mass, loc, psi)
+    return HomotopyOperator(loc.alphas, level, W, weights, loc, psi)
 
 
 def _join(keys: np.ndarray, sorted_keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -603,7 +600,6 @@ def homotopy_identity_residual(op: HomotopyOperator, p: int) -> float:
 class PoincareCheck:
     alphas: tuple
     level: int
-    w_size: int
     residuals: tuple  # per degree 1..level-1
 
     @property
@@ -627,7 +623,7 @@ def poincare_suite(
             residuals = tuple(
                 homotopy_identity_residual(op, p) for p in range(1, level)
             )
-            out.append(PoincareCheck(tuple(combo), level, int(op.W.size), residuals))
+            out.append(PoincareCheck(tuple(combo), level, residuals))
     return out
 
 

@@ -32,6 +32,10 @@ solved in place: a whole |S| temporary for the Gershgorin bound and numpy's
 tuples' own pairs: the dense kernel matrix (distances plus the identity,
 raised to the power, truncated, zero diagonal), read at every ordered member
 pair.
+`multiplicity_histogram`, `slice_mass` and `slice_size` are the
+`MVCertificate.multiplicity_histogram`, `HomotopyOperator.mass` and
+`PoincareCheck.w_size` that every Mayer-Vietoris or Poincaré call computed
+for the tests alone.
 `partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
 helpers that only the tests use.
 `cover_system` and `admissible_tuples` are the cover-set neighbourhood
@@ -49,6 +53,7 @@ here.
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -59,6 +64,7 @@ from scipy.sparse.csgraph import connected_components
 from nlhodge.capacity import build_capacity_problem, capacity
 from nlhodge.cochains import Cochain, CochainError, build_coboundary
 from nlhodge.cohomology import PRIME_MAIN, _pivot_columns
+from nlhodge.covers import build_slice_and_psi
 from nlhodge.kernels import KernelError, KernelModel, fractional_kernel, kernel_matrix
 from nlhodge.neighborhoods import TupleSet, _row_rounds, enumerate_tuples, rips_system
 from nlhodge.space import METRIC_TOL, MetricMeasureSpace, SpaceValidationError, gen_interval
@@ -307,6 +313,25 @@ def poincare_check(cover, complex_, alphas, level: int):
         lhs = psi(p + 1) @ up + down @ psi(p)
         residuals.append(float(np.abs(lhs - np.eye(m)).max()))
     return int(W.size), residuals
+
+
+def multiplicity_histogram(complex_, cover, p: int) -> tuple:
+    """(#covering balls, #tuples) pairs, in increasing order, over the degree-p
+    tuples that lie in at least one big ball."""
+    counts = Counter()
+    for t in complex_.tuple_sets[p].tuples:
+        counts[int(cover.big_masks[:, t].all(axis=1).sum())] += 1
+    return tuple(sorted((s, c) for s, c in counts.items() if s > 0))
+
+
+def slice_mass(cover, op) -> float:
+    """mass(W): the total weight of a homotopy operator's slice points."""
+    return float(cover.space.weights[op.W].sum())
+
+
+def slice_size(cover, complex_, check) -> int:
+    """|W| of the slice behind one `PoincareCheck`."""
+    return int(build_slice_and_psi(cover, complex_, check.alphas, check.level).W.size)
 
 
 def assembled_matrices(complex_, cover, p: int, depth: int) -> list[sp.csr_matrix]:

@@ -428,6 +428,14 @@ def test_9_byte_identical_determinism(tmp_path):
             "betti", "--space", "circle", "--n", "48", "--eps", "0.3",
             "--alpha", "0.5", "--pmax", "1",
         ]
+        # the path certificate proves the circles metric without the scan; this
+        # sphere sample, read from a file, reaches the threaded scan
+        sphere_path = tmp_path / "sphere48.csv"
+        np.savetxt(sphere_path, gen_sphere(48).dist, fmt="%.17g", delimiter=",")
+        file_args = [
+            "betti", "--space", "file", "--dist", str(sphere_path), "--eps", "0.8",
+            "--alpha", "0.5", "--d", "2", "--pmax", "2",
+        ]
         runs = {}
         for tag, threads in (("a", 1), ("b", 1), ("c", 4)):
             out = tmp_path / f"run_{tag}"
@@ -435,14 +443,18 @@ def test_9_byte_identical_determinism(tmp_path):
             stdout_b = _run_cli(betti_args, out, threads)
             stdout_s = _run_cli(sweep_args, out, threads)
             stdout_t = _run_cli(threaded_args, out / "n48", threads)
+            stdout_f = _run_cli(file_args, out / "s48", threads)
             runs[tag] = (
                 stdout_b,
                 stdout_s,
                 stdout_t,
+                stdout_f,
                 (out / "betti_report.json").read_bytes(),
                 (out / "hodge_report.json").read_bytes(),
                 (out / "sweep.csv").read_bytes(),
                 (out / "n48" / "betti_report.json").read_bytes(),
                 (out / "n48" / "hodge_report.json").read_bytes(),
+                (out / "s48" / "betti_report.json").read_bytes(),
+                (out / "s48" / "hodge_report.json").read_bytes(),
             )
         assert runs["a"] == runs["b"] == runs["c"]

@@ -71,18 +71,34 @@ def test_betti_on_a_file_space(tmp_path):
 
 
 def test_reports_are_byte_identical_across_thread_caps(tmp_path):
-    # n=48 has three row blocks, so cap 4 scans the metric on three threads
-    for n, eps in (("12", "1.1"), ("48", "0.3")):
+    from nlhodge.space import _path_certified, gen_sphere
+
+    # n=48 has three row blocks, so cap 4 scans the metric on three threads.
+    # The path certificate proves both circles metric without the scan; the
+    # sphere sample, read from a file, is the input that reaches it.
+    sphere = gen_sphere(48).dist
+    assert not _path_certified(sphere)
+    sphere_path = tmp_path / "sphere48.csv"
+    np.savetxt(sphere_path, sphere, fmt="%.17g", delimiter=",")
+    cases = {
+        "12": (["--space", "circle", "--n", "12", "--eps", "1.1", "--pmax", "1"], "p=1 betti=1"),
+        "48": (["--space", "circle", "--n", "48", "--eps", "0.3", "--pmax", "1"], "p=1 betti=1"),
+        "s48": (
+            ["--space", "file", "--dist", str(sphere_path), "--eps", "0.8", "--d", "2",
+             "--pmax", "2"],
+            "p=2 betti=1",
+        ),
+    }
+    for n, (space_args, expected) in cases.items():
         outs = []
         for label, threads in (("a", "1"), ("b", "4")):
             out = tmp_path / f"{label}{n}"
             proc = run_cli(
-                "betti", "--space", "circle", "--n", n, "--system", "rips",
-                "--eps", eps, "--alpha", "0.5", "--pmax", "1", "--out", str(out),
+                "betti", *space_args, "--system", "rips", "--alpha", "0.5", "--out", str(out),
                 env_extra={"NLH_THREADS": threads},
             )
             assert proc.returncode == 0, proc.stderr
-            assert "p=1 betti=1" in proc.stdout
+            assert expected in proc.stdout
             outs.append(out)
         for name in ("betti_report.json", "hodge_report.json"):
             a = (outs[0] / name).read_bytes()

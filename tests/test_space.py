@@ -1,8 +1,10 @@
 import itertools
 import os
+import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -513,7 +515,8 @@ def test_pruned_scan_skips_most_triples_of_a_relabelled_circle(monkeypatch):
     spy = SumSpy()
     monkeypatch.setattr(space_module, "np", spy)
     monkeypatch.setenv("NLH_THREADS", "1")
-    _check_metric(d)
+    # the scan itself: `_check_metric` certifies this circle without it
+    assert space_module._triangle_holds(d, METRIC_TOL, symmetric=True)
     evaluated = sum(int(np.prod(shape)) for *_, shape in spy.sums)
     # the unpruned scan sums every j for each row block's columns k >= its first row
     full = sum((min(i0 + _ROW_BLOCK, n) - i0) * n * (n - i0) for i0 in range(0, n, _ROW_BLOCK))
@@ -586,7 +589,8 @@ def test_thread_cap_sets_the_worker_count(n, monkeypatch):
         monkeypatch.setenv("NLH_THREADS", str(cap))
         shares.clear()
         buffers.clear()
-        _check_metric(d)
+        # the scan itself: `_check_metric` certifies these circles without it
+        assert space_module._triangle_holds(d, METRIC_TOL, symmetric=True)
         assert len(shares) == min(cap, blocks)
         assert sorted(sum(shares, [])) == list(range(0, n, _ROW_BLOCK))
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
@@ -631,3 +635,156 @@ def test_scan_scratch_stays_small_at_n_1024():
     # one worker's scratch against the 8 MiB matrix it scans: a wider j-chunk
     # multiplies it, so raising _J_CHUNK past 16 fails here
     assert space_module._scratch_size(1024, 8) * 8 < 3 * 2**20
+
+
+# --- the path certificate ------------------------------------------------------
+
+U = 2.0**-53
+
+
+def _path_graph_metric(n, step, rng):
+    """Float shortest-path distances of a path graph with steps in [1, 1.2] * step."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import dijkstra
+
+    w = step * (1.0 + 0.2 * rng.random(n - 1))
+    a, b = np.arange(n - 1), np.arange(1, n)
+    graph = sp.csr_matrix((np.r_[w, w], (np.r_[a, b], np.r_[b, a])), shape=(n, n))
+    return dijkstra(graph, directed=True)
+
+
+def _near_bound_sample(shape, n, scale, rng):
+    """A relabelled sample whose certificate bound, about 3 gamma_H max d, is near
+    `scale` * METRIC_TOL: equally spaced circle and interval points, and a path graph."""
+    hops = max(1, n // 2) if shape == "circle" else n - 1
+    size = scale * METRIC_TOL / (3 * hops * U)  # the largest distance
+    if shape == "circle":
+        k = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        d = (size * 2.0 / n) * np.minimum(k, n - k)
+    elif shape == "interval":
+        x = np.linspace(0.0, size, n)
+        d = np.abs(x[:, None] - x[None, :])
+    else:
+        d = _path_graph_metric(n, size / (1.1 * (n - 1)), rng)
+    perm = rng.permutation(n)
+    return np.ascontiguousarray(d[np.ix_(perm, perm)])
+
+
+@st.composite
+def certificate_cases(draw):
+    shape = draw(st.sampled_from(["circle", "interval", "graph"]))
+    n = draw(st.integers(3, 130))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.5))
+    edit = draw(st.sampled_from(["none", "noise", "nudge", "at", "past", "big"]))
+    return shape, n, scale, edit, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_cases())
+@example(("circle", 128, 0.9, "none", 0.0, 0))
+@example(("interval", 97, 0.3, "nudge", 0.1, 1))
+@example(("interval", 97, 0.9, "at", 0.0, 1))
+@example(("graph", 128, 70.0, "none", 0.0, 3))
+def test_a_certified_matrix_passes_the_per_j_oracle(case):
+    shape, n, scale, edit, size, seed = case
+    rng = np.random.default_rng(seed)
+    d = _near_bound_sample(shape, n, scale, rng)
+    a, b = (int(v) for v in rng.choice(n, 2, replace=False))
+    if edit == "noise":
+        # symmetric noise up to size/2 times the tolerance
+        noise = np.triu(rng.uniform(-0.5, 0.5, (n, n)) * (size * METRIC_TOL), 1)
+        d = d + noise + noise.T
+    elif edit == "nudge":
+        # one pair longer by up to twice the tolerance: past it, tight triples fail
+        d[a, b] = d[b, a] = d[a, b] + 2 * size * METRIC_TOL
+    elif edit != "none":
+        c = _edge(d, a, b)
+        d[a, b] = d[b, a] = {"at": c, "past": _past(d, c), "big": 2 * c + 1}[edit]
+    if space_module._path_certified(d):
+        assert _oracle(d)[0] is None
+
+
+@pytest.mark.parametrize("shape", ["circle", "interval", "graph"])
+def test_samples_under_the_bound_are_certified_and_past_it_declined(shape):
+    # the property above has teeth: both answers occur on its samples
+    rng = np.random.default_rng(7)
+    assert space_module._path_certified(_near_bound_sample(shape, 96, 0.3, rng))
+    assert not space_module._path_certified(_near_bound_sample(shape, 96, 3.0, rng))
+
+
+def test_a_certificate_without_gamma_accepts_a_non_metric(monkeypatch):
+    # float path lengths of a path graph are Dijkstra's own output, so ŝ = d
+    # exactly, yet their rounding breaks triangles by more than the tolerance
+    samples = [_path_graph_metric(128, 12.0, np.random.default_rng(s)) for s in range(5)]
+    assert any(_oracle(d)[0] is not None for d in samples)
+
+    def accepts_a_non_metric():
+        return any(space_module._path_certified(d) and _oracle(d)[0] is not None for d in samples)
+
+    assert not accepts_a_non_metric()
+    monkeypatch.setattr(space_module, "_gamma", lambda h: Fraction(0))
+    assert accepts_a_non_metric()
+
+
+def test_three_pairs_off_by_under_half_the_tolerance_are_declined():
+    # none of the three pairs is an arc of G, so Dijkstra's lengths stay exact
+    # and each pair is only 0.4 * METRIC_TOL from them; their triangle breaks
+    # by 1.2 * METRIC_TOL, which only the 3E of the bound sees
+    d = gen_circle(64).dist.copy()
+    for a, b, sign in ((10, 20, -1), (20, 30, -1), (10, 30, 1)):
+        d[a, b] = d[b, a] = d[a, b] + sign * 0.4 * METRIC_TOL
+    assert _oracle(d)[0] is not None
+    assert not space_module._path_certified(d)
+
+
+def test_a_certificate_that_trusts_dijkstra_accepts_a_non_metric(monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    n = 2 * _SWEEP_ROWS
+    d = gen_circle(n).dist.copy()
+    # one pair past the tolerance, on the half of the circle that the Bellman
+    # screen, which reads the first row block, does not reach
+    a, b = n // 2 + 16, n - 16
+    d[a, b] = d[b, a] = _past(d, _edge(d, a, b))
+    assert _oracle(d)[0] is not None
+    assert not space_module._path_certified(d)
+    # a Dijkstra that returns the matrix's own rows as its path lengths
+    monkeypatch.setattr(csgraph, "dijkstra", lambda graph, directed, indices: d[indices])
+    assert not space_module._path_certified(d)
+    monkeypatch.setattr(space_module, "_bellman_fixed", lambda *args: True)
+    assert space_module._path_certified(d)
+
+
+@pytest.mark.parametrize("n", [800, 1024])
+def test_a_relabelled_circle_or_interval_is_certified_without_the_scan(n, monkeypatch):
+    space = gen_circle(n) if n == 1024 else gen_interval(n)
+    perm = np.random.default_rng(3).permutation(n)
+    d = np.ascontiguousarray(space.dist[np.ix_(perm, perm)])
+    spy = SumSpy()
+    monkeypatch.setattr(space_module, "np", spy)
+    assert _outcome(_check_metric, d) == (None, [])
+    assert spy.sums == []
+
+
+def test_circle_2048_declines_before_any_dijkstra_call(monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dijkstra ran")
+
+    monkeypatch.setattr(csgraph, "dijkstra", refuse)
+    n = 2048
+    k = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    assert not space_module._path_certified((2.0 * np.pi / n) * np.minimum(k, n - k))
+
+
+def test_sphere_200_declines_without_importing_csgraph():
+    code = (
+        "import sys\n"
+        "from nlhodge import space\n"
+        "d = space.gen_sphere(200).dist\n"
+        "assert not space._path_certified(d)\n"
+        "assert 'scipy.sparse.csgraph' not in sys.modules, 'csgraph imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
