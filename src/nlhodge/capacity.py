@@ -7,6 +7,10 @@ The capacity of a target set K is the minimum of the degree-0 graph energy
 over functions u clamped to 1 on K plus a one-mesh-width ring. Shrinking
 capacities along a resolution ladder indicate a removable singularity; flat
 ladders indicate positive capacity.
+
+The energy is the weighted Laplacian of the admissible pairs, written from the
+pair list with each diagonal summed in pair order, as the row-wise product
+B_0^T W_1 B_0 sums it, so it equals W_0 + B_0^T W_1 B_0 entry for entry.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .space import MetricMeasureSpace, gen_interval
-from .neighborhoods import NeighborhoodSystem, rips_system
-from .kernels import KernelModel, fractional_kernel
-from .hodge import build_weighted_complex, NumericalError
+from .neighborhoods import NeighborhoodSystem, enumerate_tuples, rips_system
+from .kernels import KernelModel, assemble_weights, fractional_kernel
+from .hodge import NumericalError
 
 DIRECT_SOLVE_CUTOFF = 4000
 CG_RTOL = 1e-10
@@ -42,7 +46,7 @@ class CapacityError(ValueError):
 class CapacityProblem:
     space: MetricMeasureSpace
     clamp: np.ndarray  # the target set K plus the one-mesh-width ring
-    energy: sp.csr_matrix  # W_0 + B_0^T W_1 B_0
+    energy: sp.csr_matrix  # the weighted pair Laplacian, entry for entry W_0 + B_0^T W_1 B_0
 
 
 def build_capacity_problem(
@@ -62,11 +66,14 @@ def build_capacity_problem(
         raise CapacityError("target indices out of range")
     d_to_target = space.dist[:, target].min(axis=1)
     clamp = np.nonzero(d_to_target <= space.mesh_width() * (1.0 + 1e-9))[0]
-    cx = build_weighted_complex(space, system, kernel, 0)
-    B0 = cx.coboundary(0).matrix.astype(float)
-    W0 = sp.diags(cx.mass_vector(0))
-    W1 = sp.diags(cx.mass_vector(1))
-    energy = (W0 + B0.T @ W1 @ B0).tocsr()
+    # every point is its own degree-0 tuple under each system: pair members index rows
+    w0 = assemble_weights(kernel, space, enumerate_tuples(space, system, 0))
+    pairs = enumerate_tuples(space, system, 1)
+    w1, t, n = assemble_weights(kernel, space, pairs), pairs.tuples, w0.size
+    diag = w0 + np.bincount(t.ravel(), np.repeat(w1, 2), minlength=n)
+    # pairs (a, b) sorted by a, then b: the upper triangle's CSR in pair order
+    upper = sp.csr_matrix((-w1, t[:, 1], np.searchsorted(t[:, 0], np.arange(n + 1))), shape=(n, n))
+    energy = (upper + upper.T + sp.diags(diag)).tocsr()
     return CapacityProblem(space, clamp, energy)
 
 

@@ -486,7 +486,6 @@ class HomotopyOperator:
     alphas: tuple
     level: int
     W: np.ndarray
-    weights: np.ndarray
     local: LocalComplex
     psi: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -536,15 +535,14 @@ def build_slice_and_psi(
             f"slice set empty for intersection {tuple(alphas)} at level {level}"
         )
     W = np.nonzero(in_W)[0]
-    weights = cover.space.weights[W]
-    mass = float(weights.sum())
+    mass = float(cover.space.weights[W].sum())
     psi = []
     for ell in range(1, level + 1):
         row, col, sign, removed = loc.coboundary_entries(ell - 1)
         hit = np.nonzero(in_W[removed])[0]
         hit = hit[np.argsort(col[hit], kind="stable")]
         psi.append((col[hit], row[hit], sign[hit] * cover.space.weights[removed[hit]] / mass))
-    return HomotopyOperator(loc.alphas, level, W, weights, loc, psi)
+    return HomotopyOperator(loc.alphas, level, W, loc, psi)
 
 
 def _join(keys: np.ndarray, sorted_keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -32,10 +32,13 @@ solved in place: a whole |S| temporary for the Gershgorin bound and numpy's
 tuples' own pairs: the dense kernel matrix (distances plus the identity,
 raised to the power, truncated, zero diagonal), read at every ordered member
 pair.
+`capacity_energy` is the energy of `build_capacity_problem` before it was
+written from the pair list: a degree-0 complex, a float copy of B_0 and two
+sparse products.
 `multiplicity_histogram`, `slice_mass` and `slice_size` are the
-`MVCertificate.multiplicity_histogram`, `HomotopyOperator.mass` and
-`PoincareCheck.w_size` that every Mayer-Vietoris or Poincaré call computed
-for the tests alone.
+`MVCertificate.multiplicity_histogram`, `HomotopyOperator.mass` (later its
+`weights`) and `PoincareCheck.w_size` that every Mayer-Vietoris or Poincaré
+call computed for the tests alone.
 `partition_supported`, `system_dominates`, `sym_project` and `eval_kernel` are
 helpers that only the tests use.
 `cover_system` and `admissible_tuples` are the cover-set neighbourhood
@@ -65,6 +68,7 @@ from nlhodge.capacity import build_capacity_problem, capacity
 from nlhodge.cochains import Cochain, CochainError, build_coboundary
 from nlhodge.cohomology import PRIME_MAIN, _pivot_columns
 from nlhodge.covers import build_slice_and_psi
+from nlhodge.hodge import build_weighted_complex
 from nlhodge.kernels import KernelError, KernelModel, fractional_kernel, kernel_matrix
 from nlhodge.neighborhoods import TupleSet, _row_rounds, enumerate_tuples, rips_system
 from nlhodge.space import METRIC_TOL, MetricMeasureSpace, SpaceValidationError, gen_interval
@@ -324,9 +328,9 @@ def multiplicity_histogram(complex_, cover, p: int) -> tuple:
     return tuple(sorted((s, c) for s, c in counts.items() if s > 0))
 
 
-def slice_mass(cover, op) -> float:
+def slice_mass(op) -> float:
     """mass(W): the total weight of a homotopy operator's slice points."""
-    return float(cover.space.weights[op.W].sum())
+    return float(op.local.complex_.space.weights[op.W].sum())
 
 
 def slice_size(cover, complex_, check) -> int:
@@ -652,6 +656,15 @@ def permuted(space, perm):
 
 def total_mass(space) -> float:
     return float(space.weights.sum())
+
+
+def capacity_energy(space, system, kernel) -> sp.csr_matrix:
+    """W_0 + B_0^T W_1 B_0 through a degree-0 complex and sparse products."""
+    cx = build_weighted_complex(space, system, kernel, 0)
+    B0 = cx.coboundary(0).matrix.astype(float)
+    W0 = sp.diags(cx.mass_vector(0))
+    W1 = sp.diags(cx.mass_vector(1))
+    return (W0 + B0.T @ W1 @ B0).tocsr()
 
 
 def capacity_of_hole(n: int, eps: float, alpha: float, hole_center: float = 0.5,

@@ -1,9 +1,16 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlhodge.space import MetricMeasureSpace, gen_interval
-from nlhodge.neighborhoods import rips_system
-from nlhodge.kernels import fractional_kernel
+import nlhodge.cochains
+import nlhodge.hodge
+from nlhodge.space import MetricMeasureSpace, gen_circle, gen_interval, gen_sphere
+from nlhodge.neighborhoods import hausdorff_system, rips_system
+from nlhodge.kernels import fractional_kernel, truncated_fractional_kernel
 from nlhodge import capacity as capacity_module
 from nlhodge.capacity import (
     CapacityError,
@@ -13,7 +20,7 @@ from nlhodge.capacity import (
     removability_sweep,
 )
 
-from oracles import capacity_of_hole, total_mass
+from oracles import capacity_energy, capacity_of_hole, permuted, total_mass
 
 
 def interval_problem(target, eps=0.25, alpha=0.5, n=40):
@@ -96,6 +103,73 @@ def test_minimizer_beats_other_feasible_candidates():
         v = rng.uniform(0.0, 1.0, 40)
         v[problem.clamp] = 1.0
         assert result.value <= float(v @ (A @ v)) * (1.0 + 1e-12)
+
+
+# --- the energy written from the pair list ----------------------------------------
+
+
+def _assert_energy_bits(space, system, kernel):
+    got = build_capacity_problem(space, system, kernel, [0]).energy
+    want = capacity_energy(space, system, kernel)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from([gen_interval, gen_circle, gen_sphere]),
+    n=st.integers(8, 60),
+    seed=st.integers(0, 2**32 - 1),
+    rule=st.sampled_from([rips_system, hausdorff_system]),
+    scale=st.sampled_from([0.5, 2.0, 6.0]),
+    kernel=st.sampled_from([
+        fractional_kernel(1.0, 0.5),
+        truncated_fractional_kernel(1.0, 1.5, eps_trunc=0.2, floor=0.5),
+    ]),
+)
+def test_energy_equals_the_coboundary_formula_bit_for_bit(kind, n, seed, rule, scale, kernel):
+    # Relabelled points; eps in mesh widths, where half a width admits no pair
+    # on the evenly spaced interval and circle.
+    space = permuted(kind(n), np.random.default_rng(seed).permutation(n))
+    _assert_energy_bits(space, rule(scale * space.mesh_width()), kernel)
+
+
+class _EndpointMajor:
+    """numpy, but bincount sums a pair list's first members, then its second."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def bincount(x, weights, minlength):
+        return sum(np.bincount(x[k::2], weights[k::2], minlength=minlength) for k in (0, 1))
+
+
+def test_endpoint_major_diagonals_fail_the_bit_check(monkeypatch):
+    monkeypatch.setattr(capacity_module, "np", _EndpointMajor())
+    with pytest.raises(AssertionError, match="data"):
+        _assert_energy_bits(gen_interval(20), rips_system(0.25), fractional_kernel(1.0, 0.5))
+
+
+def test_energy_needs_no_complex_or_coboundary(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the energy built a complex or a coboundary")
+
+    for original in (nlhodge.cochains.build_coboundary, nlhodge.hodge.build_weighted_complex):
+        # every module binding, from-imports included
+        for module in [m for k, m in sys.modules.items() if k.startswith("nlhodge")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+    space, kernel = gen_interval(800), fractional_kernel(1.0, 0.5)
+    tracemalloc.start()
+    try:
+        problem = build_capacity_problem(space, rips_system(0.25), kernel, [400])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6  # the complex and its float B_0 took 25 MB
+    assert capacity(problem).value > 0.0
 
 
 # --- monotonicity ----------------------------------------------------------------
