@@ -149,12 +149,15 @@ def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
     """Eigenvalues from the low end plus an upper bound on the largest one.
 
     Up to DENSE_EIG_CUTOFF the whole spectrum comes from one dense array,
-    solved in place. Above it, shift-invert `eigsh` starts from a fixed-seed
-    vector, so repeated runs give identical eigenvalues, and its Ritz pairs
-    are checked. A residual ||S v - theta v|| above the harmonic threshold
-    (theta may then sit on the wrong side of it), Ritz vectors that are not
-    orthonormal (a ghost copy counts one eigenvalue twice), or an eigsh that
-    fails outright raise NumericalError. The zero operator needs no solve.
+    solved in place. Above it, shift-invert `eigsh` runs on one SuperLU factor
+    of S - sigma I, ordered by minimum degree on its symmetric pattern and
+    pivoted on the diagonal, which every k doubling reuses. It starts from a
+    fixed-seed vector, so repeated runs give identical eigenvalues, and its
+    Ritz pairs are checked. A residual ||S v - theta v|| above the harmonic
+    threshold (theta may then sit on the wrong side of it), Ritz vectors that
+    are not orthonormal (a ghost copy counts one eigenvalue twice), or a
+    factorization or eigsh that fails outright raise NumericalError. The
+    zero operator needs no solve.
     """
     m = S.shape[0]
     if m == 0:
@@ -175,9 +178,23 @@ def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
     tau = m * gersh * HARMONIC_TOL_FACTOR
     k = min(m - 1, EIGSH_K)
     v0 = np.random.default_rng(0).standard_normal(m)
+    sigma = EIGSH_SHIFT * gersh
+    OPinv = None  # one factor of S - sigma I serves every k
     while True:
         try:
-            vals, V = spla.eigsh(S, k=k, sigma=EIGSH_SHIFT * gersh, which="LM", v0=v0)
+            if OPinv is None:
+                # S is positive semidefinite and sigma < 0, so S - sigma I is
+                # symmetric positive definite: diagonal pivots are safe without
+                # a threshold, and a minimum-degree ordering of A^T + A keeps
+                # L and U symmetric in pattern (scipy has no sparse Cholesky)
+                lu = spla.splu(
+                    (S - sigma * sp.identity(m, format="csr")).tocsc(),
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+                OPinv = spla.LinearOperator((m, m), matvec=lu.solve, dtype=float)
+            vals, V = spla.eigsh(S, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
         except RuntimeError as exc:  # a singular factorization or no convergence
             raise NumericalError(f"eigsh failed: {exc}") from exc
         residual = max(float(np.linalg.norm(S @ v - t * v)) for t, v in zip(vals, V.T))

@@ -34,7 +34,9 @@ raised to the power, truncated, zero diagonal), read at every ordered member
 pair.
 `capacity_energy` is the energy of `build_capacity_problem` before it was
 written from the pair list: a degree-0 complex, a float copy of B_0 and two
-sparse products.
+sparse products. `exact_capacity` is the clamped minimum of a capacity
+problem's weighted graph, assembled from its float masses and solved in
+40-digit arithmetic.
 `multiplicity_histogram`, `slice_mass` and `slice_size` are the
 `MVCertificate.multiplicity_histogram`, `HomotopyOperator.mass` (later its
 `weights`) and `PoincareCheck.w_size` that every Mayer-Vietoris or Poincaré
@@ -60,6 +62,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 
+import mpmath
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
@@ -682,3 +685,59 @@ def capacity_of_hole(n: int, eps: float, alpha: float, hole_center: float = 0.5,
     return capacity(
         build_capacity_problem(space, rips_system(eps), fractional_kernel(1.0, alpha), target)
     )
+
+
+def exact_capacity(problem, dps: int = 40):
+    """The clamped minimum of `problem`'s weighted graph in dps-digit arithmetic.
+
+    The graph takes the float point masses `w0` and the pair masses, read
+    off the energy's upper triangle where they are stored exactly as -w_e,
+    as exact numbers, so each diagonal is w0_i plus its pair masses without
+    rounding. The free block is symmetric positive definite and banded in
+    point order, so Gaussian elimination without pivoting stays inside the
+    band. The energy at the solution is summed term by term. Returns an mpf.
+    """
+    n = problem.w0.size
+    upper = sp.triu(problem.energy, 1).tocoo()
+    pairs, w1 = np.stack([upper.row, upper.col], axis=1), -upper.data
+    free = np.setdiff1d(np.arange(n), problem.clamp)
+    pos = np.full(n, -1)
+    pos[free] = np.arange(free.size)
+    with mpmath.workdps(dps):
+        zero = mpmath.mpf(0)
+        A = [[zero] * free.size for _ in free]
+        rhs = [zero] * free.size
+        for k, i in enumerate(free):
+            A[k][k] = mpmath.mpf(float(problem.w0[i]))
+        band = 0
+        for (a, b), w in zip(pairs.tolist(), w1.tolist()):
+            for i, j in ((pos[a], pos[b]), (pos[b], pos[a])):
+                if i < 0:
+                    continue
+                A[i][i] += w
+                if j < 0:
+                    rhs[i] += w  # the clamped neighbour holds u = 1
+                else:
+                    A[i][j] -= w
+                    band = max(band, abs(int(i) - int(j)))
+        N = free.size
+        for k in range(N):
+            hi = min(N, k + band + 1)
+            for i in range(k + 1, hi):
+                if A[i][k]:
+                    f = A[i][k] / A[k][k]
+                    for j in range(k, hi):
+                        A[i][j] -= f * A[k][j]
+                    rhs[i] -= f * rhs[k]
+        x = [zero] * N
+        for k in reversed(range(N)):
+            hi = min(N, k + band + 1)
+            x[k] = (rhs[k] - mpmath.fsum(A[k][j] * x[j] for j in range(k + 1, hi))) / A[k][k]
+        u = [mpmath.mpf(1)] * n
+        for k, i in enumerate(free):
+            u[i] = x[k]
+        return mpmath.fsum(
+            [mpmath.mpf(float(w)) * u[i] ** 2 for i, w in enumerate(problem.w0)]
+            + [mpmath.mpf(w) * (u[a] - u[b]) ** 2
+               for (a, b), w in zip(pairs.tolist(), w1.tolist())]
+        )

@@ -20,7 +20,7 @@ from nlhodge.capacity import (
     removability_sweep,
 )
 
-from oracles import capacity_energy, capacity_of_hole, permuted, total_mass
+from oracles import capacity_energy, capacity_of_hole, exact_capacity, permuted, total_mass
 
 
 def interval_problem(target, eps=0.25, alpha=0.5, n=40):
@@ -75,6 +75,31 @@ def test_capacity_value_matches_dense_quadratic_minimum():
     want = float(u @ A @ u)
     assert result.value == pytest.approx(want, rel=1e-10)
     assert np.allclose(result.potential, u, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, alpha, system", [
+    (50, 0.5, rips_system(0.25)),
+    (50, 1.5, rips_system(0.25)),
+    (100, 0.5, rips_system(0.25)),
+    (100, 1.5, rips_system(0.25)),
+    (100, 1.5, hausdorff_system(0.1)),
+])
+def test_capacity_value_matches_the_exact_graph_minimum(n, alpha, system):
+    # The same float masses, assembled and solved in 40 digits: the value,
+    # summed as nonnegative edge and point terms, is good to a few ulp.
+    kernel = fractional_kernel(1.0, alpha)
+    problem = build_capacity_problem(gen_interval(n), system, kernel, [n // 2])
+    exact = exact_capacity(problem)
+    assert abs(capacity(problem).value - exact) <= 1e-14 * exact
+
+
+def test_the_quadratic_form_misses_the_exact_graph_minimum():
+    # u @ (A @ u) on the same potential: each diagonal of A is w0_i plus its
+    # pair masses, and at alpha = 1.5 its rounding swamps w0_i (1.2e-12 off).
+    problem = interval_problem([50], alpha=1.5, n=100)
+    exact = exact_capacity(problem)
+    u = capacity(problem).potential
+    assert abs(float(u @ (problem.energy @ u)) - exact) > 1e-14 * exact
 
 
 @pytest.mark.parametrize("n, alpha", [(200, 0.5), (400, 1.5)])

@@ -5,6 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import nlhodge.hodge as hodge
 
@@ -269,6 +272,16 @@ def test_a_failing_eigsh_is_uncertain_not_a_traceback(circle_complex, monkeypatc
     assert harmonic_dimension(circle_complex, 1).dimension is None
 
 
+def test_a_singular_factorization_is_uncertain_not_a_traceback(circle_complex, monkeypatch):
+    # the factor of S - sigma I is made before eigsh runs, under the same guard
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    monkeypatch.setattr(hodge.spla, "splu", singular)
+    assert harmonic_dimension(circle_complex, 1).dimension is None
+
+
 @pytest.mark.parametrize("p", [0, 1])
 def test_sparse_eigensolve_matches_the_dense_branch(circle_complex, monkeypatch, p):
     dense = harmonic_dimension(circle_complex, p)
@@ -279,6 +292,46 @@ def test_sparse_eigensolve_matches_the_dense_branch(circle_complex, monkeypatch,
     assert sparse.dimension == dense.dimension
     assert sparse.flagged == dense.flagged
     assert np.allclose(sparse.eigenvalues, full[: sparse.eigenvalues.size], rtol=0, atol=1e-10)
+
+
+@st.composite
+def graph_laplacians(draw):
+    """A weighted graph Laplacian on 3..40 vertices with at least one edge and
+    weights of 0 or 0.01..10, as canonical CSR."""
+    m = draw(st.integers(3, 40))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda e: e[0] < e[1]),
+        min_size=1, max_size=3 * m, unique=True,
+    ))
+    w = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 10.0)), min_size=len(edges), max_size=len(edges)
+    )))
+    a, b = np.array(edges).T
+    rows, cols = np.concatenate([a, b, a, b]), np.concatenate([b, a, a, b])
+    S = sp.csr_matrix((np.concatenate([-w, -w, w, w]), (rows, cols)), shape=(m, m))
+    S.eliminate_zeros()
+    S.sort_indices()
+    return S
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=graph_laplacians())
+def test_the_shifted_factor_gives_the_dense_spectrum(S):
+    # The sparse branch, on a factor of S - sigma I with diagonal pivots, finds
+    # the low end of the whole spectrum and the dense branch's count, which
+    # is the number of components joined by positive weights.
+    m = S.shape[0]
+    complex_ = SimpleNamespace(dim=lambda p: m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hodge, "_laplacian_csr", lambda cx, p: S)
+        dense = harmonic_dimension(complex_, 0)
+        mp.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+        sparse = harmonic_dimension(complex_, 0)
+    full = np.linalg.eigvalsh(S.toarray())
+    gersh = float(abs(S).sum(axis=1).max())
+    k = sparse.eigenvalues.size
+    assert 0 < k and np.abs(sparse.eigenvalues - full[:k]).max() <= 1e-10 * gersh
+    assert sparse.dimension == dense.dimension == connected_components(S)[0]
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])
@@ -363,6 +416,21 @@ def test_sparse_eigensolve_counts_a_large_kernel(sphere_eps35, monkeypatch):
     report = hodge_report(sphere_eps35, 1, oracle=exact_betti(sphere_eps35).betti[1])
     assert (report.harmonic_dim, report.oracle_betti) == (53, 53)
     assert not report.flagged and not report.oracle_used
+
+
+def test_one_factor_serves_every_k_doubling(sphere_eps35, monkeypatch):
+    # 53 harmonic forms: eigsh runs at k = 16, 32 and 64 on one factor of S - sigma I
+    splu, eigsh = hodge.spla.splu, hodge.spla.eigsh
+    factors, ks = [], []
+    monkeypatch.setattr(hodge.spla, "splu", lambda *a, **kw: factors.append(1) or splu(*a, **kw))
+    monkeypatch.setattr(
+        hodge.spla, "eigsh", lambda *a, **kw: ks.append(kw["k"]) or eigsh(*a, **kw)
+    )
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    report = hodge_report(sphere_eps35, 1, oracle=53)
+    assert (factors, ks) == ([1], [16, 32, 64])
+    assert report.harmonic_dim == 53
+    assert compare_numeric_exact([report], exact_betti(sphere_eps35)).status == ("agree",)
 
 
 def test_a_near_singular_shift_is_uncertain_not_a_count(sphere_eps35, monkeypatch):
