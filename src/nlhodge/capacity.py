@@ -67,10 +67,10 @@ def build_capacity_problem(
         raise CapacityError("target indices out of range")
     d_to_target = space.dist[:, target].min(axis=1)
     clamp = np.nonzero(d_to_target <= space.mesh_width() * (1.0 + 1e-9))[0]
-    # every point is its own degree-0 tuple under each system: pair members index rows
-    w0 = assemble_weights(kernel, space, enumerate_tuples(space, system, 0))
+    # degree 0 is the point set under every system, its masses the point weights
+    w0, n = space.weights, space.n
     pairs = enumerate_tuples(space, system, 1)
-    w1, t, n = assemble_weights(kernel, space, pairs), pairs.tuples, w0.size
+    w1, t = assemble_weights(kernel, space, pairs), pairs.tuples
     diag = w0 + np.bincount(t.ravel(), np.repeat(w1, 2), minlength=n)
     # pairs (a, b) sorted by a, then b: the upper triangle's CSR in pair order
     upper = sp.csr_matrix((-w1, t[:, 1], np.searchsorted(t[:, 0], np.arange(n + 1))), shape=(n, n))

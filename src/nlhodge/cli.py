@@ -33,16 +33,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _pin_threads() -> int:
-    """Resolve NLH_THREADS (exit 1 if invalid) and pin BLAS pools before numpy loads."""
-    try:
-        cap = thread_cap()
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+def _pin_threads() -> None:
+    """Check NLH_THREADS (ValueError if invalid) and pin BLAS pools before numpy loads."""
+    thread_cap()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         os.environ[var] = "1"
-    return cap
 
 
 def _build_space(args):
@@ -66,27 +62,23 @@ def _build_space(args):
     raise ValueError(f"unknown space {kind!r}")
 
 
-def _build_system(args, eps=None):
+def _build_system(args, eps):
     from . import neighborhoods as nb
 
-    eps = args.eps if eps is None else eps
     if args.system == "full":
         return nb.full_system()
+    if eps is None:
+        raise ValueError(f"{args.system} system needs --eps")
     if args.system == "rips":
-        if eps is None:
-            raise ValueError("rips system needs --eps")
         return nb.rips_system(eps, strict=not args.closed_eps)
     if args.system == "hausdorff":
-        if eps is None:
-            raise ValueError("hausdorff system needs --eps")
         return nb.hausdorff_system(eps)
     raise ValueError(f"unknown system {args.system!r}")
 
 
-def _build_kernel(args, n: int, alpha=None):
+def _build_kernel(args, n: int, alpha):
     from . import kernels as kn
 
-    alpha = args.alpha if alpha is None else alpha
     if args.kernel == "constant":
         return kn.constant_kernel(args.scale)
     if args.kernel == "fractional":
@@ -118,8 +110,8 @@ def cmd_betti(args) -> int:
     from .cohomology import exact_betti, compare_numeric_exact
 
     space = _build_space(args)
-    system = _build_system(args)
-    kernel = _build_kernel(args, space.n)
+    system = _build_system(args, args.eps)
+    kernel = _build_kernel(args, space.n, args.alpha)
     cx = build_weighted_complex(space, system, kernel, args.pmax)
     params = {
         "space": args.space,
@@ -185,13 +177,13 @@ def cmd_sweep(args) -> int:
     lines.append(",".join(header))
     # constant and table kernels ignore alpha, so one build serves the whole grid
     if args.kernel in ("constant", "table"):
-        kernels = dict.fromkeys(alpha_grid, _build_kernel(args, space.n))
+        kernels = dict.fromkeys(alpha_grid, _build_kernel(args, space.n, None))
     else:
-        kernels = {alpha: _build_kernel(args, space.n, alpha=alpha) for alpha in alpha_grid}
+        kernels = {alpha: _build_kernel(args, space.n, alpha) for alpha in alpha_grid}
     statuses = ()
     for eps in eps_grid:
         # one complex per eps, reweighted per alpha; exact ranks read only its coboundaries
-        system = _build_system(args, eps=eps)
+        system = _build_system(args, eps)
         base = build_weighted_complex(space, system, kernels[alpha_grid[0]], args.pmax)
         betti = exact_betti(base)
         reports = {}  # by kernel identity: alphas sharing one kernel share its reports
@@ -455,12 +447,10 @@ def build_parser() -> _Parser:
         p.add_argument("--dist", default=None, help="distance matrix CSV for --space file")
         p.add_argument("--weights", default=None, help="weight sidecar, one value per line")
         p.add_argument("--system", default="rips", choices=["full", "rips", "hausdorff"])
-        p.add_argument("--eps", type=float, default=None)
         p.add_argument("--closed-eps", action="store_true",
                        help="use <= eps instead of < eps for rips admissibility")
         p.add_argument("--kernel", default="fractional",
                        choices=["fractional", "constant", "truncated", "table"])
-        p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--d", type=float, default=1.0)
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--eps-trunc", type=float, default=None)
@@ -471,6 +461,8 @@ def build_parser() -> _Parser:
 
     pb = sub.add_parser("betti", help="exact and spectral Betti numbers")
     add_common(pb)
+    pb.add_argument("--eps", type=float, default=None)
+    pb.add_argument("--alpha", type=float, default=None)
     pb.set_defaults(func=cmd_betti)
 
     ps = sub.add_parser("sweep", help="scale/order sweep to CSV")
@@ -490,10 +482,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _pin_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _pin_threads()
         rc = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

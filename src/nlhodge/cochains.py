@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .neighborhoods import TupleSet, check_face_closure, faces
+from .neighborhoods import TupleSet, faces
 
 
 class CochainError(ValueError):
@@ -144,8 +144,11 @@ def build_coboundary(source: TupleSet, target: TupleSet) -> CoboundaryOperator:
     if target.degree != source.degree + 1:
         raise CochainError("coboundary needs consecutive degrees")
     cols = source.locate(faces(target.tuples))
-    if (cols < 0).any():
-        _, (row, face) = check_face_closure(source, target)
+    missing = np.argwhere(cols < 0)
+    if missing.size:
+        r, i = missing[0]  # the first missing face in row-major order
+        row = tuple(target.tuples[r].tolist())
+        face = row[:i] + row[i + 1 :]
         raise CochainError(f"face {face} of tuple {row} is missing: tuple sets not face-closed")
     m, k = cols.shape
     data = np.tile(np.where(np.arange(k) % 2 == 0, 1, -1), m)

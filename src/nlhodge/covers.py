@@ -335,11 +335,12 @@ def mayer_vietoris_check(
 
     0 -> C^p(global) -> prod_a C^p(U_a) -> prod_{a<b} C^p(U_ab) -> ...
 
-    Ranks are exact (prime-field elimination on the 0/+-1 matrices) and are
-    computed per tuple block; when the assembled matrices hold at most
-    MV_CROSSCHECK_CUTOFF rows they are also re-eliminated as a whole, and the
-    two routes must agree. Preimages are reconstructed through the partition
-    of unity and checked numerically, on seeded random cochains.
+    Ranks are the closed forms C(s-1, q+1) of `_blockwise_ranks`, summed over
+    tuple blocks, so each row's dim_kernel equals rank_in by Pascal's rule.
+    When the assembled matrices hold at most MV_CROSSCHECK_CUTOFF rows they
+    are also eliminated as a whole over both primes, and the two routes must
+    agree. Preimages are reconstructed through the partition of unity and
+    checked numerically, on seeded random cochains.
     """
     m_global = complex_.tuple_sets[p].size
 

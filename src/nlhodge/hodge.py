@@ -153,11 +153,11 @@ def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
     of S - sigma I, ordered by minimum degree on its symmetric pattern and
     pivoted on the diagonal, which every k doubling reuses. It starts from a
     fixed-seed vector, so repeated runs give identical eigenvalues, and its
-    Ritz pairs are checked. A residual ||S v - theta v|| above the harmonic
-    threshold (theta may then sit on the wrong side of it), Ritz vectors that
-    are not orthonormal (a ghost copy counts one eigenvalue twice), or a
-    factorization or eigsh that fails outright raise NumericalError. The
-    zero operator needs no solve.
+    Ritz pairs are checked. A Ritz value theta within its residual
+    ||S v - theta v|| of the harmonic threshold (its eigenvalue may then sit on
+    the other side of it), Ritz vectors that are not orthonormal (a ghost copy
+    counts one eigenvalue twice), or a factorization or eigsh that fails
+    outright raise NumericalError. The zero operator needs no solve.
     """
     m = S.shape[0]
     if m == 0:
@@ -197,11 +197,13 @@ def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
             vals, V = spla.eigsh(S, k=k, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
         except RuntimeError as exc:  # a singular factorization or no convergence
             raise NumericalError(f"eigsh failed: {exc}") from exc
-        residual = max(float(np.linalg.norm(S @ v - t * v)) for t, v in zip(vals, V.T))
+        # an eigenvalue of S lies within ||S v - theta v|| of each Ritz value theta
+        residual = np.array([np.linalg.norm(S @ v - t * v) for t, v in zip(vals, V.T)])
         drift = float(np.abs(V.T @ V - np.eye(k)).max())
-        if residual > tau or drift > RITZ_ORTH_TOL:
+        if (np.abs(vals - tau) <= residual).any() or drift > RITZ_ORTH_TOL:
             raise NumericalError(
-                f"eigsh Ritz pairs fail the guard: residual {residual:.3e}, orthogonality {drift:.3e}"
+                f"eigsh Ritz pairs fail the guard: residual {residual.max():.3e} "
+                f"against threshold {tau:.3e}, orthogonality {drift:.3e}"
             )
         vals = np.sort(vals)
         if vals[-1] > tau * GAP_AMBIGUITY_FACTOR or k == m - 1:

@@ -101,7 +101,14 @@ def load_kernel_table(path, n: int) -> KernelModel:
             parts = [s.strip() for s in line.split(",")]
             if len(parts) != 3:
                 raise KernelError(f"{path}:{lineno}: expected 'i, j, value'")
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            try:
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise KernelError(
+                    f"{path}:{lineno}: expected integer indices and a number, got {line!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise KernelError(f"{path}:{lineno}: non-finite value {parts[2]!r}")
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise KernelError(f"{path}:{lineno}: bad pair ({i}, {j})")
             table[i, j] = v
@@ -166,9 +173,9 @@ def assemble_weights(
         masses = math.factorial(p + 1) * density * np.prod(space.weights[t], axis=1)
         if not np.isfinite(masses).all():
             bad = int(np.argwhere(~np.isfinite(masses))[0])
-            raise KernelError(f"non-finite mass for tuple {tuple(t[bad])}")
+            raise KernelError(f"non-finite mass for tuple {tuple(t[bad].tolist())}")
         if masses.min() <= 0.0:
             bad = int(np.argmin(masses))
-            raise KernelError(f"non-positive mass for tuple {tuple(t[bad])}")
+            raise KernelError(f"non-positive mass for tuple {tuple(t[bad].tolist())}")
     masses.setflags(write=False)
     return masses

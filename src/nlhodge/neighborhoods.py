@@ -85,9 +85,6 @@ class TupleSet:
         t.setflags(write=False)
         object.__setattr__(self, "tuples", t)
         object.__setattr__(self, "_keys", keys)
-        # m sorted distinct points running from 0 to m-1 are all of 0..m-1
-        identity = t.shape[1] == 1 and t.size > 0 and t[0, 0] == 0 and t[-1, 0] == t.shape[0] - 1
-        object.__setattr__(self, "_identity", bool(identity))
 
     @property
     def size(self) -> int:
@@ -98,17 +95,13 @@ class TupleSet:
 
         rows has shape (..., degree+1); the result has shape rows.shape[:-1].
         Rows are searched as keys that sort like the rows themselves (see
-        _sort_keys), so one binary search answers every query. A set of the
-        single points 0..m-1 maps each point in range to itself.
+        _sort_keys), so one binary search answers every query.
         """
         q = np.asarray(rows, dtype=np.int64)
         k = self.degree + 1
         if q.shape[-1:] != (k,) or self.size == 0:
             return np.full(q.shape[:-1], -1, dtype=np.int64)
         flat = q.reshape(-1, k)
-        if self._identity:
-            v = flat[:, 0]
-            return np.where((v >= 0) & (v < self.size), v, -1).reshape(q.shape[:-1])
         pos = np.searchsorted(self._keys, _sort_keys(flat))
         np.minimum(pos, self.size - 1, out=pos)
         found = (self.tuples[pos] == flat).all(axis=1)
@@ -161,8 +154,9 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
     if p < 0:
         raise AdmissibilityError("degree must be nonnegative")
     n = space.n
-    if p == 0 and system.kind != "hausdorff":
-        # the clique rule's empty row allows every point
+    if p == 0:
+        # every point: the clique rule's empty row allows each, and each lies in
+        # its own hausdorff ball, as validation holds d(i, i) to 0 within METRIC_TOL
         return TupleSet(0, np.arange(n)[:, None])
     # full: every pair; hausdorff: balls around sample points, see NeighborhoodSystem
     eps = np.inf if system.kind == "full" else system.eps
@@ -204,18 +198,3 @@ def _row_rounds(holds: sp.csr_matrix, set_family: bool):
         yield rows
         witnesses = witnesses[r].multiply(holds[v])
 
-
-def check_face_closure(lower: TupleSet, upper: TupleSet) -> tuple[bool, tuple | None]:
-    """Every face of an upper tuple must be present in the lower set.
-
-    Returns (ok, witness): witness is (tuple, missing_face) on failure, for
-    the first missing face in row-major order.
-    """
-    if upper.degree != lower.degree + 1:
-        raise AdmissibilityError("face closure needs consecutive degrees")
-    missing = np.argwhere(lower.locate(faces(upper.tuples)) < 0)
-    if missing.size == 0:
-        return True, None
-    r, i = missing[0]
-    row = upper.tuples[r].tolist()
-    return False, (tuple(row), tuple(row[:i] + row[i + 1 :]))

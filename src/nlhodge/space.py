@@ -108,12 +108,13 @@ def _check_metric(dist: np.ndarray) -> None:
     worst, (i, j) = _asymmetry(dist)
     if worst > METRIC_TOL:
         raise SpaceValidationError(
-            f"asymmetric distances at ({i}, {j}): {dist[i, j]!r} vs {dist[j, i]!r}"
+            f"asymmetric distances at ({i}, {j}): "
+            f"{float(dist[i, j])!r} vs {float(dist[j, i])!r}"
         )
     diag = np.abs(np.diagonal(dist))
     if diag.max(initial=0.0) > METRIC_TOL:
         i = int(np.argmax(diag))
-        raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {dist[i, i]!r}")
+        raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {float(dist[i, i])!r}")
     if n > 1:
         off = _off_diagonal(dist)
         min_off = off.min()
@@ -125,7 +126,7 @@ def _check_metric(dist: np.ndarray) -> None:
         # the triples (i, i, k) and (k, i, i) fail on d_ii alone, so they name it
         row, col = dist[i], dist[:, i]
         if min(((dist[i, i] + row) - row).min(), ((col + dist[i, i]) - col).min()) < -METRIC_TOL:
-            raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {dist[i, i]!r}")
+            raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {float(dist[i, i])!r}")
     if not (_path_certified(dist) or _triangle_holds(dist, METRIC_TOL, symmetric=worst == 0)):
         raise SpaceValidationError(_triangle_violation(dist, METRIC_TOL))
     if n > 1:
@@ -372,9 +373,10 @@ def _triangle_violation(dist: np.ndarray, tol: float) -> str:
         slack = dist[:, j, None] + dist[None, j, :] - dist
         if slack.min() < -tol:
             i, k = np.unravel_index(np.argmin(slack), slack.shape)
+            lhs, rhs = float(dist[i, k]), float(dist[i, j] + dist[j, k])
             return (
                 f"triangle inequality violated for ({i}, {j}, {k}): "
-                f"d({i},{k})={dist[i, k]!r} > d({i},{j})+d({j},{k})={dist[i, j] + dist[j, k]!r}"
+                f"d({i},{k})={lhs!r} > d({i},{j})+d({j},{k})={rhs!r}"
             )
     raise AssertionError("the min-plus scan found a violation the per-j scan does not")
 

@@ -15,3 +15,10 @@ for _var in (
     "VECLIB_MAXIMUM_THREADS",
 ):
     os.environ[_var] = "1"
+
+from hypothesis import settings  # imported after the pins, like everything in the suite
+
+# A failing property prints the blob that replays it with @reproduce_failure;
+# example counts, seeds and deadlines stay as each test sets them.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")

@@ -136,7 +136,8 @@ def triangle_scan(dist, tol: float = METRIC_TOL) -> None:
             i, k = np.unravel_index(np.argmin(slack), slack.shape)
             raise SpaceValidationError(
                 f"triangle inequality violated for ({i}, {j}, {k}): "
-                f"d({i},{k})={dist[i, k]!r} > d({i},{j})+d({j},{k})={dist[i, j] + dist[j, k]!r}"
+                f"d({i},{k})={float(dist[i, k])!r} > d({i},{j})+d({j},{k})="
+                f"{float(dist[i, j] + dist[j, k])!r}"
             )
 
 

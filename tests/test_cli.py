@@ -107,6 +107,17 @@ def test_reports_are_byte_identical_across_thread_caps(tmp_path):
             assert a.endswith(b"\n")
 
 
+def test_a_bad_kernel_table_row_exits_one(tmp_path):
+    table = tmp_path / "pairs.txt"
+    table.write_text("0, 1, 1.0\n0, 2, nan\n1, 2, 1.0\n")
+    proc = run_cli(
+        "betti", "--space", "circle", "--n", "3", "--eps", "5",
+        "--kernel", "table", "--kernel-table", str(table),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {table}:2: non-finite value 'nan'\n"
+
+
 def test_table_kernel_validates_the_space_once(tmp_path, monkeypatch, capsys):
     from nlhodge import cli
     from nlhodge.space import MetricMeasureSpace
@@ -169,6 +180,23 @@ def test_sweep_honours_the_kernel(monkeypatch, capsys):
     assert csvs["constant"] != csvs["fractional"]
     assert cli.main(grid + ["--kernel", "truncated"]) == 1
     assert "--eps-trunc" in capsys.readouterr().err
+
+
+def test_sweep_takes_eps_and_alpha_only_from_its_grids(capsys):
+    # --eps and --alpha belong to betti; the sweep reads its grids alone
+    from nlhodge import cli
+
+    parser = cli.build_parser()
+    betti = parser.parse_args(["betti", "--eps", "0.3", "--alpha", "0.5"])
+    assert (betti.eps, betti.alpha) == (0.3, 0.5)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["sweep", "--eps", "0.3"])
+    assert exc.value.code == 1
+    assert "ambiguous option: --eps could match" in capsys.readouterr().err
+    # argparse takes the unique prefix --alpha for --alpha-grid
+    sweep = parser.parse_args(["sweep", "--alpha", "0.5"])
+    assert sweep.alpha_grid == "0.5"
+    assert not hasattr(sweep, "eps") and not hasattr(sweep, "alpha")
 
 
 def test_sweep_runs_exact_betti_once_per_eps(monkeypatch, capsys):
@@ -470,6 +498,9 @@ def test_usage_errors_exit_one():
     assert run_cli().returncode == 1  # no subcommand
     assert run_cli("betti", "--eps", "not-a-number").returncode == 1
     assert run_cli("betti", "--space", "klein-bottle").returncode == 1
+    for system in ("rips", "hausdorff"):
+        proc = run_cli("betti", "--system", system)
+        assert (proc.returncode, proc.stderr) == (1, f"error: {system} system needs --eps\n")
     assert run_cli("frobnicate").returncode == 1
 
 

@@ -303,10 +303,16 @@ def graph_laplacians(draw):
         st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda e: e[0] < e[1]),
         min_size=1, max_size=3 * m, unique=True,
     ))
-    w = np.array(draw(st.lists(
+    w = draw(st.lists(
         st.one_of(st.just(0.0), st.floats(0.01, 10.0)), min_size=len(edges), max_size=len(edges)
-    )))
+    ))
+    return graph_laplacian(m, edges, w)
+
+
+def graph_laplacian(m, edges, w):
+    """The Laplacian of edges (a, b) with weights w on m vertices, as canonical CSR."""
     a, b = np.array(edges).T
+    w = np.asarray(w, dtype=float)
     rows, cols = np.concatenate([a, b, a, b]), np.concatenate([b, a, a, b])
     S = sp.csr_matrix((np.concatenate([-w, -w, w, w]), (rows, cols)), shape=(m, m))
     S.eliminate_zeros()
@@ -332,6 +338,31 @@ def test_the_shifted_factor_gives_the_dense_spectrum(S):
     k = sparse.eigenvalues.size
     assert 0 < k and np.abs(sparse.eigenvalues - full[:k]).max() <= 1e-10 * gersh
     assert sparse.dimension == dense.dimension == connected_components(S)[0]
+
+
+def test_a_residual_above_the_threshold_leaves_a_clear_count(monkeypatch):
+    # Two disjoint edges on m = 4: the harmonic Ritz residuals exceed the
+    # threshold tau = m * gersh * 2^-45, which is below what shift-invert
+    # reaches at small m, but no Ritz value lies within its residual of tau,
+    # so no eigenvalue can sit on the other side of it and the count stands.
+    S = graph_laplacian(4, [(0, 2), (1, 3)], [7.134267932027291, 5.693330213487345])
+    gersh = float(abs(S).sum(axis=1).max())
+    tau = 4 * gersh * hodge.HARMONIC_TOL_FACTOR
+    eigsh, residuals = hodge.spla.eigsh, []
+
+    def spy(*args, **kwargs):
+        vals, V = eigsh(*args, **kwargs)
+        residuals.append(np.linalg.norm(S @ V - V * vals, axis=0).max())
+        return vals, V
+
+    monkeypatch.setattr(hodge.spla, "eigsh", spy)
+    monkeypatch.setattr(hodge, "_laplacian_csr", lambda cx, p: S)
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    count = harmonic_dimension(SimpleNamespace(dim=lambda p: 4), 0)
+    assert len(residuals) == 1 and residuals[0] > tau
+    assert count.dimension == 2 and count.threshold == tau
+    full = np.linalg.eigvalsh(S.toarray())
+    assert np.abs(count.eigenvalues - full[:3]).max() <= 1e-10 * gersh
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])

@@ -149,7 +149,7 @@ def test_all_zero_products_are_rejected():
     space = unit_triangle(side=1.0)
     model = truncated_fractional_kernel(1.0, 0.5, eps_trunc=0.5, floor=0.0)
     ts = enumerate_tuples(space, full_system(), 1)
-    with pytest.raises(KernelError, match="non-positive mass"):
+    with pytest.raises(KernelError, match=r"^non-positive mass for tuple \(0, 1\)$"):
         assemble_weights(model, space, ts)
 
 
@@ -219,6 +219,24 @@ def test_loader_rejects_malformed_line(tmp_path):
     path.write_text("0, 1\n")
     with pytest.raises(KernelError, match="expected 'i, j, value'"):
         load_kernel_table(path, 2)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("0.5, 1, 1.0", "expected integer indices and a number, got '0.5, 1, 1.0'"),
+        ("0, 1, abc", "expected integer indices and a number, got '0, 1, abc'"),
+        ("0, 1, nan", "non-finite value 'nan'"),
+        ("0, 1, -inf", "non-finite value '-inf'"),
+    ],
+    ids=["fractional-index", "text-value", "nan-value", "infinite-value"],
+)
+def test_loader_names_the_file_and_line_of_a_bad_entry(tmp_path, row, error):
+    path = tmp_path / "kernel.csv"
+    path.write_text(f"# i, j, value\n{row}\n")
+    with pytest.raises(KernelError) as err:
+        load_kernel_table(path, 2)
+    assert str(err.value) == f"{path}:2: {error}"
 
 
 def test_loader_rejects_diagonal_pair(tmp_path):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlhodge import neighborhoods
+from nlhodge.cochains import CochainError, build_coboundary
 from nlhodge.space import MetricMeasureSpace, gen_circle, gen_interval
 from nlhodge.neighborhoods import (
     AdmissibilityError,
     TupleSet,
-    check_face_closure,
     enumerate_tuples,
     faces,
     full_system,
@@ -114,16 +113,22 @@ def test_face_closure_holds(kind):
     for p in range(2):
         lower = enumerate_tuples(space, system, p)
         upper = enumerate_tuples(space, system, p + 1)
-        ok, witness = check_face_closure(lower, upper)
-        assert ok, witness
+        # build_coboundary raises on the first face it cannot locate
+        assert build_coboundary(lower, upper).matrix.nnz == upper.size * (p + 2)
 
 
 def test_face_closure_failure_names_witness():
-    lower = TupleSet(0, np.array([[0], [1]]))
-    upper = TupleSet(1, np.array([[0, 2]]))
-    ok, witness = check_face_closure(lower, upper)
-    assert not ok
-    assert witness == ((0, 2), (2,))
+    cases = [
+        ([[0], [1]], [[0, 2]], "face (2,) of tuple (0, 2)"),
+        # (2, 3) of row 1 is missing too, but (0, 2) of row 0 comes first row-major
+        ([[0, 1], [1, 2]], [[0, 1, 2], [1, 2, 3]], "face (0, 2) of tuple (0, 1, 2)"),
+    ]
+    for lower, upper, witness in cases:
+        lower = TupleSet(len(lower[0]) - 1, np.array(lower))
+        upper = TupleSet(len(upper[0]) - 1, np.array(upper))
+        with pytest.raises(CochainError) as err:
+            build_coboundary(lower, upper)
+        assert str(err.value) == f"{witness} is missing: tuple sets not face-closed"
 
 
 def test_domination_chain_on_circle():
@@ -219,33 +224,13 @@ def test_empty_degree_above_point_count():
     assert ts.size == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=40), st.data())
-def test_locate_on_the_points_0_to_m_matches_a_dict_lookup(m, data):
-    # the set every enumeration gives at degree 0; queries may be negative,
-    # too large, anywhere in int64, or repeated
-    ts = TupleSet(0, np.arange(m)[:, None])
-    point = st.one_of(st.integers(-3, m + 3), st.integers(-(2**63), 2**63 - 1))
-    queries = data.draw(st.lists(point, max_size=20))
-    queries = np.array(queries + queries[:3], dtype=np.int64).reshape(-1, 1)
-    got = ts.locate(queries)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, dict_locate(ts.tuples, queries))
-    assert np.array_equal(ts.locate(queries.reshape(-1, 1, 1)), got.reshape(-1, 1))
-
-
 @pytest.mark.parametrize("system", [rips_system(1.1), hausdorff_system(0.6), full_system()],
                          ids=["rips", "hausdorff", "full"])
-def test_enumerated_points_are_located_without_a_search(system, monkeypatch):
+def test_enumerated_points_are_located_as_themselves(system):
     space = gen_circle(12)
     points = enumerate_tuples(space, system, 0)
     pairs = enumerate_tuples(space, system, 1)
     assert np.array_equal(points.tuples, np.arange(12)[:, None])
-
-    def no_search(rows):
-        raise AssertionError("degree-0 lookup searched its keys")
-
-    monkeypatch.setattr(neighborhoods, "_sort_keys", no_search)
     cols = points.locate(faces(pairs.tuples))
     assert cols.flags.c_contiguous
     assert np.array_equal(cols, pairs.tuples[:, ::-1])
