@@ -47,7 +47,6 @@ class CapacityProblem:
     space: MetricMeasureSpace
     clamp: np.ndarray  # the target set K plus the one-mesh-width ring
     energy: sp.csr_matrix  # the weighted pair Laplacian, entry for entry W_0 + B_0^T W_1 B_0
-    w0: np.ndarray  # point masses W_0
 
 
 def build_capacity_problem(
@@ -75,7 +74,7 @@ def build_capacity_problem(
     # pairs (a, b) sorted by a, then b: the upper triangle's CSR in pair order
     upper = sp.csr_matrix((-w1, t[:, 1], np.searchsorted(t[:, 0], np.arange(n + 1))), shape=(n, n))
     energy = (upper + upper.T + sp.diags(diag)).tocsr()
-    return CapacityProblem(space, clamp, energy, w0)
+    return CapacityProblem(space, clamp, energy)
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def capacity(problem: CapacityProblem) -> CapacityResult:
     # off-diagonal entry (-w_e, twice per pair) and w0_i u_i^2: u @ (A @ u)
     # would cancel the pair terms out of each diagonal, which swamp w0_i
     d = np.repeat(u, np.diff(A.indptr)) - u[A.indices]  # u_row - u_col per entry
-    value = float(problem.w0 @ u**2 - 0.5 * (A.data @ (d * d)))
+    value = float(problem.space.weights @ u**2 - 0.5 * (A.data @ (d * d)))
     ok = bool(u.min() >= -1e-10 and u.max() <= 1.0 + 1e-10)
     return CapacityResult(value, u, ok)
 

@@ -55,11 +55,9 @@ def _build_space(args):
         return spc.gen_punctured_interval(args.n, args.hole_center, args.hole_radius)
     if kind == "sphere":
         return spc.gen_sphere(args.n)
-    if kind == "file":
-        if not args.dist:
-            raise ValueError("--space file needs --dist PATH")
-        return spc.load_distance_matrix(args.dist, args.weights)
-    raise ValueError(f"unknown space {kind!r}")
+    if not args.dist:  # --space file
+        raise ValueError("--space file needs --dist PATH")
+    return spc.load_distance_matrix(args.dist, args.weights)
 
 
 def _build_system(args, eps):
@@ -71,9 +69,7 @@ def _build_system(args, eps):
         raise ValueError(f"{args.system} system needs --eps")
     if args.system == "rips":
         return nb.rips_system(eps, strict=not args.closed_eps)
-    if args.system == "hausdorff":
-        return nb.hausdorff_system(eps)
-    raise ValueError(f"unknown system {args.system!r}")
+    return nb.hausdorff_system(eps)
 
 
 def _build_kernel(args, n: int, alpha):
@@ -91,11 +87,9 @@ def _build_kernel(args, n: int, alpha):
         return kn.truncated_fractional_kernel(
             args.d, alpha, args.eps_trunc, scale=args.scale, floor=args.floor
         )
-    if args.kernel == "table":
-        if not args.kernel_table:
-            raise ValueError("table kernel needs --kernel-table PATH")
-        return kn.load_kernel_table(args.kernel_table, n)
-    raise ValueError(f"unknown kernel {args.kernel!r}")
+    if not args.kernel_table:  # --kernel table
+        raise ValueError("table kernel needs --kernel-table PATH")
+    return kn.load_kernel_table(args.kernel_table, n)
 
 
 def _write_json(payload: dict, path: str) -> None:

@@ -60,8 +60,13 @@ class CoverSystem:
 
     def __post_init__(self):
         centers = np.asarray(self.centers, dtype=int)
+        if centers.ndim != 1:
+            raise CoverError(f"centers must be a 1-D index array, got shape {centers.shape}")
         if centers.size == 0:
             raise CoverError("cover needs at least one center")
+        outside = centers[(centers < 0) | (centers >= self.space.n)]
+        if outside.size:
+            raise CoverError(f"centers {outside.tolist()} outside 0..{self.space.n - 1}")
         if self.eta <= 0 or self.eps <= 0:
             raise CoverError("eps and eta must be positive")
         d = self.space.dist[centers]  # (n_balls, n)
@@ -79,12 +84,6 @@ class CoverSystem:
     def n_balls(self) -> int:
         return self.centers.size
 
-    def intersection_mask(self, alphas) -> np.ndarray:
-        mask = np.ones(self.space.n, dtype=bool)
-        for a in alphas:
-            mask &= self.big_masks[a]
-        return mask
-
 
 def default_cover(space: MetricMeasureSpace, system: NeighborhoodSystem, every: int = 1,
                   eps: float | None = None) -> CoverSystem:
@@ -95,6 +94,8 @@ def default_cover(space: MetricMeasureSpace, system: NeighborhoodSystem, every: 
     to the system's scale; systems without one (full) need it passed
     explicitly.
     """
+    if every < 1:
+        raise CoverError(f"every must be at least 1, got {every}")
     centers = np.arange(0, space.n, every)
     cov_radius = float(space.dist[centers].min(axis=0).max())
     base = cov_radius if cov_radius > 0 else space.mesh_width() / 2.0
@@ -110,11 +111,11 @@ class LocalComplex:
     """A weighted complex restricted to an intersection.
 
     global_rows[p] holds the sorted global ids of the degree-p tuples inside
-    the intersection; local degree-p coordinates follow that order.
+    the intersection; local degree-p coordinates follow that order. Degree 0
+    is the point set, so global_rows[0] lists the intersection's points.
     """
 
     alphas: tuple
-    mask: np.ndarray
     complex_: WeightedComplex
     global_rows: list[np.ndarray]
     _entries: dict = field(default_factory=dict, init=False, repr=False)
@@ -151,12 +152,14 @@ def restrict_complex(cover: CoverSystem, complex_: WeightedComplex, alphas,
     """Restrict a complex to the tuples supported inside an intersection: those
     that every ball of the intersection holds, an AND of membership rows."""
     alphas = tuple(sorted(int(a) for a in alphas))
-    mask = cover.intersection_mask(alphas)
+    outside = [a for a in alphas if not 0 <= a < cover.n_balls]
+    if outside:
+        raise CoverError(f"ball indices {outside} outside 0..{cover.n_balls - 1}")
     global_rows = [
         np.nonzero(_tuple_ball_membership(complex_, cover, p)[list(alphas)].all(axis=0))[0]
         for p in range(max_degree + 1)
     ]
-    return LocalComplex(alphas, mask, complex_, global_rows)
+    return LocalComplex(alphas, complex_, global_rows)
 
 
 def partition_of_unity(cover: CoverSystem, tuples: np.ndarray) -> np.ndarray:
@@ -289,26 +292,6 @@ def _tuple_ball_membership(complex_: WeightedComplex, cover: CoverSystem, p: int
     return cover._membership[id(ts)][1]
 
 
-def _blockwise_ranks(s_counts: dict[int, int], q_max: int) -> tuple[list[int], list[int]]:
-    """Dims and exact ranks of the Cech differentials, summed over tuple blocks.
-
-    The restriction row splits as a direct sum over global tuples: the block
-    of a tuple covered by s balls is the coface complex of the full simplex
-    on those s balls (restriction maps are coordinate projections, so the
-    splitting is a permutation of the assembled matrices). The full simplex
-    is contractible, so its level-q coface matrix has rank C(s-1, q+1); the
-    assembled crosscheck re-eliminates the whole matrices independently.
-    """
-    dims = [0] * (q_max + 2)
-    ranks = [0] * (q_max + 1)
-    for s, count in s_counts.items():
-        for q in range(q_max + 2):
-            dims[q] += comb(s, q + 1) * count
-        for q in range(q_max + 1):
-            ranks[q] += comb(s - 1, q + 1) * count
-    return dims, ranks
-
-
 def _enumerate_blocks(membership: np.ndarray, cover: CoverSystem,
                       depth: int) -> tuple[list[tuple], list[sp.csr_matrix]]:
     """Restriction row through nerve level `depth`: (levels, differences).
@@ -335,35 +318,29 @@ def mayer_vietoris_check(
 
     0 -> C^p(global) -> prod_a C^p(U_a) -> prod_{a<b} C^p(U_ab) -> ...
 
-    Ranks are the closed forms C(s-1, q+1) of `_blockwise_ranks`, summed over
-    tuple blocks, so each row's dim_kernel equals rank_in by Pascal's rule.
-    When the assembled matrices hold at most MV_CROSSCHECK_CUTOFF rows they
-    are also eliminated as a whole over both primes, and the two routes must
-    agree. Preimages are reconstructed through the partition of unity and
-    checked numerically, on seeded random cochains.
+    With count[s] the number of degree-p tuples in exactly s balls, level q
+    holds sum_s count[s] C(s, q+1) coordinates, and the map into it (R for
+    q = 0) has rank sum_s count[s] C(s-1, q): the row splits over tuples into
+    coface complexes of full simplices, which are contractible. Each row's
+    dim_kernel therefore equals rank_in by Pascal's rule, so `exact` on a row
+    holds by construction and the crosscheck is the independent witness: when
+    the assembled matrices hold at most MV_CROSSCHECK_CUTOFF rows they are
+    eliminated as a whole over both primes and must reproduce both sums.
+    Preimages are reconstructed through the partition of unity and checked
+    numerically, on seeded random cochains.
     """
     m_global = complex_.tuple_sets[p].size
-
     membership = _tuple_ball_membership(complex_, cover, p)
-    s_per_tuple = membership.sum(axis=0)
-    injective = bool((s_per_tuple > 0).all()) if m_global else True
-    # each row of R is a standard basis vector, so its rank is the number of
-    # distinct covered tuples
-    rank_R = int((s_per_tuple > 0).sum())
-    uniq, counts = np.unique(s_per_tuple[s_per_tuple > 0], return_counts=True)
-    s_counts = {int(s): int(c) for s, c in zip(uniq, counts)}
-    dims, ranks_delta = _blockwise_ranks(s_counts, q_max)
-
-    rows_out = []
-    exact_all = injective
-    for q in range(q_max + 1):
-        rank_in = rank_R if q == 0 else ranks_delta[q - 1]
-        dim_ker = dims[q] - ranks_delta[q]
-        ok = dim_ker == rank_in
-        exact_all = exact_all and ok
-        rows_out.append(
-            {"q": q, "dim": dims[q], "rank_in": rank_in, "dim_kernel": dim_ker, "exact": ok}
-        )
+    count = np.bincount(membership.sum(axis=0)).tolist()
+    dims = [sum(c * comb(s, q + 1) for s, c in enumerate(count)) for q in range(q_max + 2)]
+    ranks = [sum(c * comb(s - 1, q) for s, c in enumerate(count) if s) for q in range(q_max + 2)]
+    rows = tuple(
+        {"q": q, "dim": dims[q], "rank_in": ranks[q], "dim_kernel": dims[q] - ranks[q + 1],
+         "exact": dims[q] - ranks[q + 1] == ranks[q]}
+        for q in range(q_max + 1)
+    )
+    injective = ranks[0] == m_global
+    exact = injective and all(row["exact"] for row in rows)
 
     run_crosscheck = sum(dims) + m_global <= MV_CROSSCHECK_CUTOFF
     levels, deltas = _enumerate_blocks(membership, cover, q_max + run_crosscheck)
@@ -374,13 +351,11 @@ def mayer_vietoris_check(
     if run_crosscheck:
         # each matrix from scratch: clearing would assume D_{q+1} D_q = 0
         whole_ranks, certain = zip(*(_cleared_rank(D, {}) for D in deltas))
-        agree = list(whole_ranks) == [rank_R] + ranks_delta and [D.shape[0] for D in deltas] == dims
+        agree = list(whole_ranks) == ranks and [D.shape[0] for D in deltas] == dims
         crosscheck = "uncertain" if not all(certain) else "pass" if agree else "fail"
-        exact_all = exact_all and agree and all(certain)
+        exact = exact and agree and all(certain)
 
-    return MVCertificate(
-        p, injective, tuple(rows_out), recon_ok, bool(exact_all and recon_ok), crosscheck
-    )
+    return MVCertificate(p, injective, rows, recon_ok, bool(exact and recon_ok), crosscheck)
 
 
 def _check_reconstructions(chi, levels, deltas, rng) -> bool:
@@ -522,10 +497,11 @@ def build_slice_and_psi(
             f"rebuild the complex with p_max >= {level - 1}"
         )
     loc = restrict_complex(cover, complex_, alphas, level)
-    if not loc.mask.any():
+    if loc.dim(0) == 0:
         raise CoverError(f"intersection {tuple(alphas)} is empty")
     n = cover.space.n
-    in_W = loc.mask.copy()
+    in_W = np.zeros(n, dtype=bool)
+    in_W[loc.global_rows[0]] = True
     for ell in range(1, level + 1):
         removed = loc.coboundary_entries(ell - 1)[3]
         members = complex_.tuple_sets[ell - 1].tuples[loc.global_rows[ell - 1]]

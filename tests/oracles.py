@@ -4,8 +4,10 @@
 used before ranks moved to sparse column reduction. `dict_locate` and
 `loop_coboundary` are the per-row dictionary lookup and coboundary loop that
 `TupleSet.locate` and `build_coboundary` replaced. `simplex_coface_matrix`
-spells out the coface matrices whose ranks `_blockwise_ranks` takes in
-closed form. `assembled_matrices` and `loop_nerve_differences` are
+spells out the coface matrices whose ranks `mayer_vietoris_check` sums in
+closed form. `intersection_mask` is the AND of an intersection's big-ball
+masks, which the package reads as the degree-0 rows of `restrict_complex`.
+`assembled_matrices` and `loop_nerve_differences` are
 per-intersection Cech builders, one block and one face lookup at a time; the
 package builds each level at once instead (combos from the tuple
 enumerator's rounds, faces by one `TupleSet.locate`, nerve components from
@@ -226,10 +228,15 @@ def simplex_coface_matrix(s: int, q: int) -> np.ndarray:
     return M
 
 
+def intersection_mask(cover, alphas) -> np.ndarray:
+    """Points inside every big ball of the intersection, one AND per ball."""
+    return np.logical_and.reduce(cover.big_masks[list(alphas)], axis=0)
+
+
 def nerve_combos(cover, q: int) -> list[tuple]:
     """Every (q+1)-combo of balls with a nonempty big-ball intersection, by brute force."""
     return [c for c in combinations(range(cover.n_balls), q + 1)
-            if cover.intersection_mask(c).any()]
+            if intersection_mask(cover, c).any()]
 
 
 def restrict_tuple_sets(cover, complex_, alphas, max_degree: int):
@@ -238,7 +245,7 @@ def restrict_tuple_sets(cover, complex_, alphas, max_degree: int):
     Each degree gets its own TupleSet of the tuples inside the intersection;
     global rows are the ids of those tuples in the complex.
     """
-    mask = cover.intersection_mask(alphas)
+    mask = intersection_mask(cover, alphas)
     sets, rows = [], []
     for p in range(max_degree + 1):
         ts = complex_.tuple_sets[p]
@@ -255,7 +262,7 @@ def slice_oracle(cover, complex_, alphas, level: int):
     local tuple of at most `level` points admissible, tried point by point.
     """
     sets, _ = restrict_tuple_sets(cover, complex_, alphas, level)
-    pts = np.nonzero(cover.intersection_mask(alphas))[0]
+    pts = np.nonzero(intersection_mask(cover, alphas))[0]
     keep = np.ones(pts.size, dtype=bool)
     for ell in range(1, level + 1):
         keys, _, hit = insert_points(sets[ell - 1].tuples, pts)
@@ -396,7 +403,7 @@ def loop_nerve_differences(cover, q_max: int) -> list[sp.csr_matrix]:
     for q in range(q_max + 2):
         blocks = []
         for combo in nerve_combos(cover, q):
-            pts = np.nonzero(cover.intersection_mask(combo))[0]
+            pts = np.nonzero(intersection_mask(cover, combo))[0]
             graph = sp.csr_matrix(cover.space.dist[np.ix_(pts, pts)] < cover.eps)
             k, labels = connected_components(graph, directed=False)
             comps = sorted((pts[labels == j] for j in range(k)), key=lambda c: int(c[0]))
@@ -691,14 +698,15 @@ def capacity_of_hole(n: int, eps: float, alpha: float, hole_center: float = 0.5,
 def exact_capacity(problem, dps: int = 40):
     """The clamped minimum of `problem`'s weighted graph in dps-digit arithmetic.
 
-    The graph takes the float point masses `w0` and the pair masses, read
-    off the energy's upper triangle where they are stored exactly as -w_e,
-    as exact numbers, so each diagonal is w0_i plus its pair masses without
-    rounding. The free block is symmetric positive definite and banded in
-    point order, so Gaussian elimination without pivoting stays inside the
-    band. The energy at the solution is summed term by term. Returns an mpf.
+    The graph takes the float point masses (the space's weights) and the
+    pair masses, read off the energy's upper triangle where they are stored
+    exactly as -w_e, as exact numbers, so each diagonal is w_i plus its pair
+    masses without rounding. The free block is symmetric positive definite
+    and banded in point order, so Gaussian elimination without pivoting
+    stays inside the band. The energy at the solution is summed term by
+    term. Returns an mpf.
     """
-    n = problem.w0.size
+    n = problem.space.n
     upper = sp.triu(problem.energy, 1).tocoo()
     pairs, w1 = np.stack([upper.row, upper.col], axis=1), -upper.data
     free = np.setdiff1d(np.arange(n), problem.clamp)
@@ -709,7 +717,7 @@ def exact_capacity(problem, dps: int = 40):
         A = [[zero] * free.size for _ in free]
         rhs = [zero] * free.size
         for k, i in enumerate(free):
-            A[k][k] = mpmath.mpf(float(problem.w0[i]))
+            A[k][k] = mpmath.mpf(float(problem.space.weights[i]))
         band = 0
         for (a, b), w in zip(pairs.tolist(), w1.tolist()):
             for i, j in ((pos[a], pos[b]), (pos[b], pos[a])):
@@ -738,7 +746,7 @@ def exact_capacity(problem, dps: int = 40):
         for k, i in enumerate(free):
             u[i] = x[k]
         return mpmath.fsum(
-            [mpmath.mpf(float(w)) * u[i] ** 2 for i, w in enumerate(problem.w0)]
+            [mpmath.mpf(float(w)) * u[i] ** 2 for i, w in enumerate(problem.space.weights)]
             + [mpmath.mpf(w) * (u[a] - u[b]) ** 2
                for (a, b), w in zip(pairs.tolist(), w1.tolist())]
         )
