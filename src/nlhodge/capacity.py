@@ -21,15 +21,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .space import MetricMeasureSpace, gen_interval
+from .space import _SWEEP_ROWS, MetricMeasureSpace, gen_interval
 from .neighborhoods import NeighborhoodSystem, enumerate_tuples, rips_system
 from .kernels import KernelModel, assemble_weights, fractional_kernel
 from .hodge import NumericalError
 
 DIRECT_SOLVE_CUTOFF = 4000
+# Direct solves of free blocks with at least this share of stored entries
+# (nnz / m^2) go to a dense Cholesky, sparser ones to SuperLU. Timed with one
+# BLAS thread on rips interval rungs, m = 47..3197 and density 0.05..0.44: the
+# two cross between densities 0.077 and 0.095 at m = 397 and 797, and between
+# 0.058 and 0.078 at m = 1597 and 3197; at the ladder's 0.44 the Cholesky is
+# 3.1-5.7x faster from m = 197 on (m = 797: 6.5 ms against 20 ms). Under
+# DIRECT_SOLVE_CUTOFF its one dense m x m float64 array is at most 128 MB.
+DENSE_SOLVE_DENSITY = 0.08
 CG_RTOL = 1e-10
 # The removability ladder: rips scale, hole position, verdict thresholds.
 LADDER_EPS = 0.25
@@ -85,9 +94,14 @@ class CapacityResult:
 
 
 def capacity(problem: CapacityProblem) -> CapacityResult:
-    """Minimize the clamped energy; direct solve when small, CG when large.
+    """Minimize the clamped energy by solving its free block A_ff u = rhs.
 
-    The minimizer satisfies 0 <= u <= 1 up to solver tolerance (reported as
+    Three branches, by the block's size m and share of stored entries: CG
+    above DIRECT_SOLVE_CUTOFF points; a dense Cholesky, factored in place,
+    when nnz / m^2 >= DENSE_SOLVE_DENSITY (every default ladder rung, 43-44 %
+    dense); SuperLU otherwise. A dense block that is not numerically positive
+    definite, or CG that does not converge, raises NumericalError. The
+    minimizer satisfies 0 <= u <= 1 up to solver tolerance (reported as
     max_principle_ok); u is identically 1 when the clamp covers everything.
     """
     n = problem.space.n
@@ -95,15 +109,21 @@ def capacity(problem: CapacityProblem) -> CapacityResult:
     u = np.zeros(n)
     u[problem.clamp] = 1.0
     free = np.setdiff1d(np.arange(n), problem.clamp)
-    if free.size:
-        Aff = A[np.ix_(free, free)]
-        rhs = -A[np.ix_(free, problem.clamp)] @ np.ones(problem.clamp.size)
-        if free.size <= DIRECT_SOLVE_CUTOFF:
-            sol = spla.spsolve(Aff.tocsc(), rhs)
-        else:
-            sol, info = spla.cg(Aff, rhs, rtol=CG_RTOL, maxiter=100 * free.size)
+    m = free.size
+    if m:
+        # A_fc is A_cf^T (the energy is symmetric), and the clamp's few rows are
+        # cheaper to index than the free ones
+        Acf = A[np.ix_(problem.clamp, free)]
+        rhs = -(np.ones(problem.clamp.size) @ Acf)
+        nnz = int(np.diff(A.indptr)[free].sum()) - Acf.nnz  # stored entries of A_ff
+        if m > DIRECT_SOLVE_CUTOFF:
+            sol, info = spla.cg(A[np.ix_(free, free)], rhs, rtol=CG_RTOL, maxiter=100 * m)
             if info != 0:
                 raise NumericalError(f"capacity CG did not converge (info={info})")
+        elif nnz >= DENSE_SOLVE_DENSITY * m * m:
+            sol = _cholesky_solve(A, free, rhs)
+        else:
+            sol = spla.spsolve(A[np.ix_(free, free)].tocsc(), rhs)
         u[free] = sol
     # the energy as a sum of one-signed terms, w_e (u_a - u_b)^2 from each
     # off-diagonal entry (-w_e, twice per pair) and w0_i u_i^2: u @ (A @ u)
@@ -112,6 +132,28 @@ def capacity(problem: CapacityProblem) -> CapacityResult:
     value = float(problem.space.weights @ u**2 - 0.5 * (A.data @ (d * d)))
     ok = bool(u.min() >= -1e-10 and u.max() <= 1.0 + 1e-10)
     return CapacityResult(value, u, ok)
+
+
+def _cholesky_solve(A: sp.csr_matrix, free: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A_ff x = rhs by a Cholesky factorization of one dense A_ff.
+
+    The block is written _SWEEP_ROWS rows at a time, so no sparse copy of it
+    lives beside the dense one, and LAPACK factors it in place through the
+    Fortran-ordered view D.T (A_ff is symmetric); C order would be copied.
+    cho_factor skips the condition estimate of solve(assume_a="pos"), a
+    quarter of its time at m = 797, with the same factor and solution bits.
+    """
+    m = free.size
+    D = np.empty((m, m))
+    for r0 in range(0, m, _SWEEP_ROWS):
+        A[free[r0 : r0 + _SWEEP_ROWS]][:, free].toarray(out=D[r0 : r0 + _SWEEP_ROWS])
+    try:
+        factor = la.cho_factor(D.T, overwrite_a=True, check_finite=False)
+    except la.LinAlgError as exc:
+        raise NumericalError(
+            f"capacity free block of {m} points is not numerically positive definite"
+        ) from exc
+    return la.cho_solve(factor, rhs, check_finite=False)
 
 
 @dataclass(frozen=True)

@@ -59,11 +59,14 @@ class CoverSystem:
     _membership: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=int)
+        centers = np.asarray(self.centers)
         if centers.ndim != 1:
             raise CoverError(f"centers must be a 1-D index array, got shape {centers.shape}")
         if centers.size == 0:
             raise CoverError("cover needs at least one center")
+        if centers.dtype.kind not in "iu":
+            raise CoverError(f"centers must be integer point indices, got {centers.tolist()[:8]}")
+        centers = centers.astype(int)
         outside = centers[(centers < 0) | (centers >= self.space.n)]
         if outside.size:
             raise CoverError(f"centers {outside.tolist()} outside 0..{self.space.n - 1}")
@@ -94,6 +97,8 @@ def default_cover(space: MetricMeasureSpace, system: NeighborhoodSystem, every: 
     to the system's scale; systems without one (full) need it passed
     explicitly.
     """
+    if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
+        raise CoverError(f"every must be an integer stride, got {every!r}")
     if every < 1:
         raise CoverError(f"every must be at least 1, got {every}")
     centers = np.arange(0, space.n, every)

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 
@@ -13,12 +14,14 @@ from nlhodge.neighborhoods import hausdorff_system, rips_system
 from nlhodge.kernels import fractional_kernel, truncated_fractional_kernel
 from nlhodge import capacity as capacity_module
 from nlhodge.capacity import (
+    LADDER_EPS,
     CapacityError,
     RemovabilityReport,
     build_capacity_problem,
     capacity,
     removability_sweep,
 )
+from nlhodge.hodge import NumericalError
 
 from oracles import capacity_energy, capacity_of_hole, exact_capacity, permuted, total_mass
 
@@ -77,20 +80,47 @@ def test_capacity_value_matches_dense_quadratic_minimum():
     assert np.allclose(result.potential, u, atol=1e-10)
 
 
-@pytest.mark.parametrize("n, alpha, system", [
+def spy_branches(monkeypatch):
+    """The direct branch ('dense' or 'superlu') of each solve capacity() runs."""
+    calls = []
+    for owner, name, branch in (
+        (capacity_module.la, "cho_factor", "dense"),
+        (capacity_module.spla, "spsolve", "superlu"),
+    ):
+        solve = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, _s=solve, _b=branch, **k: calls.append(_b) or _s(*a, **k)
+        )
+    return calls
+
+
+ORACLE_CASES = [
     (50, 0.5, rips_system(0.25)),
     (50, 1.5, rips_system(0.25)),
     (100, 0.5, rips_system(0.25)),
     (100, 1.5, rips_system(0.25)),
     (100, 1.5, hausdorff_system(0.1)),
+]
+
+
+@pytest.mark.parametrize("n, alpha, system, branch", [
+    # every case is dense enough for the Cholesky; each runs again with SuperLU forced
+    pytest.param(n, alpha, system, branch,
+                 id=f"{n}-{alpha}-system{i}" + ("-superlu" if branch == "superlu" else ""))
+    for branch in ("dense", "superlu")
+    for i, (n, alpha, system) in enumerate(ORACLE_CASES)
 ])
-def test_capacity_value_matches_the_exact_graph_minimum(n, alpha, system):
+def test_capacity_value_matches_the_exact_graph_minimum(monkeypatch, n, alpha, system, branch):
     # The same float masses, assembled and solved in 40 digits: the value,
     # summed as nonnegative edge and point terms, is good to a few ulp.
+    if branch == "superlu":
+        monkeypatch.setattr(capacity_module, "DENSE_SOLVE_DENSITY", math.inf)
+    calls = spy_branches(monkeypatch)
     kernel = fractional_kernel(1.0, alpha)
     problem = build_capacity_problem(gen_interval(n), system, kernel, [n // 2])
     exact = exact_capacity(problem)
     assert abs(capacity(problem).value - exact) <= 1e-14 * exact
+    assert calls == [branch]
 
 
 def test_the_quadratic_form_misses_the_exact_graph_minimum():
@@ -117,6 +147,56 @@ def test_cg_branch_matches_the_direct_solve(monkeypatch, n, alpha):
     assert cg.max_principle_ok
     assert abs(cg.value - direct.value) <= 1e-9 * direct.value
     assert np.abs(cg.potential - direct.potential).max() <= 1e-8
+
+
+def test_every_default_ladder_rung_takes_the_dense_branch(monkeypatch):
+    calls = spy_branches(monkeypatch)
+    removability_sweep()
+    assert calls == ["dense"] * 10
+
+
+def test_a_sparse_free_block_takes_superlu(monkeypatch):
+    # rips 0.01 on 400 points: about 9 stored entries a row, 2 % of the block
+    calls = spy_branches(monkeypatch)
+    result = capacity_of_hole(400, 0.01, 0.5)
+    assert calls == ["superlu"]
+    assert result.max_principle_ok
+
+
+def test_the_dense_branch_holds_one_block_factored_in_place(monkeypatch):
+    # The n = 800 rung: one m x m float64 array, no sparse copy of the block
+    # beside it. LAPACK copies a C-ordered array outside tracemalloc's view,
+    # so the spy checks that the factor overwrote the array it was handed.
+    problem = build_capacity_problem(
+        gen_interval(800), rips_system(LADDER_EPS), fractional_kernel(1.0, 0.5), [400]
+    )
+    m = 800 - problem.clamp.size
+    overwritten = []
+    cho_factor = capacity_module.la.cho_factor
+
+    def spy(a, **kwargs):
+        last = a[:, -1].copy()
+        factor = cho_factor(a, **kwargs)
+        overwritten.append(not np.array_equal(a[:, -1], last))
+        return factor
+
+    monkeypatch.setattr(capacity_module.la, "cho_factor", spy)
+    tracemalloc.start()
+    try:
+        capacity(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert overwritten == [True]
+    assert peak <= 1.25 * m * m * 8
+
+
+def test_an_indefinite_free_block_raises_a_numerical_error():
+    problem = interval_problem([20])
+    problem.energy[5, 5] = -1.0
+    m = 40 - problem.clamp.size
+    with pytest.raises(NumericalError, match=f"free block of {m} points is not numerically positive"):
+        capacity(problem)
 
 
 def test_minimizer_beats_other_feasible_candidates():

@@ -408,7 +408,7 @@ def test_verify_reports_keep_their_bytes(tmp_path):
         ("capacity", "verify.json"):
             "f431b2f607698535b1e14f8898b7c3f7def2317d2dd60f1316f1f4912225f70b",
         ("capacity", "removability.csv"):
-            "a9ffd8689b21bd60f884f83848a2241aa3497c898ee2e3794f935a4df5a1562f",
+            "390f64d969452ad2282939fa866219a498706b00e8fb29d9cd1e6d8f2ac878de",
     }
     for suite in ("poincare", "mv", "capacity"):
         proc = run_cli("verify", "--suite", suite, "--out", str(tmp_path / suite))

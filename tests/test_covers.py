@@ -159,7 +159,10 @@ def test_cover_must_cover_every_point():
 
 def test_centers_must_be_point_indices():
     space = gen_interval(8)
-    for centers, bad in (([-1, 3], r"\[-1\]"), ([3, 9], r"\[9\]"), ([[0, 4]], r"\(1, 2\)")):
+    # an int cast would put balls at [1.7, 6.2] on points 1 and 6
+    for centers, bad in (([-1, 3], r"\[-1\]"), ([3, 9], r"\[9\]"), ([[0, 4]], r"\(1, 2\)"),
+                         ([1.7, 6.2], r"integer point indices, got \[1\.7, 6\.2\]"),
+                         ([True] * 8, "integer point indices")):
         with pytest.raises(CoverError, match=bad):
             CoverSystem(space, rips_system(0.2), eps=0.2, eta=0.5, centers=centers)
 
@@ -177,6 +180,15 @@ def test_default_cover_needs_a_positive_stride():
     for every in (0, -1):
         with pytest.raises(CoverError, match=f"got {every}"):
             default_cover(space, rips_system(0.2), every=every)
+
+
+def test_default_cover_needs_an_integer_stride():
+    space = gen_interval(8)
+    for every in (1.5, 2.0, True):
+        with pytest.raises(CoverError, match=f"integer stride, got {every!r}"):
+            default_cover(space, rips_system(0.2), every=every)
+    cover = default_cover(space, rips_system(0.2), every=np.int64(2))
+    assert np.array_equal(cover.centers, [0, 2, 4, 6])
 
 
 def test_full_system_needs_explicit_eps():
