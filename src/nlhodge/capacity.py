@@ -68,9 +68,12 @@ def build_capacity_problem(
 
     The clamp set is every point within one mesh width of the target.
     """
-    target = np.asarray(sorted(set(int(i) for i in np.atleast_1d(target))), dtype=int)
+    target = np.atleast_1d(np.asarray(target))
     if target.size == 0:
         raise CapacityError("target set is empty")
+    if target.dtype.kind not in "iu":
+        raise CapacityError(f"targets must be integer point indices, got {target.tolist()[:8]}")
+    target = np.unique(target).astype(int)
     if target.min() < 0 or target.max() >= space.n:
         raise CapacityError("target indices out of range")
     d_to_target = space.dist[:, target].min(axis=1)

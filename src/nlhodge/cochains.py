@@ -138,8 +138,8 @@ class CoboundaryOperator:
 def build_coboundary(source: TupleSet, target: TupleSet) -> CoboundaryOperator:
     """Matrix of (delta F)(x_0..x_{p+1}) = sum_i (-1)^i F(..omit x_i..).
 
-    Faces of sorted tuples are sorted, so each row has exactly p+2 entries of
-    alternating sign. A missing face means the tuple sets are not face-closed.
+    Each row has exactly p+2 entries of alternating sign, written by
+    `_signed_face_csr`. A missing face means the tuple sets are not face-closed.
     """
     if target.degree != source.degree + 1:
         raise CochainError("coboundary needs consecutive degrees")
@@ -150,13 +150,27 @@ def build_coboundary(source: TupleSet, target: TupleSet) -> CoboundaryOperator:
         row = tuple(target.tuples[r].tolist())
         face = row[:i] + row[i + 1 :]
         raise CochainError(f"face {face} of tuple {row} is missing: tuple sets not face-closed")
-    m, k = cols.shape
-    data = np.tile(np.where(np.arange(k) % 2 == 0, 1, -1), m)
-    mat = sp.csr_matrix(
-        (data, (np.repeat(np.arange(m), k), cols.ravel())),
-        shape=(target.size, source.size),
-    )
+    mat = _signed_face_csr(lambda i: cols[:, i], cols.shape[1], (target.size, source.size))
     return CoboundaryOperator(source.degree, source, target, mat)
+
+
+def _signed_face_csr(face_cols, k: int, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Int64 CSR whose row r holds (-1)^i at column face_cols(i)[r], i = 0..k-1.
+
+    Face i drops member i, and a sorted tuple's faces sort as dropping its
+    last member first: each row is written reversed, k ascending columns
+    signed (-1)^(k-1)..(-1)^0, the layout `covers.LocalComplex.coboundary_entries`
+    reads back. Each face's columns go straight into one index array, int32
+    when they fit.
+    """
+    rows = shape[0]
+    index = np.int32 if max(k * rows, shape[1]) <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty((rows, k), dtype=index)
+    for i in range(k):
+        indices[:, k - 1 - i] = face_cols(i)
+    data = np.tile((-1) ** np.arange(k - 1, -1, -1, dtype=np.int64), rows)
+    indptr = np.arange(0, k * rows + 1, k, dtype=index)
+    return sp.csr_matrix((data, indices.ravel(), indptr), shape=shape)
 
 
 def coboundary_apply(op: CoboundaryOperator, F: Cochain) -> Cochain:

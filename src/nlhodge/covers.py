@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from .space import MetricMeasureSpace
 from .neighborhoods import NeighborhoodSystem, TupleSet, _row_rounds, faces
+from .cochains import _signed_face_csr
 from .cohomology import BettiReport, _betti, _cleared_rank, compare_numeric_exact, exact_betti
 from .hodge import WeightedComplex, hodge_report
 
@@ -133,9 +134,9 @@ class LocalComplex:
 
         Read from the global CSR rows of the inside (p+1)-tuples, which hold
         one entry per face; every face of an inside tuple is inside, so each
-        global column has a local one. A row's columns are sorted, and the
-        faces of a sorted tuple sort as dropping its last member first, so
-        the removed points are the row tuple's members in reverse. Memoized.
+        global column has a local one. `cochains._signed_face_csr` writes each
+        row as its faces dropping the last member first, so the removed points
+        are the row tuple's members in reverse. Memoized.
         """
         if p not in self._entries:
             rows, cols = self.global_rows[p + 1], self.global_rows[p]
@@ -220,9 +221,8 @@ def _cech_differences(levels) -> list[sp.csr_matrix]:
     all faces and one `np.searchsorted` per face position of the flat keys
     row*m + item. Dropping the i-th ball gives sign (-1)^i; a combo of one
     ball has the level of width 0 as its only face. Level sizes are the
-    shapes. A combo's faces sort as dropping its last ball first, so each
-    row's columns come sorted with i from k-1 down to 0, and the CSR arrays
-    are written directly, k entries a row.
+    shapes. A combo's faces sort as dropping its last ball first, so
+    `_signed_face_csr` writes the CSR arrays directly, k entries a row.
     """
     deltas = []
     for (lo_combos, lo_inside), (up_combos, up_inside) in zip(levels, levels[1:]):
@@ -235,15 +235,10 @@ def _cech_differences(levels) -> list[sp.csr_matrix]:
         lo_r, lo_j = lo_inside.nonzero()
         up_r, up_j = up_inside.nonzero()
         lo_keys = lo_r.astype(np.int64) * m + lo_j
-        index = np.int32 if k * up_r.size <= np.iinfo(np.int32).max else np.int64
-        indices = np.empty((up_r.size, k), dtype=index)
-        for i in range(k):
-            indices[:, k - 1 - i] = np.searchsorted(lo_keys, face_rows[up_r, i] * m + up_j)
-        data = np.tile((-1) ** np.arange(k - 1, -1, -1, dtype=np.int64), up_r.size)
-        indptr = np.arange(0, k * up_r.size + 1, k, dtype=index)
-        deltas.append(
-            sp.csr_matrix((data, indices.ravel(), indptr), shape=(up_r.size, lo_r.size))
-        )
+        deltas.append(_signed_face_csr(
+            lambda i: np.searchsorted(lo_keys, face_rows[up_r, i] * m + up_j),
+            k, (up_r.size, lo_r.size),
+        ))
     return deltas
 
 

@@ -365,3 +365,21 @@ def test_degenerate_targets_are_rejected():
         interval_problem([40], n=40)
     with pytest.raises(CapacityError, match="out of range"):
         interval_problem([-1])
+
+
+@pytest.mark.parametrize(
+    "target, shown",
+    [([20.7], r"\[20\.7\]"), ([True], r"\[True\]"), (np.array([2.0]), r"\[2\.0\]")],
+    ids=["fraction", "bool", "float-array"],
+)
+def test_targets_must_be_point_indices(target, shown):
+    # an int cast would clamp [19, 20, 21] for 20.7 and [0, 1, 2] for True
+    with pytest.raises(CapacityError, match=rf"integer point indices, got {shown}"):
+        interval_problem(target)
+
+
+def test_numpy_integer_targets_are_point_indices():
+    assert interval_problem(np.int64(3)).clamp.tolist() == [2, 3, 4]
+    assert interval_problem(np.array([20, 3], dtype=np.int32)).clamp.tolist() == (
+        interval_problem([3, 20]).clamp.tolist()
+    )

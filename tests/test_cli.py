@@ -107,6 +107,38 @@ def test_reports_are_byte_identical_across_thread_caps(tmp_path):
             assert a.endswith(b"\n")
 
 
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+def test_betti_reports_keep_their_bytes(tmp_path, monkeypatch, capsys, branch):
+    # circle n=12 through each eigensolve branch: the sparse one (cutoff 2)
+    # computes only the low end, so its hodge_report.json lists fewer and
+    # slightly different eigenvalues; the exact betti_report.json is shared
+    from nlhodge import cli, hodge
+
+    pinned = {
+        "dense": "fadb653e8174d9dc1ea1f9dbd30bb37970e1f0e1bba95f3a94f93473b8b052a0",
+        "sparse": "d7e19eadc5286308f43fa8327317d47a875a66391e3f26046baa8feed6e8bbb2",
+    }
+    if branch == "sparse":
+        monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    monkeypatch.delenv("NLH_THREADS", raising=False)
+    rc = cli.main([
+        "betti", "--space", "circle", "--n", "12", "--system", "rips",
+        "--eps", "1.1", "--alpha", "0.5", "--pmax", "1", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "p=0 betti=1 harmonic=1 dim=12", "p=1 betti=1 harmonic=1 dim=24",
+    ]
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("betti_report.json", "hodge_report.json")
+    }
+    assert digests == {
+        "betti_report.json": "ca035e4549f5ae4dcb940e22705e8fe143d59a802a9a14305eb46888ee5325d8",
+        "hodge_report.json": pinned[branch],
+    }
+
+
 def test_a_bad_kernel_table_row_exits_one(tmp_path):
     table = tmp_path / "pairs.txt"
     table.write_text("0, 1, 1.0\n0, 2, nan\n1, 2, 1.0\n")

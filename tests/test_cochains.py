@@ -236,6 +236,31 @@ def test_coboundary_matches_the_per_face_loop(space):
             )
 
 
+@pytest.mark.parametrize(
+    "space, system",
+    [(gen_circle(12), rips_system(1.7)), (gen_interval(10), hausdorff_system(0.25)),
+     (gen_sphere(16), rips_system(1.5)), (gen_interval(6), full_system())],
+    ids=["circle", "interval", "sphere", "full"],
+)
+def test_every_coboundary_row_is_its_faces_reversed(space, system):
+    # the layout covers.LocalComplex.coboundary_entries reads back: k = p+2
+    # entries a row, the faces dropping the last member first (ascending
+    # columns), signed (-1)^i for the face dropping member i
+    sets = [enumerate_tuples(space, system, p) for p in range(4)]
+    for p in range(3):
+        mat = build_coboundary(sets[p], sets[p + 1]).matrix
+        rows, k = sets[p + 1].size, p + 2
+        assert rows > 0
+        assert np.array_equal(mat.indptr, np.arange(0, k * rows + 1, k))
+        cols = mat.indices.reshape(rows, k)
+        assert (np.diff(cols, axis=1) > 0).all()
+        for i in range(k):
+            face = np.delete(sets[p + 1].tuples, i, axis=1)
+            assert np.array_equal(cols[:, k - 1 - i], sets[p].locate(face))
+        signs = mat.data.reshape(rows, k)
+        assert np.array_equal(signs, np.tile((-1) ** np.arange(k - 1, -1, -1), (rows, 1)))
+
+
 def test_apply_rejects_foreign_cochain():
     ts1 = full_tuples(6, 1)
     other = enumerate_tuples(gen_interval(6), rips_system(0.3), 1)

@@ -64,7 +64,7 @@ def test_two_point_laplacian_matches_hand_computation():
     assert np.array_equal(S, L)  # unit point weights: the conjugation is trivial
     assert np.allclose(np.linalg.eigvalsh(S), [0.0, 4.0], atol=1e-12)
     hc = harmonic_dimension(complex_, 0)
-    assert hc.dimension == 1
+    assert hc.harmonic_dim == 1
     assert not hc.flagged
 
 
@@ -179,14 +179,14 @@ def test_dirichlet_form_equals_double_sum(circle_complex):
 
 
 def test_circle_harmonic_dimensions(circle_complex):
-    assert harmonic_dimension(circle_complex, 0).dimension == 1
-    assert harmonic_dimension(circle_complex, 1).dimension == 1
+    assert harmonic_dimension(circle_complex, 0).harmonic_dim == 1
+    assert harmonic_dimension(circle_complex, 1).harmonic_dim == 1
 
 
 def test_two_components_have_two_degree_zero_harmonics():
     space = gen_two_components(8, gap=3.0)
     complex_ = build_weighted_complex(space, rips_system(1.0), fractional_kernel(1.0, 0.5), 1)
-    assert harmonic_dimension(complex_, 0).dimension == 2
+    assert harmonic_dimension(complex_, 0).harmonic_dim == 2
 
 
 def test_rank_nullity_bookkeeping(circle_complex):
@@ -195,7 +195,7 @@ def test_rank_nullity_bookkeeping(circle_complex):
     B_dn = circle_complex.coboundary(p - 1).matrix.toarray().astype(float)
     rank_up = np.linalg.matrix_rank(B_up)
     rank_dn = np.linalg.matrix_rank(B_dn)
-    hd = harmonic_dimension(circle_complex, p).dimension
+    hd = harmonic_dimension(circle_complex, p).harmonic_dim
     assert circle_complex.dim(p) == hd + rank_up + rank_dn
 
 
@@ -208,7 +208,7 @@ def test_kernel_rescaling_preserves_harmonics_but_not_spectra():
     for p in range(2):
         a = harmonic_dimension(base, p)
         b = harmonic_dimension(tripled, p)
-        assert a.dimension == b.dimension
+        assert a.harmonic_dim == b.harmonic_dim
     s_base = np.linalg.eigvalsh(hodge_laplacian(base, 0))
     s_tripled = np.linalg.eigvalsh(hodge_laplacian(tripled, 0))
     assert s_tripled.max() == pytest.approx(3.0 * s_base.max(), rel=1e-10)
@@ -216,7 +216,7 @@ def test_kernel_rescaling_preserves_harmonics_but_not_spectra():
 
 def test_oracle_is_ignored_when_the_gap_is_clean(circle_complex):
     hc = harmonic_dimension(circle_complex, 0, oracle=5)
-    assert hc.dimension == 1
+    assert hc.harmonic_dim == 1
     assert not hc.oracle_used
 
 
@@ -236,14 +236,46 @@ def test_report_agreement_fields(circle_complex):
     assert compare_numeric_exact([wrong], betti).status == ("disagree",)
 
 
+def test_the_report_is_the_count_itself(circle_complex, monkeypatch):
+    # one result type per degree: hodge_report hands back harmonic_dimension's
+    # object, whose .dimension is the cochain dimension, not the count
+    made = []
+    count = hodge.harmonic_dimension
+    monkeypatch.setattr(
+        hodge, "harmonic_dimension", lambda *a, **kw: made.append(count(*a, **kw)) or made[-1]
+    )
+    report = hodge_report(circle_complex, 1, oracle=1)
+    assert len(made) == 1 and made[0] is report
+    assert (report.dimension, report.harmonic_dim) == (circle_complex.dim(1), 1)
+    assert report.eigenvalues.dtype == np.float64 and not report.eigenvalues.flags.writeable
+    assert not hasattr(hodge, "HarmonicCount")
+
+
+@pytest.mark.parametrize(
+    "eigs, count, flagged",
+    [((1e-14, 1e-12, 5.0), 1, True), ((1e-14, 5e-10, 5.0), 1, False),
+     ((0.0, 1e-12, 5.0), 1, False), ((1e-14, 2e-14, 3e-14), 3, False)],
+    ids=["narrow-gap", "wide-gap", "exact-zero", "all-harmonic"],
+)
+def test_the_flag_reads_the_gap_at_the_threshold(monkeypatch, eigs, count, flagged):
+    # m = 3 and a bound of 5 put the threshold at 4.3e-13; the flag compares
+    # the eigenvalues on either side of it, not the ends of the spectrum
+    monkeypatch.setattr(hodge, "_laplacian_csr", lambda cx, p: None)
+    monkeypatch.setattr(hodge, "_low_spectrum", lambda S: (np.array(eigs), 5.0))
+    report = harmonic_dimension(SimpleNamespace(dim=lambda p: 3), 0, oracle=2)
+    assert report.threshold == 3 * 5.0 * hodge.HARMONIC_TOL_FACTOR
+    assert (report.harmonic_dim, report.flagged) == (count, flagged)
+    assert report.oracle_used == flagged  # the oracle's 2 contradicts a flagged 1
+
+
 def test_empty_degree_is_harmless(monkeypatch):
     # eps below the minimum spacing: no pairs at all, every point is harmonic.
     space = gen_circle(8)
     complex_ = build_weighted_complex(space, rips_system(0.1), constant_kernel(1.0), 1)
     assert complex_.dim(1) == 0
     hc = harmonic_dimension(complex_, 0)
-    assert hc.dimension == 8
-    assert harmonic_dimension(complex_, 1).dimension == 0
+    assert hc.harmonic_dim == 8
+    assert harmonic_dimension(complex_, 1).harmonic_dim == 0
 
     # Above the cutoff the zero Laplacian has a Gershgorin bound of 0, so a
     # shift scaled by it would leave eigsh a singular matrix: no solve is made.
@@ -259,7 +291,7 @@ def test_empty_degree_is_harmless(monkeypatch):
 
     monkeypatch.setattr(hodge.spla, "eigsh", refuse)
     hc = harmonic_dimension(complex_, 0)
-    assert hc.dimension == n and not hc.flagged
+    assert hc.harmonic_dim == n and not hc.flagged
     assert np.array_equal(hc.eigenvalues, np.zeros(n))
 
 
@@ -269,7 +301,7 @@ def test_a_failing_eigsh_is_uncertain_not_a_traceback(circle_complex, monkeypatc
 
     monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
     monkeypatch.setattr(hodge.spla, "eigsh", singular)
-    assert harmonic_dimension(circle_complex, 1).dimension is None
+    assert harmonic_dimension(circle_complex, 1).harmonic_dim is None
 
 
 def test_a_singular_factorization_is_uncertain_not_a_traceback(circle_complex, monkeypatch):
@@ -279,7 +311,7 @@ def test_a_singular_factorization_is_uncertain_not_a_traceback(circle_complex, m
 
     monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
     monkeypatch.setattr(hodge.spla, "splu", singular)
-    assert harmonic_dimension(circle_complex, 1).dimension is None
+    assert harmonic_dimension(circle_complex, 1).harmonic_dim is None
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -289,7 +321,7 @@ def test_sparse_eigensolve_matches_the_dense_branch(circle_complex, monkeypatch,
     monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
     sparse = harmonic_dimension(circle_complex, p)
     assert sparse.eigenvalues.size < circle_complex.dim(p)  # only the low end was computed
-    assert sparse.dimension == dense.dimension
+    assert sparse.harmonic_dim == dense.harmonic_dim
     assert sparse.flagged == dense.flagged
     assert np.allclose(sparse.eigenvalues, full[: sparse.eigenvalues.size], rtol=0, atol=1e-10)
 
@@ -337,7 +369,7 @@ def test_the_shifted_factor_gives_the_dense_spectrum(S):
     gersh = float(abs(S).sum(axis=1).max())
     k = sparse.eigenvalues.size
     assert 0 < k and np.abs(sparse.eigenvalues - full[:k]).max() <= 1e-10 * gersh
-    assert sparse.dimension == dense.dimension == connected_components(S)[0]
+    assert sparse.harmonic_dim == dense.harmonic_dim == connected_components(S)[0]
 
 
 def test_a_residual_above_the_threshold_leaves_a_clear_count(monkeypatch):
@@ -360,7 +392,7 @@ def test_a_residual_above_the_threshold_leaves_a_clear_count(monkeypatch):
     monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
     count = harmonic_dimension(SimpleNamespace(dim=lambda p: 4), 0)
     assert len(residuals) == 1 and residuals[0] > tau
-    assert count.dimension == 2 and count.threshold == tau
+    assert count.harmonic_dim == 2 and count.threshold == tau
     full = np.linalg.eigvalsh(S.toarray())
     assert np.abs(count.eigenvalues - full[:3]).max() <= 1e-10 * gersh
 
@@ -413,7 +445,7 @@ def test_branches_meet_at_the_cutoff(offset):
     assert eigs.size == (n if offset == 0 else hodge.EIGSH_K)
     assert np.allclose(eigs, want[: eigs.size], rtol=0, atol=1e-10)
     assert bound == pytest.approx(want_bound, rel=1e-12)
-    assert harmonic_dimension(cx, 0).dimension == 1
+    assert harmonic_dimension(cx, 0).harmonic_dim == 1
 
 
 def test_a_ghost_ritz_vector_is_uncertain(circle_complex, monkeypatch):
@@ -430,7 +462,7 @@ def test_a_ghost_ritz_vector_is_uncertain(circle_complex, monkeypatch):
     monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
     with pytest.raises(hodge.NumericalError, match="orthogonality"):
         hodge._low_spectrum(hodge._laplacian_csr(circle_complex, 1))
-    assert harmonic_dimension(circle_complex, 1).dimension is None
+    assert harmonic_dimension(circle_complex, 1).harmonic_dim is None
 
 
 @pytest.fixture(scope="module")
@@ -473,7 +505,7 @@ def test_a_near_singular_shift_is_uncertain_not_a_count(sphere_eps35, monkeypatc
     with pytest.raises(hodge.NumericalError, match="Ritz"):
         hodge._low_spectrum(hodge._laplacian_csr(sphere_eps35, 1))
     hc = harmonic_dimension(sphere_eps35, 1)
-    assert hc.dimension is None and hc.eigenvalues.size == 0
+    assert hc.harmonic_dim is None and hc.eigenvalues.size == 0
     report = hodge_report(sphere_eps35, 1, oracle=53)
     assert report.harmonic_dim is None
     assert json.loads(json.dumps(report.to_json()))["harmonic_dim"] is None
@@ -495,7 +527,7 @@ def test_eigsh_doubles_k_until_the_low_end_shows_a_gap(circle_complex, monkeypat
     sparse = harmonic_dimension(circle_complex, 0)
     assert ks == [1, 2]
     assert sparse.eigenvalues.size == 2
-    assert sparse.dimension == dense.dimension == 1
+    assert sparse.harmonic_dim == dense.harmonic_dim == 1
 
 
 def test_sparse_eigensolve_is_deterministic(circle_complex, monkeypatch):
@@ -518,7 +550,7 @@ def test_sparse_routes_never_densify(circle_complex, monkeypatch):
     with pytest.raises(AssertionError, match="densified"):
         circle_complex.coboundary(0).matrix.toarray()
     assert exact_betti(circle_complex).betti == (1, 1, 0)
-    assert [harmonic_dimension(circle_complex, p).dimension for p in range(3)] == [1, 1, 0]
+    assert [harmonic_dimension(circle_complex, p).harmonic_dim for p in range(3)] == [1, 1, 0]
 
 
 # --- decomposition ------------------------------------------------------------

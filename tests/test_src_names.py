@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nlhodge"
 
 # Bound by name only for perfbench/tracing.py; each leaves src/ once the
-# package records its own trace (ROADMAP item 5).
+# package records its own trace (ROADMAP item 1).
 TRACER_ONLY = {
     "rank_exact",
     "kernel_matrix",

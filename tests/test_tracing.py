@@ -9,6 +9,8 @@ import importlib.util
 import os
 import types
 
+import numpy as np
+
 from nlhodge.space import gen_interval
 from nlhodge.neighborhoods import hausdorff_system
 from nlhodge.kernels import fractional_kernel
@@ -65,3 +67,40 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
     after = snapshot()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_spectral_spans_keep_their_counters(monkeypatch):
+    # hodge_report returns harmonic_dimension's own report; traced, the two
+    # still open nested spans, and the eigensolve hook counts each degree's
+    # branch and reads `.flagged` from that report
+    tracing = load_tracing()
+    nl = types.SimpleNamespace(**{m: importlib.import_module(f"nlhodge.{m}") for m in MODULES})
+    cx = nl.hodge.build_weighted_complex(
+        gen_interval(16), hausdorff_system(0.3), fractional_kernel(1.0, 0.5), 1
+    )
+    low = nl.hodge._low_spectrum
+
+    def positive(S):  # every low eigenvalue positive, every gap ambiguous
+        eigs, bound = low(S)
+        return np.maximum(eigs, 1e-300), bound
+
+    monkeypatch.setattr(nl.hodge, "_low_spectrum", positive)
+    monkeypatch.setattr(nl.hodge, "GAP_AMBIGUITY_FACTOR", np.inf)
+    rec = tracing.Recorder()
+    uninstall = tracing.install(nl, rec)
+    try:
+        reports = [nl.hodge.hodge_report(cx, p) for p in range(cx.p_max + 1)]
+    finally:
+        uninstall()
+    assert [r.degree for r in reports] == [0, 1]
+    assert [r.flagged for r in reports] == [True, False]  # degree 1 has no harmonic form
+    names = [name for name, *_ in rec.spans]
+    assert names == ["hodge.hodge_report", "hodge.harmonic_dimension"] * 2
+    assert [parent for *_, parent in rec.spans] == [-1, 0, -1, 2]
+    assert tracing.SELF_TIME["hodge.eigensolve_s"] == ["hodge.harmonic_dimension"]
+    assert tracing.SELF_TIME["hodge.report_s"] == ["hodge.hodge_report"]
+    metrics = tracing.layer_metrics(rec)
+    assert metrics["hodge.eigensolve_s"] > 0
+    dense, sparse = metrics["hodge.eig_dense_calls"], metrics["hodge.eig_sparse_calls"]
+    assert (dense, sparse) == (len(reports), 0)
+    assert metrics["hodge.flagged"] == 1
