@@ -31,42 +31,39 @@ threads (`nlhodge.thread_cap`; unset, one per CPU the process may run on); a
 single block of n <= 16 rows starts none. The verdict does not depend on the
 thread count.
 
-Before the scan, `_path_certified` tries to prove the check passes from the
-shortest paths of G, the directed graph with an arc i -> j and an arc
-j -> i, each weighted by its own entry d_ij resp. d_ji, for each of the two
-nearest neighbours j of each i. The exact path lengths s of G satisfy
-s_ii = 0 and s_ik <= s_ij + s_jk. scipy's Dijkstra computes ŝ, one block of
-_SWEEP_ROWS sources at a time, and its output is checked rather than
-trusted (`_bellman_fixed`): ŝ is finite and >= 0, 0 at the source, and
-elsewhere ŝ_v = min fl(ŝ_a + d_av) over the arcs (a, v). So every arc has
-ŝ_v <= fl(ŝ_a + d_av), and every v but the source has an arc (p, v), its
-predecessor, with equality. With u = 2^-53,
-gamma_h = h u / (1 - h u) (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., SIAM 2002, ch. 3), w the least off-diagonal entry
-(the least arc weight) and S = max ŝ, these checks give:
+Before the scan, `_witness_certified` tries to prove the check passes from a
+metric read off d itself. If rho is a pseudometric with |d_ij - rho_ij| <= delta
+for every pair, the diagonal included, then d_ij + d_jk - d_ik >= -3 delta;
+with u = 2^-53 and D = max |d_ik|, the sum's rounding costs at most 2uD and
+the difference's a factor 1 + u, so
+fl(fl(d_ij + d_jk) - d_ik) >= -(3 delta + 2uD)(1 + u) for every triple. Two
+witnesses are read from the rows of a, the point farthest from point 0, and
+of b, the nearest neighbour of a:
 
-- Along a shortest path of h arcs, ŝ_v <= (1 + u)^h s_v <= (1 + gamma_h) s_v.
-- If w > 2uS, then fl(ŝ_p + d_pv) > ŝ_p, so ŝ strictly increases along
-  predecessor arcs and the predecessors of v form a simple path of h' arcs
-  from the source, of length L >= s_v with ŝ_v >= (1 - u)^h' L, so
-  s_v <= (1 + gamma_h') ŝ_v.
-- Both paths are simple and their arcs are at least w long, so h, h' <= H =
-  min(n - 1, ceil(S (1 + gamma_{n-1}) / w)), and
-  |ŝ - s| <= gamma_H (1 + gamma_H) S.
+- the line: x_i = d_ai and rho_ij = |x_i - x_j|;
+- the cycle: phi_i = d_ai where d_bi < d_ai and -d_ai elsewhere,
+  L = fl(d_ab + max_i fl(d_ai + d_bi)), and rho_ij = min(g, L - g) with
+  g = |phi_i - phi_j|. It is tried only when max phi - min phi <= L,
+  compared exactly: then every g <= L, and rho is the metric of R/LZ
+  between the points phi_i.
 
-Let M be the largest computed fl(|d_ik - ŝ_ik|) over all pairs, the
-diagonal included, so |d - s| <= E = M (1 + gamma_1) + gamma_H (1 + gamma_H) S.
-Then d_ij + d_jk - d_ik >= -3E; with D = max |d_ik|, the sum's rounding
-costs at most 2uD and the difference's a factor 1 + u, so
-fl(fl(d_ij + d_jk) - d_ik) >= -(3E + 2uD)(1 + u) for every triple. The bound
-is evaluated exactly in rational arithmetic, and the matrix is certified iff
+Each is a pseudometric whatever d is, so a poor anchor, sign or L only makes
+delta large. The witness is evaluated in floats, rho^, one block of
+_SWEEP_ROWS rows at a time. A rounded operation gives
+fl(x op y) = (x op y)/(1 + eta) with |eta| <= u (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 2), so with M
+the largest computed fl|d_ij - rho^_ij|, |d - rho^| <= (1 + u) M. The line
+rounds one subtraction: |rho^ - rho| <= u rho <= u (max x - min x). The
+cycle rounds two: g^ = fl(g) <= L because rounding is monotone, so
+|rho^ - rho| <= max(|g^ - g|, |fl(L - g^) - (L - g)|) <= u g^ + u fl(L - g^)
+<= u (1 + u) L. Then delta = (1 + u) M plus that rounding, the bound is
+evaluated exactly in rational arithmetic, and the matrix is certified iff
 it is at most METRIC_TOL; otherwise the scan decides. Either way the verdict
-is the scan's. The certificate declines at once when gamma_H0 with
-H0 = min(n - 1, ceil(D / w)) already puts 3 gamma_H0 D + 4uD above the
-tolerance (circle n=2048 at radius 1), and before scipy's csgraph is imported
-when the first row block misses the Bellman equation
-d_ik = min over j near i of (d_ij + d_jk) by more than the tolerance (a
-sphere sample), since such a d is far from any path metric of G.
+is the scan's. A witness stops at the first block that puts M past the
+tolerance, so a sphere sample declines after one block of each. Equally
+spaced intervals, two components and punctured intervals are certified by
+the line, circles of either parity by the cycle, generated, loaded or
+relabelled alike.
 """
 
 from __future__ import annotations
@@ -127,7 +124,7 @@ def _check_metric(dist: np.ndarray) -> None:
         row, col = dist[i], dist[:, i]
         if min(((dist[i, i] + row) - row).min(), ((col + dist[i, i]) - col).min()) < -METRIC_TOL:
             raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {float(dist[i, i])!r}")
-    if not (_path_certified(dist) or _triangle_holds(dist, METRIC_TOL, symmetric=worst == 0)):
+    if not (_witness_certified(dist) or _triangle_holds(dist, METRIC_TOL, symmetric=worst == 0)):
         raise SpaceValidationError(_triangle_violation(dist, METRIC_TOL))
     if n > 1:
         min_sep = min(min_off, np.min(np.diagonal(dist) + dist.max()))
@@ -141,14 +138,20 @@ def _check_metric(dist: np.ndarray) -> None:
 
 
 def _asymmetry(dist: np.ndarray):
-    """max |d_ij - d_ji| and the (i, j) of its first maximum in row-major order."""
+    """max |d_ij - d_ji| and the (i, j) of its first maximum in row-major order.
+
+    The gap is symmetric, so that maximum lies at j >= i: each block of rows
+    i reads only the columns j from its first row on. The block's gap is
+    formed as (j, i), so the operand read transposed is the block's own rows:
+    the other way round ran about twice as slow at n = 1024, 2048 and 4096.
+    """
     worst, at = 0, (0, 0)
     for r0 in range(0, dist.shape[0], _SWEEP_ROWS):
-        gap = np.abs(dist[r0 : r0 + _SWEEP_ROWS] - dist[:, r0 : r0 + _SWEEP_ROWS].T)
+        gap = np.abs(dist[r0:, r0 : r0 + _SWEEP_ROWS] - dist[r0 : r0 + _SWEEP_ROWS, r0:].T).T
         top = gap.max()
         if top > worst:
             r, c = np.unravel_index(np.argmax(gap), gap.shape)
-            worst, at = top, (r0 + r, c)
+            worst, at = top, (r0 + r, r0 + c)
     return worst, at
 
 
@@ -161,80 +164,45 @@ def _off_diagonal(dist: np.ndarray) -> np.ndarray:
     return dist.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
-def _gamma(h: int) -> Fraction:
-    """Higham's gamma_h = h u / (1 - h u), exactly."""
-    return h * _U / (1 - h * _U)
+def _witness_certified(dist: np.ndarray) -> bool:
+    """Whether the line or the cycle metric read off d proves the triangle check
+    passes (module docstring); False leaves the verdict to the scan."""
+    if dist.dtype != np.float64:
+        return False
+    top = Fraction(max(float(dist.max()), -float(dist.min())))
+    # the line through a, the point farthest from point 0
+    a = int(np.argmax(dist[0]))
+    x = dist[a]
+    if _witness_fits(dist, x, None, _U * (Fraction(x.max()) - Fraction(x.min())), top):
+        return True
+    # the cycle through a and its nearest neighbour b
+    ring = x.copy()
+    ring[a] = np.inf
+    b = int(np.argmin(ring))
+    phi = np.where(dist[b] < x, x, -x)
+    wrap = float(dist[a, b] + (x + dist[b]).max())
+    return (
+        wrap < math.inf
+        and Fraction(phi.max()) - Fraction(phi.min()) <= wrap
+        and _witness_fits(dist, phi, wrap, _U * (1 + _U) * Fraction(wrap), top)
+    )
 
 
-def _path_certified(dist: np.ndarray) -> bool:
-    """Whether the shortest paths of the two-nearest-neighbour graph G prove the
-    triangle check passes (module docstring); False leaves the verdict to the scan."""
-    n = dist.shape[0]
-    if dist.dtype != np.float64 or n < 3:
-        return False
-    top, w = max(float(dist.max()), -float(dist.min())), float(_off_diagonal(dist).min())
-    if not 0 < w <= top < math.inf:
-        return False
-    if 3 * _gamma(min(n - 1, math.ceil(min(top / w, n)))) * top + 4 * _U * top > METRIC_TOL:
-        return False
-    nbr = np.empty((n, 2), dtype=np.intp)
-    for r0 in range(0, n, _SWEEP_ROWS):
-        block = dist[r0 : r0 + _SWEEP_ROWS].copy()
-        rows = np.arange(block.shape[0])
-        block[rows, r0 + rows] = np.inf
-        near = nbr[r0 : r0 + _SWEEP_ROWS]
-        near[:] = np.argpartition(block, 1, axis=1)[:, :2]
-        if r0 == 0:
-            # the Bellman screen: a shortest path from i leaves through a neighbour
-            via = np.minimum(*(block[rows, near[:, t], None] + dist[near[:, t]] for t in (0, 1)))
-            miss = np.abs(via - block)
-            miss[rows, rows] = 0.0
-            if miss.max() > METRIC_TOL:
-                return False
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import dijkstra
-
-    # the arcs i -> j and j -> i of each near pair, once each, in the order of
-    # their heads; slot t holds the t-th arc into each point that has one
-    points = np.repeat(np.arange(n), 2)
-    keys = np.unique(np.concatenate([nbr.ravel() * n + points, points * n + nbr.ravel()]))
-    head, tail = np.divmod(keys, n)
-    weight = dist[tail, head]
-    rank = np.arange(head.size) - np.searchsorted(head, head)
-    slots = [(head[rank == t], tail[rank == t], weight[rank == t, None])
-             for t in range(rank.max() + 1)]
-    graph = sp.csr_matrix((weight, (tail, head)), shape=(n, n))
-    worst = longest = 0.0
-    for r0 in range(0, n, _SWEEP_ROWS):
-        src = np.arange(r0, min(r0 + _SWEEP_ROWS, n))
-        s = dijkstra(graph, directed=True, indices=src)
-        if not _bellman_fixed(s, src, slots):
+def _witness_fits(dist, coords, wrap, rounding: Fraction, top: Fraction) -> bool:
+    """Whether (3 delta + 2u top)(1 + u) <= METRIC_TOL for the witness
+    rho^_ij = g^ (wrap None) or min(g^, wrap - g^), g^ = fl|c_i - c_j|, with
+    delta = (1 + u) max fl|d - rho^| + `rounding`, the bound on |rho^ - rho|."""
+    worst = 0.0
+    for r0 in range(0, dist.shape[0], _SWEEP_ROWS):
+        rho = np.abs(coords[r0 : r0 + _SWEEP_ROWS, None] - coords)
+        if wrap is not None:
+            np.minimum(rho, wrap - rho, out=rho)
+        np.subtract(dist[r0 : r0 + _SWEEP_ROWS], rho, out=rho)
+        worst = max(worst, float(np.abs(rho, out=rho).max()))
+        if worst > METRIC_TOL:
             return False
-        worst = max(worst, float(np.abs(dist[r0 : r0 + src.size] - s).max()))
-        longest = max(longest, float(s.max()))
-    S = Fraction(longest)
-    if not w > 2 * _U * S:
-        return False
-    g = _gamma(min(n - 1, math.ceil(S * (1 + _gamma(n - 1)) / Fraction(w))))
-    err = Fraction(worst) * (1 + _gamma(1)) + g * (1 + g) * S
-    return (3 * err + 2 * _U * Fraction(top)) * (1 + _U) <= METRIC_TOL
-
-
-def _bellman_fixed(s: np.ndarray, src: np.ndarray, slots) -> bool:
-    """Whether the rows of `s` are finite, >= 0 and a fixed point of the rounded
-    Bellman equation: 0 at their source `src`, and elsewhere s_v = the least
-    fl(s_a + d_av) over the arcs (a, v) of G, given in `slots` as (heads,
-    tails, weights); slot 0 holds an arc into every point."""
-    if not (np.isfinite(s).all() and s.min() >= 0):
-        return False
-    # one row per point, so each slot gathers whole rows
-    by_point = np.ascontiguousarray(s.T)
-    _, tails, weights = slots[0]
-    low = by_point[tails] + weights
-    for heads, tails, weights in slots[1:]:
-        low[heads] = np.minimum(low[heads], by_point[tails] + weights)
-    low[src, np.arange(src.size)] = 0.0
-    return np.array_equal(by_point, low)
+    delta = (1 + _U) * Fraction(worst) + rounding
+    return (3 * delta + 2 * _U * top) * (1 + _U) <= METRIC_TOL
 
 
 def _triangle_holds(dist: np.ndarray, tol: float, symmetric: bool) -> bool:

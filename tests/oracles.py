@@ -24,7 +24,9 @@ the package did before the residual was summed from entries; `dense_levels`
 is the dense AND that built each nerve level's inside before the sparse
 products of `_nerve_levels`.
 `triangle_scan` is the one-intermediate-point-per-pass triangle check that
-the blocked min-plus scan of `_check_metric` replaced. `mesh_width` is
+the blocked min-plus scan of `_check_metric` replaced, and `full_asymmetry`
+the symmetry check over the whole square before it read only the blocks on
+and above the diagonal. `mesh_width` is
 `MetricMeasureSpace.mesh_width` before it took row minima block by block:
 three n x n temporaries (the identity, its scaled copy and the masked sum).
 `dense_low_spectrum` is the dense branch of `hodge._low_spectrum` before it
@@ -141,6 +143,13 @@ def triangle_scan(dist, tol: float = METRIC_TOL) -> None:
                 f"d({i},{k})={float(dist[i, k])!r} > d({i},{j})+d({j},{k})="
                 f"{float(dist[i, j] + dist[j, k])!r}"
             )
+
+
+def full_asymmetry(dist):
+    """max |d_ij - d_ji| and the (i, j) of its first maximum in row-major order."""
+    gap = np.abs(dist - dist.T)
+    worst = gap.max()
+    return (worst, np.unravel_index(np.argmax(gap), gap.shape)) if worst > 0 else (0, (0, 0))
 
 
 def mesh_width(space) -> float:

@@ -428,7 +428,7 @@ def test_9_byte_identical_determinism(tmp_path):
             "betti", "--space", "circle", "--n", "48", "--eps", "0.3",
             "--alpha", "0.5", "--pmax", "1",
         ]
-        # the path certificate proves the circles metric without the scan; this
+        # the witness certificate proves the circles metric without the scan; this
         # sphere sample, read from a file, reaches the threaded scan
         sphere_path = tmp_path / "sphere48.csv"
         np.savetxt(sphere_path, gen_sphere(48).dist, fmt="%.17g", delimiter=",")

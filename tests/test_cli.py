@@ -71,13 +71,13 @@ def test_betti_on_a_file_space(tmp_path):
 
 
 def test_reports_are_byte_identical_across_thread_caps(tmp_path):
-    from nlhodge.space import _path_certified, gen_sphere
+    from nlhodge.space import _witness_certified, gen_sphere
 
     # n=48 has three row blocks, so cap 4 scans the metric on three threads.
-    # The path certificate proves both circles metric without the scan; the
+    # The witness certificate proves both circles metric without the scan; the
     # sphere sample, read from a file, is the input that reaches it.
     sphere = gen_sphere(48).dist
-    assert not _path_certified(sphere)
+    assert not _witness_certified(sphere)
     sphere_path = tmp_path / "sphere48.csv"
     np.savetxt(sphere_path, sphere, fmt="%.17g", delimiter=",")
     cases = {

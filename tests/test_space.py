@@ -29,7 +29,7 @@ from nlhodge.space import (
     gen_two_components,
     load_distance_matrix,
 )
-from oracles import mesh_width, permuted, total_mass, triangle_scan
+from oracles import full_asymmetry, mesh_width, permuted, total_mass, triangle_scan
 
 
 def test_circle_distances_follow_arc_law_exactly():
@@ -151,6 +151,19 @@ def test_asymmetry_names_the_first_largest_gap(seed):
         _check_metric(d)
     want = f"asymmetric distances at ({i}, {j}): {float(d[i, j])!r} vs {float(d[j, i])!r}"
     assert str(err.value) == want
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_asymmetry_matches_the_full_square_on_matrices_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, _SWEEP_ROWS - 1, _SWEEP_ROWS, _SWEEP_ROWS + 1, 2 * _SWEEP_ROWS + 3):
+        # few distinct values, so the largest gap recurs in several row blocks
+        d = rng.integers(0, 3, (n, n)).astype(float if seed % 2 else np.int64)
+        if seed % 3 == 0:
+            d = np.minimum(d, d.T)  # symmetric: no gap at all
+        worst, (i, j) = space_module._asymmetry(d)
+        want, (wi, wj) = full_asymmetry(d)
+        assert (worst, int(i), int(j)) == (want, int(wi), int(wj))
 
 
 def test_nonzero_diagonal_rejected():
@@ -638,7 +651,7 @@ def test_scan_scratch_stays_small_at_n_1024():
     assert space_module._scratch_size(1024, 8) * 8 < 3 * 2**20
 
 
-# --- the path certificate ------------------------------------------------------
+# --- the witness certificate ---------------------------------------------------
 
 U = 2.0**-53
 
@@ -655,10 +668,10 @@ def _path_graph_metric(n, step, rng):
 
 
 def _near_bound_sample(shape, n, scale, rng):
-    """A relabelled sample whose certificate bound, about 3 gamma_H max d, is near
-    `scale` * METRIC_TOL: equally spaced circle and interval points, and a path graph."""
-    hops = max(1, n // 2) if shape == "circle" else n - 1
-    size = scale * METRIC_TOL / (3 * hops * U)  # the largest distance
+    """A relabelled sample whose witness bound before any misfit, about 8u max d
+    for a cycle and 5u max d for a line, is near `scale` * METRIC_TOL: equally
+    spaced circle and interval points, and a path graph."""
+    size = scale * METRIC_TOL / (8 * U)  # the largest distance
     if shape == "circle":
         k = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
         d = (size * 2.0 / n) * np.minimum(k, n - k)
@@ -683,9 +696,10 @@ def certificate_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(certificate_cases())
 @example(("circle", 128, 0.9, "none", 0.0, 0))
+@example(("circle", 127, 0.9, "none", 0.0, 0))
 @example(("interval", 97, 0.3, "nudge", 0.1, 1))
 @example(("interval", 97, 0.9, "at", 0.0, 1))
-@example(("graph", 128, 70.0, "none", 0.0, 3))
+@example(("graph", 128, 0.9, "none", 0.0, 3))
 def test_a_certified_matrix_passes_the_per_j_oracle(case):
     shape, n, scale, edit, size, seed = case
     rng = np.random.default_rng(seed)
@@ -701,7 +715,7 @@ def test_a_certified_matrix_passes_the_per_j_oracle(case):
     elif edit != "none":
         c = _edge(d, a, b)
         d[a, b] = d[b, a] = {"at": c, "past": _past(d, c), "big": 2 * c + 1}[edit]
-    if space_module._path_certified(d):
+    if space_module._witness_certified(d):
         assert _oracle(d)[0] is None
 
 
@@ -709,51 +723,75 @@ def test_a_certified_matrix_passes_the_per_j_oracle(case):
 def test_samples_under_the_bound_are_certified_and_past_it_declined(shape):
     # the property above has teeth: both answers occur on its samples
     rng = np.random.default_rng(7)
-    assert space_module._path_certified(_near_bound_sample(shape, 96, 0.3, rng))
-    assert not space_module._path_certified(_near_bound_sample(shape, 96, 3.0, rng))
+    assert space_module._witness_certified(_near_bound_sample(shape, 96, 0.3, rng))
+    assert not space_module._witness_certified(_near_bound_sample(shape, 96, 3.0, rng))
 
 
-def test_a_certificate_without_gamma_accepts_a_non_metric(monkeypatch):
-    # float path lengths of a path graph are Dijkstra's own output, so ŝ = d
-    # exactly, yet their rounding breaks triangles by more than the tolerance
-    samples = [_path_graph_metric(128, 12.0, np.random.default_rng(s)) for s in range(5)]
-    assert any(_oracle(d)[0] is not None for d in samples)
+def _exact_cycle(n, seed):
+    """d = min(g, L - g) with g = fl|phi_i - phi_j| and L = 9000, the cycle witness's
+    own float formula, on coordinates it reads back exactly: point 1 at 0 is
+    the farthest from point 0, point 2 at 1 its nearest neighbour, and point 3
+    is equidistant from both, so L comes back too."""
+    rng = np.random.default_rng(seed)
+    far = rng.uniform(3700.0, 4499.0, n - 4) * rng.choice([-1.0, 1.0], n - 4)
+    phi = np.r_[4499.75, 0.0, 1.0, -4499.5, far]
+    g = np.abs(phi[:, None] - phi[None, :])
+    return np.minimum(g, 9000.0 - g)
 
-    def accepts_a_non_metric():
-        return any(space_module._path_certified(d) and _oracle(d)[0] is not None for d in samples)
 
-    assert not accepts_a_non_metric()
-    monkeypatch.setattr(space_module, "_gamma", lambda h: Fraction(0))
-    assert accepts_a_non_metric()
+@pytest.mark.parametrize("seed", range(3))
+def test_a_cycle_that_rounds_past_the_tolerance_is_declined(seed, monkeypatch):
+    # the witness reproduces d bit for bit (M = 0) and 2u max d < METRIC_TOL,
+    # yet wrapped pairs round g >= 8192 by up to 2^-40 and break triangles:
+    # only the rounding term of delta sees it
+    d = _exact_cycle(32, seed)
+    assert _oracle(d)[0] is not None
+    assert not space_module._witness_certified(d)
+    fits = space_module._witness_fits
+
+    def no_rounding(dist, coords, wrap, rounding, top):
+        return fits(dist, coords, wrap, Fraction(0), top)
+
+    monkeypatch.setattr(space_module, "_witness_fits", no_rounding)
+    assert space_module._witness_certified(d)
 
 
 def test_three_pairs_off_by_under_half_the_tolerance_are_declined():
-    # none of the three pairs is an arc of G, so Dijkstra's lengths stay exact
-    # and each pair is only 0.4 * METRIC_TOL from them; their triangle breaks
-    # by 1.2 * METRIC_TOL, which only the 3E of the bound sees
+    # the cycle read off rows 32 and 31 is the clean circle, so each pair is
+    # only 0.4 * METRIC_TOL from it; their triangle breaks by 1.2 * METRIC_TOL,
+    # which only the 3 delta of the bound sees
     d = gen_circle(64).dist.copy()
     for a, b, sign in ((10, 20, -1), (20, 30, -1), (10, 30, 1)):
         d[a, b] = d[b, a] = d[a, b] + sign * 0.4 * METRIC_TOL
     assert _oracle(d)[0] is not None
-    assert not space_module._path_certified(d)
+    assert not space_module._witness_certified(d)
 
 
-def test_a_certificate_that_trusts_dijkstra_accepts_a_non_metric(monkeypatch):
-    import scipy.sparse.csgraph as csgraph
+def _no_scan(*args):
+    raise AssertionError("the triangle scan ran")
 
-    n = 2 * _SWEEP_ROWS
-    d = gen_circle(n).dist.copy()
-    # one pair past the tolerance, on the half of the circle that the Bellman
-    # screen, which reads the first row block, does not reach
-    a, b = n // 2 + 16, n - 16
-    d[a, b] = d[b, a] = _past(d, _edge(d, a, b))
-    assert _oracle(d)[0] is not None
-    assert not space_module._path_certified(d)
-    # a Dijkstra that returns the matrix's own rows as its path lengths
-    monkeypatch.setattr(csgraph, "dijkstra", lambda graph, directed, indices: d[indices])
-    assert not space_module._path_certified(d)
-    monkeypatch.setattr(space_module, "_bellman_fixed", lambda *args: True)
-    assert space_module._path_certified(d)
+
+ONE_DIMENSIONAL = {
+    "circle3": lambda: gen_circle(3),
+    "circle64": lambda: gen_circle(64),
+    "circle65": lambda: gen_circle(65, radius=2.5),
+    "circle255": lambda: gen_circle(255, radius=0.1),
+    "circle256": lambda: gen_circle(256, radius=7.0),
+    "interval3": lambda: gen_interval(3),
+    "interval200": lambda: gen_interval(200),
+    "two_components": lambda: gen_two_components(40, 0.3),
+    "punctured_interval": lambda: gen_punctured_interval(101, 0.5, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_DIMENSIONAL))
+def test_one_dimensional_spaces_are_certified_without_the_scan(name, monkeypatch):
+    monkeypatch.setattr(space_module, "_triangle_holds", _no_scan)
+    space = ONE_DIMENSIONAL[name]()
+    perm = np.random.default_rng(5).permutation(space.n)
+    for d in (space.dist, np.ascontiguousarray(space.dist[np.ix_(perm, perm)])):
+        assert space_module._witness_certified(d)
+        assert _outcome(_check_metric, d) == (None, [])
 
 
 @pytest.mark.parametrize("n", [800, 1024])
@@ -767,16 +805,9 @@ def test_a_relabelled_circle_or_interval_is_certified_without_the_scan(n, monkey
     assert spy.sums == []
 
 
-def test_circle_2048_declines_before_any_dijkstra_call(monkeypatch):
-    import scipy.sparse.csgraph as csgraph
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dijkstra ran")
-
-    monkeypatch.setattr(csgraph, "dijkstra", refuse)
-    n = 2048
-    k = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    assert not space_module._path_certified((2.0 * np.pi / n) * np.minimum(k, n - k))
+def test_circle_4096_is_certified_without_the_scan(monkeypatch):
+    monkeypatch.setattr(space_module, "_triangle_holds", _no_scan)
+    assert gen_circle(4096).n == 4096
 
 
 def test_sphere_200_declines_without_importing_csgraph():
@@ -784,7 +815,7 @@ def test_sphere_200_declines_without_importing_csgraph():
         "import sys\n"
         "from nlhodge import space\n"
         "d = space.gen_sphere(200).dist\n"
-        "assert not space._path_certified(d)\n"
+        "assert not space._witness_certified(d)\n"
         "assert 'scipy.sparse.csgraph' not in sys.modules, 'csgraph imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
