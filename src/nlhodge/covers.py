@@ -26,10 +26,11 @@ from .hodge import WeightedComplex, hodge_report
 # Mayer-Vietoris rows whose assembled matrices hold at most this many rows
 # are also ranked as a whole.
 MV_CROSSCHECK_CUTOFF = 2000
-# Entries of the dense accumulator that sums a homotopy residual, one block
-# of rows at a time (64 KB; smaller and larger blocks were slower on the
-# interval32 residuals).
-RESIDUAL_BLOCK = 1 << 13
+# Bytes of slice operators (their Psi and local coboundary entries) whose
+# homotopy residuals are formed together. The Poincare suite of interval32
+# peaks at 3.4 MB of allocations with 640 KB groups and at 4.7 MB with 1 MB
+# groups; 512 KB groups ran about 5 % slower.
+RESIDUAL_GROUP_BYTES = 640 << 10
 
 
 class CoverError(ValueError):
@@ -136,16 +137,18 @@ class LocalComplex:
         one entry per face; every face of an inside tuple is inside, so each
         global column has a local one. `cochains._signed_face_csr` writes each
         row as its faces dropping the last member first, so the removed points
-        are the row tuple's members in reverse. Memoized.
+        are the row tuple's members in reverse. Local ids take the global
+        CSR's index dtype. Memoized.
         """
         if p not in self._entries:
             rows, cols = self.global_rows[p + 1], self.global_rows[p]
             mat = self.complex_.coboundary(p).matrix
             k = p + 2
-            local = np.empty(mat.shape[1], dtype=np.int64)  # read only at inside columns
-            local[cols] = np.arange(cols.size)
+            index = mat.indices.dtype  # local ids are below the global ones
+            local = np.empty(mat.shape[1], dtype=index)  # read only at inside columns
+            local[cols] = np.arange(cols.size, dtype=index)
             self._entries[p] = (
-                np.repeat(np.arange(rows.size), k),
+                np.repeat(np.arange(rows.size, dtype=index), k),
                 local[mat.indices.reshape(-1, k)[rows].ravel()],
                 mat.data.reshape(-1, k)[rows].ravel(),
                 self.complex_.tuple_sets[p + 1].tuples[rows, ::-1].ravel(),
@@ -161,10 +164,13 @@ def restrict_complex(cover: CoverSystem, complex_: WeightedComplex, alphas,
     outside = [a for a in alphas if not 0 <= a < cover.n_balls]
     if outside:
         raise CoverError(f"ball indices {outside} outside 0..{cover.n_balls - 1}")
-    global_rows = [
-        np.nonzero(_tuple_ball_membership(complex_, cover, p)[list(alphas)].all(axis=0))[0]
-        for p in range(max_degree + 1)
-    ]
+    global_rows = []
+    for p in range(max_degree + 1):
+        membership = _tuple_ball_membership(complex_, cover, p)
+        inside = membership[alphas[0]]
+        for a in alphas[1:]:
+            inside = inside & membership[a]
+        global_rows.append(np.nonzero(inside)[0])
     return LocalComplex(alphas, complex_, global_rows)
 
 
@@ -455,8 +461,9 @@ class HomotopyOperator:
     valid whenever prepending any t in W to an admissible tuple with at most
     `level` points stays admissible (checked constructively at build time).
     psi[p - 1] holds the entries (row, col, value) of Psi from local degree p
-    to p-1, sorted by row: the transpose of the local delta_{p-1}, each entry
-    weighted by w_t/mass of its removed point t and kept only for t in W.
+    to p-1 in the order of delta_{p-1}'s entries, so sorted by column: the
+    transpose of the local delta_{p-1}, each entry weighted by w_t/mass of its
+    removed point t and kept only for t in W.
     """
 
     alphas: tuple
@@ -486,7 +493,7 @@ def build_slice_and_psi(
 
     Psi_ell is delta_{ell-1}^T weighted by w_t/mass of the removed point t,
     keeping the entries with t in W; an entry's sign is the insertion parity
-    of its t.
+    of its t, and sign * (w_t/mass) is (sign * w_t)/mass to the bit.
 
     Raises SliceEmptyError when no such t exists (the contractibility
     assumption fails at this scale for this intersection).
@@ -502,73 +509,91 @@ def build_slice_and_psi(
     n = cover.space.n
     in_W = np.zeros(n, dtype=bool)
     in_W[loc.global_rows[0]] = True
+    holding = in_W.astype(np.int64)  # local (ell-1)-tuples holding each point
     for ell in range(1, level + 1):
-        removed = loc.coboundary_entries(ell - 1)[3]
-        members = complex_.tuple_sets[ell - 1].tuples[loc.global_rows[ell - 1]]
-        avoiding = loc.dim(ell - 1) - np.bincount(members.ravel(), minlength=n)
-        in_W &= np.bincount(removed, minlength=n) == avoiding
+        # every local ell-tuple has one entry removing each of its members
+        count = np.bincount(loc.coboundary_entries(ell - 1)[3], minlength=n)
+        in_W &= count == loc.dim(ell - 1) - holding
+        holding = count
     if not in_W.any():
         raise SliceEmptyError(
             f"slice set empty for intersection {tuple(alphas)} at level {level}"
         )
     W = np.nonzero(in_W)[0]
     mass = float(cover.space.weights[W].sum())
+    share = cover.space.weights / mass
     psi = []
     for ell in range(1, level + 1):
         row, col, sign, removed = loc.coboundary_entries(ell - 1)
         hit = np.nonzero(in_W[removed])[0]
-        hit = hit[np.argsort(col[hit], kind="stable")]
-        psi.append((col[hit], row[hit], sign[hit] * cover.space.weights[removed[hit]] / mass))
+        psi.append((col[hit], row[hit], sign[hit] * share[removed[hit]]))
     return HomotopyOperator(loc.alphas, level, W, loc, psi)
 
 
-def _join(keys: np.ndarray, sorted_keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (i, j) with keys[i] == sorted_keys[j], all keys below `size`,
-    ordered by i, then j."""
-    count = np.bincount(sorted_keys, minlength=size)
-    start = np.cumsum(count) - count
-    return _ranges(start[keys], (start + count)[keys])
+def _block_csr(entries, n_rows, n_cols) -> sp.csr_matrix:
+    """Block-diagonal CSR of one (row, col, value) block per operator, each
+    block sorted by row and of shape (n_rows[k], n_cols[k]). Every row keeps
+    its entries in the order given: nothing is sorted or summed. Indices are
+    int32 when they fit, so that scipy takes them without a scan."""
+    rows, cols, vals = zip(*entries)
+    sizes = [r.size for r in rows]
+    shape = (sum(n_rows), sum(n_cols))
+    index = np.int32 if max(*shape, sum(sizes)) <= np.iinfo(np.int32).max else np.int64
+    row_start, col_start = (np.cumsum(n) - n for n in (np.asarray(n_rows, index),
+                                                       np.asarray(n_cols, index)))
+    rows = np.concatenate(rows, dtype=index) + np.repeat(row_start, sizes)
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    cols = np.concatenate(cols, dtype=index) + np.repeat(col_start, sizes)
+    return sp.csr_matrix((np.concatenate(vals), cols, indptr), shape=shape)
 
 
-def homotopy_identity_residual(op: HomotopyOperator, p: int) -> float:
-    """Max-abs residual of Psi delta + delta Psi = identity on local degree p.
+def homotopy_identity_residual(ops, p: int) -> list[float]:
+    """Max-abs residual of Psi delta + delta Psi = identity on local degree p,
+    one per operator of `ops`.
 
-    Every entry of the residual is formed from entries, off the diagonal too
-    (Gustavson's row-wise sparse product). Psi_{p+1} delta_p joins each Psi
-    entry (a, r) to the entries (r, b) of delta_p's row r, and delta_{p-1}
-    Psi_p each delta entry (a, c) to the Psi entries (c, b) of row c; both
-    right-hand lists are sorted by row, and both products come out sorted by
-    a. A block of rows is summed into a dense accumulator of at most
-    RESIDUAL_BLOCK entries by one bincount per product on the keys a*m + b,
-    then the identity is subtracted: (Psi delta + delta Psi) - id, in the
-    order dense products would add them. No m x m array is formed unless it
-    fits in one block.
+    The operators' Psi_{p+1}, delta_p, delta_{p-1} and Psi_p are laid out as
+    four block-diagonal CSR matrices, built from the entry arrays with no
+    canonicalising step; each Psi, stored by column, reaches row order by
+    scipy's transpose, a stable counting sort. Psi_{p+1} delta_p +
+    delta_{p-1} Psi_p - id is then formed by two sparse products (Gustavson's
+    row-wise algorithm), one sum and one difference: nothing of size m x m,
+    and every entry formed from entries, off the diagonal too.
+
+    The bits are those of one operator's products on their own, summed entry
+    by entry into a dense accumulator. A product adds an entry's terms from 0
+    in the order of the left factor's row, then of the right factor's row,
+    and blocks of other operators add no term. The sum gives s1 + s2 where
+    an accumulator gives (0 + s1) + s2, which differ only in the sign of a
+    zero, and the identity is subtracted last in both. Each operator's
+    residual is the max |entry| over its own rows.
     """
-    if not (1 <= p <= op.level - 1):
-        raise CoverError(f"identity checkable for degrees 1..{op.level - 1}")
-    loc = op.local
-    m = loc.dim(p)
+    for op in ops:
+        if not (1 <= p <= op.level - 1):
+            raise CoverError(f"identity checkable for degrees 1..{op.level - 1}")
+    dims = {q: [op.local.dim(q) for op in ops] for q in (p - 1, p, p + 1)}
+    m = sum(dims[p])
     if m == 0:
-        return 0.0
-    psi_row, psi_col, psi_val = op.psi[p]  # Psi_{p+1} delta_p
-    row, col, sign, _ = loc.coboundary_entries(p)
-    i, j = _join(psi_col, row, loc.dim(p + 1))
-    products = [(psi_row[i], psi_row[i] * m + col[j], psi_val[i] * sign[j])]
-    row, col, sign, _ = loc.coboundary_entries(p - 1)  # delta_{p-1} Psi_p
-    psi_row, psi_col, psi_val = op.psi[p - 1]
-    i, j = _join(col, psi_row, loc.dim(p - 1))
-    products.append((row[i], row[i] * m + psi_col[j], sign[i] * psi_val[j]))
-    rows = max(1, RESIDUAL_BLOCK // m)
-    worst = 0.0
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        lhs = np.zeros((stop - start) * m)
-        for a, keys, vals in products:
-            part = slice(*np.searchsorted(a, (start, stop)))
-            lhs += np.bincount(keys[part] - start * m, vals[part], lhs.size)
-        lhs[np.arange(stop - start) * (m + 1) + start] -= 1.0
-        worst = max(worst, float(np.abs(lhs).max()))
-    return worst
+        return [0.0] * len(ops)
+
+    def psi(q):  # Psi_q is stored by column: the CSR of its transpose, transposed
+        entries = [(col, row, value) for row, col, value in (op.psi[q - 1] for op in ops)]
+        return _block_csr(entries, dims[q], dims[q - 1]).T.tocsr()
+
+    def delta(q):
+        return _block_csr([op.local.coboundary_entries(q)[:3] for op in ops], dims[q + 1], dims[q])
+
+    # each factor is dropped once multiplied, to keep the group's peak low
+    lhs = psi(p + 1) @ delta(p)
+    lhs = lhs + delta(p - 1) @ psi(p)
+    lhs = lhs - sp.identity(m, format="csr")
+    row_start = np.cumsum(dims[p]) - dims[p]
+    start, stop = lhs.indptr[row_start], lhs.indptr[row_start + dims[p]]
+    worst = np.zeros(len(ops))
+    some = stop > start
+    if some.any():
+        worst[some] = np.maximum.reduceat(np.abs(lhs.data), start[some])
+    return worst.tolist()
 
 
 @dataclass(frozen=True)
@@ -582,6 +607,10 @@ class PoincareCheck:
         return max(self.residuals) if self.residuals else 0.0
 
 
+def _operator_bytes(op: HomotopyOperator) -> int:
+    return sum(a.nbytes for part in (*op.psi, *op.local._entries.values()) for a in part)
+
+
 def poincare_suite(
     cover: CoverSystem, complex_: WeightedComplex, p_check: int, max_depth: int = 2
 ) -> list[PoincareCheck]:
@@ -589,16 +618,32 @@ def poincare_suite(
 
     The tuple membership of each ball is formed once per degree (memoized on
     the cover), and every intersection's restriction ANDs its balls' rows.
+    Slices are built one intersection at a time, in nerve order. Once the
+    operators built since the last group hold RESIDUAL_GROUP_BYTES, their
+    residuals are formed together (`homotopy_identity_residual`) for every
+    degree and the operators are dropped, so no more than one group of them
+    is alive at a time.
     """
-    out = []
+    out, group, size = [], [], 0
     level = p_check + 1
+
+    def flush():
+        residuals = [homotopy_identity_residual(group, p) for p in range(1, level)]
+        out.extend(
+            PoincareCheck(op.alphas, level, tuple(r[k] for r in residuals))
+            for k, op in enumerate(group)
+        )
+        group.clear()
+
     for combos in _nerve(cover, max_depth - 1):
         for combo in combos.tolist():
-            op = build_slice_and_psi(cover, complex_, combo, level)
-            residuals = tuple(
-                homotopy_identity_residual(op, p) for p in range(1, level)
-            )
-            out.append(PoincareCheck(tuple(combo), level, residuals))
+            group.append(build_slice_and_psi(cover, complex_, combo, level))
+            size += _operator_bytes(group[-1])
+            if size >= RESIDUAL_GROUP_BYTES:
+                flush()
+                size = 0
+    if group:
+        flush()
     return out
 
 

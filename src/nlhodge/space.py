@@ -99,7 +99,9 @@ def _check_metric(dist: np.ndarray) -> None:
     n = dist.shape[0]
     if n < 1:
         raise SpaceValidationError("empty space")
-    if not np.isfinite(dist).all():
+    # NaN and +-inf reach the min or the max, so no n x n mask is formed to
+    # find them; the mask only names the first bad entry
+    if not (np.isfinite(dist.min()) and np.isfinite(dist.max())):
         bad = np.argwhere(~np.isfinite(dist))[0]
         raise SpaceValidationError(f"non-finite distance at ({bad[0]}, {bad[1]})")
     worst, (i, j) = _asymmetry(dist)

@@ -22,7 +22,9 @@ insertion-built Psi, which the local coboundary entries replaced.
 `dense_coboundary` and `dense_psi` densify a local coboundary and a Psi, as
 the package did before the residual was summed from entries; `dense_levels`
 is the dense AND that built each nerve level's inside before the sparse
-products of `_nerve_levels`.
+products of `_nerve_levels`. `residual_oracle` is `homotopy_identity_residual`
+for one operator before intersections were grouped: Gustavson products by
+`_join`, summed into a dense accumulator RESIDUAL_BLOCK entries at a time.
 `triangle_scan` is the one-intermediate-point-per-pass triangle check that
 the blocked min-plus scan of `_check_metric` replaced, and `full_asymmetry`
 the symmetry check over the whole square before it read only the blocks on
@@ -74,7 +76,7 @@ from scipy.sparse.csgraph import connected_components
 from nlhodge.capacity import build_capacity_problem, capacity
 from nlhodge.cochains import Cochain, CochainError, build_coboundary
 from nlhodge.cohomology import PRIME_MAIN, _pivot_columns
-from nlhodge.covers import build_slice_and_psi
+from nlhodge.covers import _ranges, build_slice_and_psi
 from nlhodge.hodge import build_weighted_complex
 from nlhodge.kernels import KernelError, KernelModel, fractional_kernel, kernel_matrix
 from nlhodge.neighborhoods import TupleSet, _row_rounds, enumerate_tuples, rips_system
@@ -304,6 +306,60 @@ def dense_coboundary(loc, p: int) -> np.ndarray:
 def dense_psi(op, p: int) -> np.ndarray:
     """Dense Psi_p of a HomotopyOperator, from its CSR matrix."""
     return op.psi_matrix(p).toarray()
+
+
+# entries of the dense accumulator of `residual_oracle`, one block of rows at a time
+RESIDUAL_BLOCK = 1 << 13
+
+
+def _join(keys: np.ndarray, sorted_keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, j) with keys[i] == sorted_keys[j], all keys below `size`,
+    ordered by i, then j."""
+    count = np.bincount(sorted_keys, minlength=size)
+    start = np.cumsum(count) - count
+    return _ranges(start[keys], (start + count)[keys])
+
+
+def residual_oracle(op, p: int) -> float:
+    """Max-abs residual of Psi delta + delta Psi = identity on local degree p
+    of one operator.
+
+    Psi_{p+1} delta_p joins each Psi entry (a, r), in row order, to the
+    entries (r, b) of delta_p's row r, and delta_{p-1} Psi_p each delta entry
+    (a, c) to the Psi entries (c, b) of row c. A block of rows is summed into
+    a dense accumulator of at most RESIDUAL_BLOCK entries by one bincount per
+    product on the keys a*m + b, then the identity is subtracted.
+    """
+    loc = op.local
+    m = loc.dim(p)
+    if m == 0:
+        return 0.0
+
+    def psi(q):  # stored by column; a stable sort puts it in row order
+        row, col, value = op.psi[q - 1]
+        order = np.argsort(row, kind="stable")
+        return row[order].astype(np.int64), col[order], value[order]
+
+    psi_row, psi_col, psi_val = psi(p + 1)  # Psi_{p+1} delta_p
+    row, col, sign, _ = loc.coboundary_entries(p)
+    i, j = _join(psi_col, row, loc.dim(p + 1))
+    products = [(psi_row[i], psi_row[i] * m + col[j], psi_val[i] * sign[j])]
+    row, col, sign, _ = loc.coboundary_entries(p - 1)  # delta_{p-1} Psi_p
+    row = row.astype(np.int64)
+    psi_row, psi_col, psi_val = psi(p)
+    i, j = _join(col, psi_row, loc.dim(p - 1))
+    products.append((row[i], row[i] * m + psi_col[j], sign[i] * psi_val[j]))
+    rows = max(1, RESIDUAL_BLOCK // m)
+    worst = 0.0
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        lhs = np.zeros((stop - start) * m)
+        for a, keys, vals in products:
+            part = slice(*np.searchsorted(a, (start, stop)))
+            lhs += np.bincount(keys[part] - start * m, vals[part], lhs.size)
+        lhs[np.arange(stop - start) * (m + 1) + start] -= 1.0
+        worst = max(worst, float(np.abs(lhs).max()))
+    return worst
 
 
 def dense_levels(masks: np.ndarray, nerve) -> list[tuple]:

@@ -14,7 +14,6 @@ from nlhodge.neighborhoods import TupleSet, full_system, hausdorff_system, rips_
 from nlhodge.kernels import fractional_kernel
 from nlhodge.hodge import build_weighted_complex
 from nlhodge.covers import (
-    RESIDUAL_BLOCK,
     CoverError,
     CoverSystem,
     SliceEmptyError,
@@ -53,6 +52,7 @@ from oracles import (
     permuted,
     poincare_check,
     psi_oracle,
+    residual_oracle,
     restrict_tuple_sets,
     simplex_coface_matrix,
     slice_mass,
@@ -617,7 +617,7 @@ def test_homotopy_identity_on_single_balls(circle_setup):
     assert op.W.size > 0
     assert np.isin(op.W, op.local.global_rows[0]).all()
     assert 0.0 < slice_mass(op) <= float(cover.space.weights[op.local.global_rows[0]].sum())
-    assert homotopy_identity_residual(op, 1) <= 1e-12
+    assert homotopy_identity_residual([op], 1)[0] <= 1e-12
 
 
 def test_poincare_suite_of_depth_zero_is_empty(circle_setup):
@@ -667,7 +667,7 @@ def test_poincare_residuals_match_the_oracle(any_setup, p_check):
             continue
         op = build_slice_and_psi(cover, complex_, combo, level)
         assert op.W.size == ref[0], combo
-        assert_close_to_oracle([homotopy_identity_residual(op, p) for p in range(1, level)],
+        assert_close_to_oracle([homotopy_identity_residual([op], p)[0] for p in range(1, level)],
                                ref[1], ref[0])
     for max_depth in (1, 2):
         expect = [c for c in combos if len(c) <= max_depth]
@@ -681,6 +681,26 @@ def test_poincare_residuals_match_the_oracle(any_setup, p_check):
             w_size = slice_size(cover, complex_, check)
             assert w_size == want[check.alphas][0]
             assert_close_to_oracle(list(check.residuals), want[check.alphas][1], w_size)
+
+
+def _hex(residuals) -> list[str]:
+    return [float(r).hex() for r in residuals]
+
+
+@pytest.mark.parametrize("p_check", [1, 2])
+@pytest.mark.parametrize("name", ["circle", "interval"])
+def test_grouped_residuals_keep_the_per_operator_bits(request, name, p_check):
+    # Each residual of the grouped suite, and of a group of one operator, is
+    # the per-operator oracle's to the last bit: every entry sums the same
+    # terms in the same order.
+    _, _, complex_, cover = request.getfixturevalue(f"{name}_setup")
+    checks = poincare_suite(cover, complex_, p_check, 2)
+    level = p_check + 1
+    for check in checks:
+        op = build_slice_and_psi(cover, complex_, check.alphas, level)
+        want = _hex(residual_oracle(op, p) for p in range(1, level))
+        assert _hex(check.residuals) == want, check.alphas
+        assert _hex(homotopy_identity_residual([op], p)[0] for p in range(1, level)) == want
 
 
 def test_psi_matches_the_insertion_oracle(any_setup):
@@ -736,13 +756,20 @@ def test_slices_read_coboundary_entries_only(monkeypatch):
     wide_cover = default_cover(*wide)
     calls = []
     _record_calls(monkeypatch, calls)
+    ops = []
     for combo in combos:
         op = build_slice_and_psi(cover, complex_, combo, 2)
-        got = (op.W.size, [homotopy_identity_residual(op, 1)])
+        got = (op.W.size, homotopy_identity_residual([op], 1))
         assert want[combo] == got, combo
+        ops.append(op)
+    # one group of them all, with m = 0 at (0, 2), gives each one's own bits
+    assert [op.local.dim(1) for op in ops[12:14]] == [1, 0]
+    assert _hex(homotopy_identity_residual(ops, 1)) == _hex([residual_oracle(op, 1) for op in ops])
+    assert homotopy_identity_residual(ops[13:14], 1) == [0.0]
     op = build_slice_and_psi(cover, complex_, (3, 4), 2)
     assert [op.local.dim(p) for p in range(3)] == [2, 1, 0]
     assert op.psi_matrix(2).shape == (1, 0)
+    assert _hex(homotopy_identity_residual([op], 1)) == _hex([residual_oracle(op, 1)])
     with pytest.raises(SliceEmptyError) as err:
         build_slice_and_psi(wide_cover, wide_complex, (15,), 2)
     assert str(err.value) == "slice set empty for intersection (15,) at level 2"
@@ -774,10 +801,12 @@ def test_slice_empty_for_scales_below_the_ball_size():
 
 def _mutated_suite(monkeypatch, setup, mutate):
     """poincare_suite with every operator passed through `mutate` once built,
-    and the local dims of each intersection."""
+    the local dims of each intersection, and its place among the residual
+    groups: (group number, position in the group)."""
     _, _, complex_, cover = setup
     build = nlhodge.covers.build_slice_and_psi
-    dims = {}
+    residual = nlhodge.covers.homotopy_identity_residual
+    dims, place = {}, {}
 
     def mutated(*args):
         op = build(*args)
@@ -785,8 +814,15 @@ def _mutated_suite(monkeypatch, setup, mutate):
         dims[op.alphas] = [op.local.dim(p) for p in range(op.level + 1)]
         return op
 
+    def grouped(ops, p):
+        if p == 1:
+            group = len({g for g, _ in place.values()})
+            place.update((op.alphas, (group, k)) for k, op in enumerate(ops))
+        return residual(ops, p)
+
     monkeypatch.setattr(nlhodge.covers, "build_slice_and_psi", mutated)
-    return poincare_suite(cover, complex_, p_check=2, max_depth=2), dims
+    monkeypatch.setattr(nlhodge.covers, "homotopy_identity_residual", grouped)
+    return poincare_suite(cover, complex_, p_check=2, max_depth=2), dims, place
 
 
 def _weight_not_normalized(op):
@@ -812,18 +848,20 @@ def _flip_delta_1_sign(op):
 def test_poincare_suite_fails_on_mutants(request, monkeypatch, name, mutate):
     # Psi weighted w_t instead of w_t/mass, one entry of delta_1 dropped and
     # one sign of delta_1 flipped each push the residual of every intersection
-    # they touch above 1e-12, summed in one block of RESIDUAL_BLOCK entries or
-    # in several: the circle's residuals all fit in one, the interval has
-    # both kinds.
-    checks, dims = _mutated_suite(monkeypatch, request.getfixturevalue(f"{name}_setup"), mutate)
+    # they touch above 1e-12, whether it starts a residual group after the
+    # first or shares one with the intersections before it: the circle's
+    # operators all fit in one group, the interval's fill several.
+    setup = request.getfixturevalue(f"{name}_setup")
+    checks, dims, place = _mutated_suite(monkeypatch, setup, mutate)
     touched = 1 if mutate is _weight_not_normalized else 2
-    large = []
+    starts = []
     for check in checks:
         if dims[check.alphas][touched] == 0:
             continue
         assert check.max_residual > 1e-12, check.alphas
-        large.append(max(dims[check.alphas][1:3]) ** 2 > RESIDUAL_BLOCK)
-    assert set(large) == ({False, True} if name == "interval" else {False})
+        group, k = place[check.alphas]
+        starts.append(group > 0 and k == 0)
+    assert set(starts) == ({False, True} if name == "interval" else {False})
 
 
 def test_poincare_suite_has_no_dense_operators(interval_setup):
@@ -853,7 +891,7 @@ def test_slice_guards(circle_setup):
     with pytest.raises(CoverError, match="degrees"):
         op.psi_matrix(3)
     with pytest.raises(CoverError, match="degrees"):
-        homotopy_identity_residual(op, 2)
+        homotopy_identity_residual([op], 2)
     far = (0, 16)  # opposite sides of the circle with tight balls
     if not (cover.big_masks[far[0]] & cover.big_masks[far[1]]).any():
         with pytest.raises(CoverError, match="empty"):

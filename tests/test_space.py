@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -183,6 +184,31 @@ def test_negative_diagonal_is_named_before_the_triangle_scan():
     # a negative diagonal that no degenerate triple fails on is still accepted
     d[0, 0] = -0.5 * METRIC_TOL
     MetricMeasureSpace(d, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_distance_is_named_at_its_first_position(bad):
+    d = gen_interval(5).dist.copy()
+    d[3, 0] = d[1, 4] = bad
+    assert _outcome(_check_metric, d) == ("non-finite distance at (1, 4)", [])
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_finiteness_test_forms_no_n_by_n_mask():
+    # at n = 2048 an n x n boolean mask (4.2 MB) would outgrow the witness
+    # sweep (3.2 MB), the largest allocation validation makes on a circle
+    d = gen_circle(2048).dist
+    witness = _traced_peak(space_module._witness_certified, d)
+    assert witness < d.size
+    assert _traced_peak(_check_metric, d) < 1.01 * witness
 
 
 def test_zero_off_diagonal_rejected():
