@@ -28,9 +28,9 @@ from .hodge import WeightedComplex, hodge_report
 MV_CROSSCHECK_CUTOFF = 2000
 # Bytes of slice operators (their Psi and local coboundary entries) whose
 # homotopy residuals are formed together. The Poincare suite of interval32
-# peaks at 3.4 MB of allocations with 640 KB groups and at 4.7 MB with 1 MB
-# groups; 512 KB groups ran about 5 % slower.
-RESIDUAL_GROUP_BYTES = 640 << 10
+# peaks at 3.3 MB of allocations with 512 KB groups and at 3.7 MB with 640 KB
+# groups, at the same speed.
+RESIDUAL_GROUP_BYTES = 512 << 10
 
 
 class CoverError(ValueError):
@@ -125,7 +125,6 @@ class LocalComplex:
     alphas: tuple
     complex_: WeightedComplex
     global_rows: list[np.ndarray]
-    _entries: dict = field(default_factory=dict, init=False, repr=False)
 
     def dim(self, p: int) -> int:
         return self.global_rows[p].size if p < len(self.global_rows) else 0
@@ -138,22 +137,20 @@ class LocalComplex:
         global column has a local one. `cochains._signed_face_csr` writes each
         row as its faces dropping the last member first, so the removed points
         are the row tuple's members in reverse. Local ids take the global
-        CSR's index dtype. Memoized.
+        CSR's index dtype.
         """
-        if p not in self._entries:
-            rows, cols = self.global_rows[p + 1], self.global_rows[p]
-            mat = self.complex_.coboundary(p).matrix
-            k = p + 2
-            index = mat.indices.dtype  # local ids are below the global ones
-            local = np.empty(mat.shape[1], dtype=index)  # read only at inside columns
-            local[cols] = np.arange(cols.size, dtype=index)
-            self._entries[p] = (
-                np.repeat(np.arange(rows.size, dtype=index), k),
-                local[mat.indices.reshape(-1, k)[rows].ravel()],
-                mat.data.reshape(-1, k)[rows].ravel(),
-                self.complex_.tuple_sets[p + 1].tuples[rows, ::-1].ravel(),
-            )
-        return self._entries[p]
+        rows, cols = self.global_rows[p + 1], self.global_rows[p]
+        mat = self.complex_.coboundary(p).matrix
+        k = p + 2
+        index = mat.indices.dtype  # local ids are below the global ones
+        local = np.empty(mat.shape[1], dtype=index)  # read only at inside columns
+        local[cols] = np.arange(cols.size, dtype=index)
+        return (
+            np.repeat(np.arange(rows.size, dtype=index), k),
+            local[mat.indices.reshape(-1, k)[rows].ravel()],
+            mat.data.reshape(-1, k)[rows].ravel(),
+            self.complex_.tuple_sets[p + 1].tuples[rows, ::-1].ravel(),
+        )
 
 
 def restrict_complex(cover: CoverSystem, complex_: WeightedComplex, alphas,
@@ -460,10 +457,12 @@ class HomotopyOperator:
     (Psi F)(x_0..x_{p-1}) = (1/mass(W)) * sum_{t in W} w_t F(t, x_0..x_{p-1});
     valid whenever prepending any t in W to an admissible tuple with at most
     `level` points stays admissible (checked constructively at build time).
-    psi[p - 1] holds the entries (row, col, value) of Psi from local degree p
-    to p-1 in the order of delta_{p-1}'s entries, so sorted by column: the
-    transpose of the local delta_{p-1}, each entry weighted by w_t/mass of its
-    removed point t and kept only for t in W.
+    delta[p] holds the entries (row, col, sign) of the local delta_p,
+    p = 0..level-1, as `LocalComplex.coboundary_entries` gives them. psi[p - 1]
+    holds the entries (row, col, value) of Psi from local degree p to p-1 in
+    the order of delta_{p-1}'s entries, so sorted by column: the transpose of
+    the local delta_{p-1}, each entry weighted by w_t/mass of its removed
+    point t and kept only for t in W.
     """
 
     alphas: tuple
@@ -471,6 +470,7 @@ class HomotopyOperator:
     W: np.ndarray
     local: LocalComplex
     psi: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    delta: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def psi_matrix(self, p: int) -> sp.csr_matrix:
         """CSR matrix of Psi: local degree p -> degree p-1 (1 <= p <= level)."""
@@ -483,7 +483,8 @@ class HomotopyOperator:
 def build_slice_and_psi(
     cover: CoverSystem, complex_: WeightedComplex, alphas, level: int
 ) -> HomotopyOperator:
-    """Slice W and Psi_1..Psi_level, read from the local coboundary entries.
+    """Slice W and Psi_1..Psi_level, read from the local coboundary entries of
+    degrees 0..level-1, each computed once and kept on the operator.
 
     t is in W when prepending it keeps every local tuple of at most `level`
     points admissible. An entry of the local delta_{ell-1} joins an ell-tuple
@@ -507,12 +508,13 @@ def build_slice_and_psi(
     if loc.dim(0) == 0:
         raise CoverError(f"intersection {tuple(alphas)} is empty")
     n = cover.space.n
+    entries = [loc.coboundary_entries(p) for p in range(level)]
     in_W = np.zeros(n, dtype=bool)
     in_W[loc.global_rows[0]] = True
     holding = in_W.astype(np.int64)  # local (ell-1)-tuples holding each point
-    for ell in range(1, level + 1):
+    for ell, (_, _, _, removed) in enumerate(entries, 1):
         # every local ell-tuple has one entry removing each of its members
-        count = np.bincount(loc.coboundary_entries(ell - 1)[3], minlength=n)
+        count = np.bincount(removed, minlength=n)
         in_W &= count == loc.dim(ell - 1) - holding
         holding = count
     if not in_W.any():
@@ -523,11 +525,10 @@ def build_slice_and_psi(
     mass = float(cover.space.weights[W].sum())
     share = cover.space.weights / mass
     psi = []
-    for ell in range(1, level + 1):
-        row, col, sign, removed = loc.coboundary_entries(ell - 1)
+    for row, col, sign, removed in entries:
         hit = np.nonzero(in_W[removed])[0]
         psi.append((col[hit], row[hit], sign[hit] * share[removed[hit]]))
-    return HomotopyOperator(loc.alphas, level, W, loc, psi)
+    return HomotopyOperator(loc.alphas, level, W, loc, psi, [e[:3] for e in entries])
 
 
 def _block_csr(entries, n_rows, n_cols) -> sp.csr_matrix:
@@ -581,7 +582,7 @@ def homotopy_identity_residual(ops, p: int) -> list[float]:
         return _block_csr(entries, dims[q], dims[q - 1]).T.tocsr()
 
     def delta(q):
-        return _block_csr([op.local.coboundary_entries(q)[:3] for op in ops], dims[q + 1], dims[q])
+        return _block_csr([op.delta[q] for op in ops], dims[q + 1], dims[q])
 
     # each factor is dropped once multiplied, to keep the group's peak low
     lhs = psi(p + 1) @ delta(p)
@@ -608,7 +609,7 @@ class PoincareCheck:
 
 
 def _operator_bytes(op: HomotopyOperator) -> int:
-    return sum(a.nbytes for part in (*op.psi, *op.local._entries.values()) for a in part)
+    return sum(a.nbytes for part in (*op.psi, *op.delta) for a in part)
 
 
 def poincare_suite(

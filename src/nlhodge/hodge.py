@@ -115,16 +115,16 @@ def _laplacian_csr(complex_: WeightedComplex, p: int) -> sp.csr_matrix:
     wp = complex_.mass_vector(p)
     if m == 0:
         return out
+    terms = []  # (d, X, w) of each term D X diag(w) X^T D, D = diag(d)
     if p >= 1 and complex_.dim(p - 1) > 0:
-        Bdn = complex_.coboundary(p - 1).matrix.astype(float)
-        wdn = complex_.mass_vector(p - 1)
-        sq = sp.diags(np.sqrt(wp))
-        out = out + sq @ Bdn @ sp.diags(1.0 / wdn) @ Bdn.T @ sq
+        terms.append((np.sqrt(wp), complex_.coboundary(p - 1).matrix,
+                      1.0 / complex_.mass_vector(p - 1)))
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
-        Bup = complex_.coboundary(p).matrix.astype(float)
-        wup = complex_.mass_vector(p + 1)
-        inv_sq = sp.diags(1.0 / np.sqrt(wp))
-        out = out + inv_sq @ Bup.T @ sp.diags(wup) @ Bup @ inv_sq
+        terms.append((1.0 / np.sqrt(wp), complex_.coboundary(p).matrix.T,
+                      complex_.mass_vector(p + 1)))
+    for d, X, w in terms:
+        D, X = sp.diags(d), X.astype(float)
+        out = out + D @ X @ sp.diags(w) @ X.T @ D
     skew = abs(out - out.T).max()
     scale = max(abs(out).max(), 1.0)
     if skew > 1e-12 * scale:
@@ -272,7 +272,7 @@ def hodge_report(complex_: WeightedComplex, p: int, oracle: int | None = None) -
 
     The two names stay apart only because perfbench/tracing.py times them as
     separate spans (`hodge.eigensolve_s`, `hodge.report_s`) and counts the
-    eigensolve's branch and `.flagged` on the inner one; ROADMAP item 1 folds
+    eigensolve's branch and `.flagged` on the inner one; ROADMAP item 3 folds
     them into one once the package records its own trace.
     """
     return harmonic_dimension(complex_, p, oracle=oracle)
@@ -336,25 +336,22 @@ def hodge_decompose(complex_: WeightedComplex, p: int, F: Cochain) -> HodgeDecom
     sq = np.sqrt(wp)
     f = F.values
     norm_f = float(np.sqrt(np.sum(wp * f * f)))
-    exact = np.zeros(m)
-    coexact = np.zeros(m)
+    parts = {"exact": np.zeros(m), "coexact": np.zeros(m)}
     maxiter = CG_MAXITER_FACTOR * max(m, 1)
+    solves = []  # (part, l, X, r) of each potential's operator diag(l) X diag(r)
     if p >= 1 and complex_.dim(p - 1) > 0:
-        Bdn = complex_.coboundary(p - 1).matrix.astype(float)
-        wdn = complex_.mass_vector(p - 1)
-        A = sp.diags(sq) @ Bdn @ sp.diags(1.0 / np.sqrt(wdn))
-        z, res = _cgnr(A, sq * f, CG_RTOL, maxiter)
-        if res > 1e-8:
-            raise NumericalError(f"exact-part CG stalled at relative residual {res:.3e}")
-        exact = (A @ z) / sq
+        solves.append(("exact", sq, complex_.coboundary(p - 1).matrix,
+                       1.0 / np.sqrt(complex_.mass_vector(p - 1))))
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
-        Bup = complex_.coboundary(p).matrix.astype(float)
-        wup = complex_.mass_vector(p + 1)
-        A = sp.diags(1.0 / sq) @ Bup.T @ sp.diags(np.sqrt(wup))
+        solves.append(("coexact", 1.0 / sq, complex_.coboundary(p).matrix.T,
+                       np.sqrt(complex_.mass_vector(p + 1))))
+    for part, l, X, r in solves:
+        A = sp.diags(l) @ X.astype(float) @ sp.diags(r)
         z, res = _cgnr(A, sq * f, CG_RTOL, maxiter)
         if res > 1e-8:
-            raise NumericalError(f"coexact-part CG stalled at relative residual {res:.3e}")
-        coexact = (A @ z) / sq
+            raise NumericalError(f"{part}-part CG stalled at relative residual {res:.3e}")
+        parts[part] = (A @ z) / sq
+    exact, coexact = parts["exact"], parts["coexact"]
     harmonic = f - exact - coexact
     denom = max(norm_f * norm_f, np.finfo(float).tiny)
     residuals = {

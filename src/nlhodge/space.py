@@ -36,34 +36,34 @@ metric read off d itself. If rho is a pseudometric with |d_ij - rho_ij| <= delta
 for every pair, the diagonal included, then d_ij + d_jk - d_ik >= -3 delta;
 with u = 2^-53 and D = max |d_ik|, the sum's rounding costs at most 2uD and
 the difference's a factor 1 + u, so
-fl(fl(d_ij + d_jk) - d_ik) >= -(3 delta + 2uD)(1 + u) for every triple. Two
-witnesses are read from the rows of a, the point farthest from point 0, and
-of b, the nearest neighbour of a:
+fl(fl(d_ij + d_jk) - d_ik) >= -(3 delta + 2uD)(1 + u) for every triple. The
+witness is a cycle read from the rows of a, the point farthest from point 0,
+and of b, the nearest neighbour of a: phi_i = d_ai where d_bi < d_ai and
+-d_ai elsewhere, L = fl(d_ab + max_i fl(d_ai + d_bi)), and
+rho_ij = min(g, L - g) with g = |phi_i - phi_j|. It is tried only when
+max phi - min phi <= L, compared exactly: then every g <= L, and rho is the
+metric of R/LZ between the points phi_i. It is a pseudometric whatever d is,
+so a poor anchor, sign or L only makes delta large. On a line, a is an end,
+so phi_i = d_ai (-0 at a) and L >= 2 max d: min(g, L - g) = g is the line's
+own metric.
 
-- the line: x_i = d_ai and rho_ij = |x_i - x_j|;
-- the cycle: phi_i = d_ai where d_bi < d_ai and -d_ai elsewhere,
-  L = fl(d_ab + max_i fl(d_ai + d_bi)), and rho_ij = min(g, L - g) with
-  g = |phi_i - phi_j|. It is tried only when max phi - min phi <= L,
-  compared exactly: then every g <= L, and rho is the metric of R/LZ
-  between the points phi_i.
-
-Each is a pseudometric whatever d is, so a poor anchor, sign or L only makes
-delta large. The witness is evaluated in floats, rho^, one block of
-_SWEEP_ROWS rows at a time. A rounded operation gives
-fl(x op y) = (x op y)/(1 + eta) with |eta| <= u (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 2), so with M
-the largest computed fl|d_ij - rho^_ij|, |d - rho^| <= (1 + u) M. The line
-rounds one subtraction: |rho^ - rho| <= u rho <= u (max x - min x). The
-cycle rounds two: g^ = fl(g) <= L because rounding is monotone, so
+The witness is evaluated in floats, rho^, one block of _SWEEP_ROWS rows at a
+time. A rounded operation gives fl(x op y) = (x op y)/(1 + eta) with
+|eta| <= u (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+SIAM 2002, ch. 2), so with M the largest computed fl|d_ij - rho^_ij|,
+|d - rho^| <= (1 + u) M. Two operations round: g^ = fl(g) <= L because
+rounding is monotone, so
 |rho^ - rho| <= max(|g^ - g|, |fl(L - g^) - (L - g)|) <= u g^ + u fl(L - g^)
 <= u (1 + u) L. Then delta = (1 + u) M plus that rounding, the bound is
 evaluated exactly in rational arithmetic, and the matrix is certified iff
 it is at most METRIC_TOL; otherwise the scan decides. Either way the verdict
-is the scan's. A witness stops at the first block that puts M past the
-tolerance, so a sphere sample declines after one block of each. Equally
-spaced intervals, two components and punctured intervals are certified by
-the line, circles of either parity by the cycle, generated, loaded or
-relabelled alike.
+is the scan's. The witness stops at the first block that puts M past the
+tolerance, so a sphere sample declines after one block. Circles of either
+parity, equally spaced intervals, two components and punctured intervals are
+certified, generated, loaded or relabelled alike. Before any misfit the
+bound is about 3uL + 2uD, so 8uD on a line: line data with max d past
+METRIC_TOL/(8u), about 1126, is left to the scan, which gives the same
+verdict more slowly.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def _check_metric(dist: np.ndarray) -> None:
         raise SpaceValidationError("empty space")
     # NaN and +-inf reach the min or the max, so no n x n mask is formed to
     # find them; the mask only names the first bad entry
-    if not (np.isfinite(dist.min()) and np.isfinite(dist.max())):
+    top = dist.max()
+    if not (np.isfinite(dist.min()) and np.isfinite(top)):
         bad = np.argwhere(~np.isfinite(dist))[0]
         raise SpaceValidationError(f"non-finite distance at ({bad[0]}, {bad[1]})")
     worst, (i, j) = _asymmetry(dist)
@@ -129,7 +130,7 @@ def _check_metric(dist: np.ndarray) -> None:
     if not (_witness_certified(dist) or _triangle_holds(dist, METRIC_TOL, symmetric=worst == 0)):
         raise SpaceValidationError(_triangle_violation(dist, METRIC_TOL))
     if n > 1:
-        min_sep = min(min_off, np.min(np.diagonal(dist) + dist.max()))
+        min_sep = min(min_off, np.diagonal(dist).min() + top)
         if min_sep < MIN_SEPARATION_WARN:
             warnings.warn(
                 f"minimum point separation {min_sep:.3e} below {MIN_SEPARATION_WARN:.0e}; "
@@ -167,17 +168,14 @@ def _off_diagonal(dist: np.ndarray) -> np.ndarray:
 
 
 def _witness_certified(dist: np.ndarray) -> bool:
-    """Whether the line or the cycle metric read off d proves the triangle check
-    passes (module docstring); False leaves the verdict to the scan."""
+    """Whether the cycle metric read off d proves the triangle check passes
+    (module docstring); False leaves the verdict to the scan."""
     if dist.dtype != np.float64:
         return False
     top = Fraction(max(float(dist.max()), -float(dist.min())))
-    # the line through a, the point farthest from point 0
+    # the cycle through a, the point farthest from point 0, and its nearest neighbour b
     a = int(np.argmax(dist[0]))
     x = dist[a]
-    if _witness_fits(dist, x, None, _U * (Fraction(x.max()) - Fraction(x.min())), top):
-        return True
-    # the cycle through a and its nearest neighbour b
     ring = x.copy()
     ring[a] = np.inf
     b = int(np.argmin(ring))
@@ -192,13 +190,12 @@ def _witness_certified(dist: np.ndarray) -> bool:
 
 def _witness_fits(dist, coords, wrap, rounding: Fraction, top: Fraction) -> bool:
     """Whether (3 delta + 2u top)(1 + u) <= METRIC_TOL for the witness
-    rho^_ij = g^ (wrap None) or min(g^, wrap - g^), g^ = fl|c_i - c_j|, with
+    rho^_ij = min(g^, wrap - g^), g^ = fl|c_i - c_j|, with
     delta = (1 + u) max fl|d - rho^| + `rounding`, the bound on |rho^ - rho|."""
     worst = 0.0
     for r0 in range(0, dist.shape[0], _SWEEP_ROWS):
         rho = np.abs(coords[r0 : r0 + _SWEEP_ROWS, None] - coords)
-        if wrap is not None:
-            np.minimum(rho, wrap - rho, out=rho)
+        np.minimum(rho, wrap - rho, out=rho)
         np.subtract(dist[r0 : r0 + _SWEEP_ROWS], rho, out=rho)
         worst = max(worst, float(np.abs(rho, out=rho).max()))
         if worst > METRIC_TOL:

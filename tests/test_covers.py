@@ -831,14 +831,14 @@ def _weight_not_normalized(op):
 
 
 def _drop_delta_1_entry(op):
-    op.local._entries[1] = tuple(a[:-1] for a in op.local.coboundary_entries(1))
+    op.delta[1] = tuple(a[:-1] for a in op.delta[1])
 
 
 def _flip_delta_1_sign(op):
-    row, col, sign, removed = op.local.coboundary_entries(1)
+    row, col, sign = op.delta[1]
     sign = sign.copy()
     sign[-1:] *= -1
-    op.local._entries[1] = row, col, sign, removed
+    op.delta[1] = row, col, sign
 
 
 @pytest.mark.parametrize(

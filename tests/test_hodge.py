@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from types import SimpleNamespace
@@ -604,6 +605,21 @@ def test_decomposition_rejects_degree_mismatch(circle_complex):
     F = random_cochain(rng, circle_complex, 0)
     with pytest.raises(HodgeError, match="degree"):
         hodge_decompose(circle_complex, 1, F)
+
+
+def test_decomposition_keeps_its_bits():
+    # the circle24 complex of `verify --suite identity`; these digests must not move
+    cx = build_weighted_complex(gen_circle(24), rips_system(0.8), fractional_kernel(1, 0.5), 2)
+    pinned = [
+        "caf04aaaab529f567ca866203bace8ef1944e7fc9aaef6aba3bde70b56fee250",
+        "2803ed98e4949caeea7375d9bc9be8e4765bba49add1673c0644b7768993c8ed",
+        "2a1c5aa87cf81e3f72e023eb86377589ab77f5d061959d473fb75efb74732e35",
+    ]
+    for p, digest in enumerate(pinned):
+        F = random_cochain(np.random.default_rng(p), cx, p)
+        dec = hodge_decompose(cx, p, F)
+        parts = b"".join(part.values.tobytes() for part in (dec.harmonic, dec.exact, dec.coexact))
+        assert hashlib.sha256(parts).hexdigest() == digest, p
 
 
 # --- the multiplier bound -----------------------------------------------------

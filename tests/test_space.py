@@ -694,9 +694,9 @@ def _path_graph_metric(n, step, rng):
 
 
 def _near_bound_sample(shape, n, scale, rng):
-    """A relabelled sample whose witness bound before any misfit, about 8u max d
-    for a cycle and 5u max d for a line, is near `scale` * METRIC_TOL: equally
-    spaced circle and interval points, and a path graph."""
+    """A relabelled sample whose witness bound before any misfit, about 8u max d,
+    is near `scale` * METRIC_TOL: equally spaced circle and interval points,
+    and a path graph."""
     size = scale * METRIC_TOL / (8 * U)  # the largest distance
     if shape == "circle":
         k = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
@@ -751,6 +751,23 @@ def test_samples_under_the_bound_are_certified_and_past_it_declined(shape):
     rng = np.random.default_rng(7)
     assert space_module._witness_certified(_near_bound_sample(shape, 96, 0.3, rng))
     assert not space_module._witness_certified(_near_bound_sample(shape, 96, 3.0, rng))
+
+
+def test_line_data_past_the_bound_is_left_to_the_scan(monkeypatch):
+    # the cycle reads a line's own metric but bounds it by about 8u max d: past
+    # METRIC_TOL/(8u) the witness declines, and the scan accepts the matrix
+    d = _near_bound_sample("interval", 96, 1.3, np.random.default_rng(7))
+    assert not space_module._witness_certified(d)
+    scan, verdicts = space_module._triangle_holds, []
+
+    def spy(*args, **kwargs):
+        verdicts.append(scan(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(space_module, "_triangle_holds", spy)
+    assert _outcome(_check_metric, d) == (None, [])
+    assert verdicts == [True]
+    assert _oracle(d)[0] is None
 
 
 def _exact_cycle(n, seed):
