@@ -3,11 +3,19 @@
 betti_p = dim C^p - rank(B_p) - rank(B_{p-1}). Ranks come from sparse column
 reduction mod p with clearing (Chen & Kerber, 2011): B_0..B_pmax are reduced
 in increasing degree, and a column of B_p that is a pivot row of B_{p-1}
-would reduce to zero since B_p B_{p-1} = 0, so it is skipped. Each rank is
-reduced over both primes; a rank on which they disagree, and that is too
-large to settle over the rationals, makes the degrees that read it
-uncertain. Weights never enter, so this is the weight-independent oracle the
-spectral counts are checked against.
+would reduce to zero since B_p B_{p-1} = 0, so it is skipped. Degree 0 is
+cleared too, when every row of B_0 holds one -1 and one +1 (a signed
+incidence matrix, as every coboundary B_0 and every Cech D_0 is): the
+highest column of each connected component is minus the sum of the
+component's other columns, which all lie to its left, so it reduces to zero
+over every field. A column whose pivot row is still free is an apparent
+pivot (Bauer, "Ripser", 2021): it is kept as its column index and read from
+the matrix only if a later column reduces against it, which on a sample of
+a circle or a sphere almost none does. Each rank is reduced over both
+primes; a rank on which they disagree, and that is too large to settle over
+the rationals, makes the degrees that read it uncertain. Weights never
+enter, so this is the weight-independent oracle the spectral counts are
+checked against.
 """
 
 from __future__ import annotations
@@ -38,10 +46,13 @@ def _to_int_array(matrix) -> np.ndarray:
 def _pivot_columns(matrix, prime: int, cleared=frozenset()) -> dict:
     """Column reduction mod prime, left to right, skipping the columns in `cleared`.
 
-    A column's pivot is its largest nonzero row. Returns the reduced columns
-    ({row: value}, each with the inverse of its pivot entry) keyed by pivot
-    row; their number is the rank. Columns are kept unscaled: the multiple
-    that clears a pivot is taken through the stored inverse instead.
+    A column's pivot is its largest nonzero row. Returns the pivot columns
+    keyed by pivot row; their number is the rank. An apparent pivot, a column
+    whose pivot row was free when it was reached, is stored as its column
+    index; the first column that reduces against it reads it as
+    ({row: value}, inverse of its pivot entry), the form every reduced column
+    is stored in. Columns are kept unscaled: the multiple that clears a pivot
+    is taken through the stored inverse instead.
     """
     if not sp.issparse(matrix):
         matrix = _to_int_array(matrix)
@@ -54,9 +65,15 @@ def _pivot_columns(matrix, prime: int, cleared=frozenset()) -> dict:
     for j in range(A.shape[1]):
         if j in cleared or ptr[j] == ptr[j + 1]:
             continue
-        col = dict(zip(rows[ptr[j] : ptr[j + 1]], vals[ptr[j] : ptr[j + 1]]))
         low = rows[ptr[j + 1] - 1]  # sum_duplicates sorted each column's rows
+        if low not in reduced:
+            reduced[low] = j
+            continue
+        col = dict(zip(rows[ptr[j] : ptr[j + 1]], vals[ptr[j] : ptr[j + 1]]))
         while low in reduced:
+            if isinstance(reduced[low], int):  # an apparent pivot, read once
+                a, b = ptr[reduced[low]], ptr[reduced[low] + 1]
+                reduced[low] = dict(zip(rows[a:b], vals[a:b])), pow(vals[b - 1], -1, prime)
             other, inv = reduced[low]
             c = col[low] * inv % prime
             for r, v in other.items():
@@ -69,6 +86,30 @@ def _pivot_columns(matrix, prime: int, cleared=frozenset()) -> dict:
         if col:
             reduced[low] = col, pow(col[low], -1, prime)
     return reduced
+
+
+def _component_tops(D0) -> frozenset:
+    """The highest column of each connected component of D_0's graph, or
+    nothing when some row of D_0 is not one -1 and one +1.
+
+    On a signed incidence matrix the columns of a component sum to zero, so
+    its highest column reduces to zero in `_pivot_columns` over every field.
+    """
+    # scipy.sparse does not load csgraph: importing it here keeps its ~1 MB
+    # out of every process that only imports this module
+    from scipy.sparse.csgraph import connected_components
+
+    A = sp.csr_matrix(D0, dtype=np.int64, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    signs, n = A.data, A.shape[1]
+    if np.any(np.diff(A.indptr) != 2) or np.any(signs[::2] + signs[1::2]) or np.any(abs(signs) != 1):
+        return frozenset()
+    ends = A.indices.reshape(-1, 2)
+    graph = sp.csr_matrix((np.ones(len(ends), dtype=bool), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    labels = connected_components(graph, directed=False)[1]
+    last = np.unique(labels[::-1], return_index=True)[1]
+    return frozenset((n - 1 - last).tolist())
 
 
 def rank_exact_rational(matrix) -> int:
@@ -151,9 +192,10 @@ def _betti(differences: list, parameters: dict) -> BettiReport:
     """Betti numbers of the cochain complex with differences D_0, D_1, ...
 
     dim_q is D_q.shape[1], and beta_q = dim_q - rank D_q - rank D_{q-1}. Each
-    rank is reduced over both primes, with clearing across degrees.
+    rank is reduced over both primes, with clearing across degrees; D_0's
+    cleared columns are its components' highest columns.
     """
-    cleared: dict = {}
+    cleared = dict.fromkeys(PRIMES, _component_tops(differences[0]))
     ranks, certain = zip(*(_cleared_rank(D, cleared) for D in differences))
     dims = tuple(D.shape[1] for D in differences)
     betti = tuple(dims[q] - ranks[q] - (ranks[q - 1] if q else 0) for q in range(len(dims)))

@@ -108,6 +108,21 @@ def adjoint_matrix(complex_: WeightedComplex, p: int) -> sp.csr_matrix:
     return sp.diags(1.0 / wp) @ B.T.astype(float) @ sp.diags(wq)
 
 
+def _laplacian_term(d: np.ndarray, X: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
+    """D X diag(w) X^T D with D = diag(d), for a CSR X of entries +-1.
+
+    One product A X^T, A holding x_ij fl(d_i w_j) in X's pattern, then each
+    entry scaled by d of its column: products with +-1 are exact and every
+    sum runs over ascending j, so each entry has the bits of the chained
+    products.
+    """
+    rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    A = sp.csr_matrix((X.data * (d[rows] * w[X.indices]), X.indices, X.indptr), shape=X.shape)
+    P = A @ X.T
+    P.data *= d[P.indices]
+    return P
+
+
 def _laplacian_csr(complex_: WeightedComplex, p: int) -> sp.csr_matrix:
     """W_p^{1/2} L_p W_p^{-1/2} as CSR in canonical form (no explicit zeros, sorted indices)."""
     m = complex_.dim(p)
@@ -115,21 +130,19 @@ def _laplacian_csr(complex_: WeightedComplex, p: int) -> sp.csr_matrix:
     wp = complex_.mass_vector(p)
     if m == 0:
         return out
-    terms = []  # (d, X, w) of each term D X diag(w) X^T D, D = diag(d)
     if p >= 1 and complex_.dim(p - 1) > 0:
-        terms.append((np.sqrt(wp), complex_.coboundary(p - 1).matrix,
-                      1.0 / complex_.mass_vector(p - 1)))
+        out = out + _laplacian_term(np.sqrt(wp), complex_.coboundary(p - 1).matrix,
+                                    1.0 / complex_.mass_vector(p - 1))
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
-        terms.append((1.0 / np.sqrt(wp), complex_.coboundary(p).matrix.T,
-                      complex_.mass_vector(p + 1)))
-    for d, X, w in terms:
-        D, X = sp.diags(d), X.astype(float)
-        out = out + D @ X @ sp.diags(w) @ X.T @ D
-    skew = abs(out - out.T).max()
+        out = out + _laplacian_term(1.0 / np.sqrt(wp), complex_.coboundary(p).matrix.T.tocsr(),
+                                    complex_.mass_vector(p + 1))
+    T = out.T.tocsr()
+    skew = abs(out - T).max()
     scale = max(abs(out).max(), 1.0)
     if skew > 1e-12 * scale:
         raise HodgeError(f"symmetrized Laplacian has asymmetry {skew:.3e}")
-    out = 0.5 * (out + out.T)
+    out = out + T
+    out.data *= 0.5
     out.eliminate_zeros()
     out.sort_indices()
     return out

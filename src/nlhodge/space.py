@@ -101,8 +101,8 @@ def _check_metric(dist: np.ndarray) -> None:
         raise SpaceValidationError("empty space")
     # NaN and +-inf reach the min or the max, so no n x n mask is formed to
     # find them; the mask only names the first bad entry
-    top = dist.max()
-    if not (np.isfinite(dist.min()) and np.isfinite(top)):
+    low, top = dist.min(), dist.max()
+    if not (np.isfinite(low) and np.isfinite(top)):
         bad = np.argwhere(~np.isfinite(dist))[0]
         raise SpaceValidationError(f"non-finite distance at ({bad[0]}, {bad[1]})")
     worst, (i, j) = _asymmetry(dist)
@@ -127,7 +127,8 @@ def _check_metric(dist: np.ndarray) -> None:
         row, col = dist[i], dist[:, i]
         if min(((dist[i, i] + row) - row).min(), ((col + dist[i, i]) - col).min()) < -METRIC_TOL:
             raise SpaceValidationError(f"nonzero diagonal at ({i}, {i}): {float(dist[i, i])!r}")
-    if not (_witness_certified(dist) or _triangle_holds(dist, METRIC_TOL, symmetric=worst == 0)):
+    certified = _witness_certified(dist, max(float(top), -float(low)))
+    if not (certified or _triangle_holds(dist, METRIC_TOL, symmetric=worst == 0)):
         raise SpaceValidationError(_triangle_violation(dist, METRIC_TOL))
     if n > 1:
         min_sep = min(min_off, np.diagonal(dist).min() + top)
@@ -167,12 +168,12 @@ def _off_diagonal(dist: np.ndarray) -> np.ndarray:
     return dist.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
-def _witness_certified(dist: np.ndarray) -> bool:
+def _witness_certified(dist: np.ndarray, top: float) -> bool:
     """Whether the cycle metric read off d proves the triangle check passes
-    (module docstring); False leaves the verdict to the scan."""
+    (module docstring), given top = max |d_ij|; False leaves the verdict to
+    the scan."""
     if dist.dtype != np.float64:
         return False
-    top = Fraction(max(float(dist.max()), -float(dist.min())))
     # the cycle through a, the point farthest from point 0, and its nearest neighbour b
     a = int(np.argmax(dist[0]))
     x = dist[a]
@@ -184,7 +185,7 @@ def _witness_certified(dist: np.ndarray) -> bool:
     return (
         wrap < math.inf
         and Fraction(phi.max()) - Fraction(phi.min()) <= wrap
-        and _witness_fits(dist, phi, wrap, _U * (1 + _U) * Fraction(wrap), top)
+        and _witness_fits(dist, phi, wrap, _U * (1 + _U) * Fraction(wrap), Fraction(top))
     )
 
 
@@ -192,10 +193,14 @@ def _witness_fits(dist, coords, wrap, rounding: Fraction, top: Fraction) -> bool
     """Whether (3 delta + 2u top)(1 + u) <= METRIC_TOL for the witness
     rho^_ij = min(g^, wrap - g^), g^ = fl|c_i - c_j|, with
     delta = (1 + u) max fl|d - rho^| + `rounding`, the bound on |rho^ - rho|."""
-    worst = 0.0
-    for r0 in range(0, dist.shape[0], _SWEEP_ROWS):
-        rho = np.abs(coords[r0 : r0 + _SWEEP_ROWS, None] - coords)
-        np.minimum(rho, wrap - rho, out=rho)
+    n, worst = dist.shape[0], 0.0
+    block, back = np.empty((2, min(n, _SWEEP_ROWS), n))
+    for r0 in range(0, n, _SWEEP_ROWS):
+        rho, wrapped = block[: n - r0], back[: n - r0]  # the last block may be short
+        np.subtract(coords[r0 : r0 + _SWEEP_ROWS, None], coords, out=rho)
+        np.abs(rho, out=rho)
+        np.subtract(wrap, rho, out=wrapped)
+        np.minimum(rho, wrapped, out=rho)
         np.subtract(dist[r0 : r0 + _SWEEP_ROWS], rho, out=rho)
         worst = max(worst, float(np.abs(rho, out=rho).max()))
         if worst > METRIC_TOL:

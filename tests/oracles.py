@@ -55,7 +55,12 @@ set-family rounds on that family. `capacity_of_hole` is the capacity of a
 point or interval hole in the unit interval, built from `gen_interval`,
 `build_capacity_problem` and `capacity` like the benchmark's ladder.
 `weighted_laplacian` is the unsymmetrized Laplacian L_p whose conjugate
-W_p^{1/2} L_p W_p^{-1/2} the package builds. `rank_mod_p`, `is_admissible`,
+W_p^{1/2} L_p W_p^{-1/2} the package builds, and `laplacian_oracle` is
+`hodge._laplacian_csr` before each term became one product: the chain
+D X diag(w) X^T D of sparse products, and a transpose for the skew guard and
+another for the symmetrization. `pivot_columns_oracle` is
+`cohomology._pivot_columns` before apparent pivots were kept as column
+indices: every column becomes a dict and a modular inverse. `rank_mod_p`, `is_admissible`,
 `rescaled`, `tensor_evaluator`, `insert_points`, `cone_contraction`,
 `check_kernel_conditions`, `permuted` and `total_mass` are no longer in the
 package, which never called them; the tests that checked them check them
@@ -77,7 +82,7 @@ from nlhodge.capacity import build_capacity_problem, capacity
 from nlhodge.cochains import Cochain, CochainError, build_coboundary
 from nlhodge.cohomology import PRIME_MAIN, _pivot_columns
 from nlhodge.covers import _ranges, build_slice_and_psi
-from nlhodge.hodge import build_weighted_complex
+from nlhodge.hodge import HodgeError, build_weighted_complex
 from nlhodge.kernels import KernelError, KernelModel, fractional_kernel, kernel_matrix
 from nlhodge.neighborhoods import TupleSet, _row_rounds, enumerate_tuples, rips_system
 from nlhodge.space import METRIC_TOL, MetricMeasureSpace, SpaceValidationError, gen_interval
@@ -600,6 +605,64 @@ def weighted_laplacian(complex_, p: int) -> np.ndarray:
         Bup = complex_.coboundary(p).matrix.astype(float)
         out = out + sp.diags(1.0 / wp) @ Bup.T @ sp.diags(complex_.mass_vector(p + 1)) @ Bup
     return out.toarray()
+
+
+def laplacian_oracle(complex_, p: int) -> sp.csr_matrix:
+    """W_p^{1/2} L_p W_p^{-1/2} in canonical CSR, term by term as a chain of products."""
+    m = complex_.dim(p)
+    out = sp.csr_matrix((m, m))
+    wp = complex_.mass_vector(p)
+    if m == 0:
+        return out
+    terms = []  # (d, X, w) of each term D X diag(w) X^T D, D = diag(d)
+    if p >= 1 and complex_.dim(p - 1) > 0:
+        terms.append((np.sqrt(wp), complex_.coboundary(p - 1).matrix,
+                      1.0 / complex_.mass_vector(p - 1)))
+    if p <= complex_.p_max and complex_.dim(p + 1) > 0:
+        terms.append((1.0 / np.sqrt(wp), complex_.coboundary(p).matrix.T,
+                      complex_.mass_vector(p + 1)))
+    for d, X, w in terms:
+        D, X = sp.diags(d), X.astype(float)
+        out = out + D @ X @ sp.diags(w) @ X.T @ D
+    skew = abs(out - out.T).max()
+    scale = max(abs(out).max(), 1.0)
+    if skew > 1e-12 * scale:
+        raise HodgeError(f"symmetrized Laplacian has asymmetry {skew:.3e}")
+    out = 0.5 * (out + out.T)
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
+def pivot_columns_oracle(matrix, prime: int, cleared=frozenset()) -> dict:
+    """Column reduction mod prime, left to right, skipping the columns in `cleared`:
+    every pivot column as ({row: value}, inverse of its pivot entry), keyed by pivot row."""
+    if not sp.issparse(matrix):
+        matrix = np.array(matrix, dtype=np.int64)
+    A = sp.csc_matrix(matrix, dtype=np.int64, copy=True)
+    A.sum_duplicates()
+    A.data %= prime
+    A.eliminate_zeros()
+    ptr, rows, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    reduced: dict = {}
+    for j in range(A.shape[1]):
+        if j in cleared or ptr[j] == ptr[j + 1]:
+            continue
+        col = dict(zip(rows[ptr[j] : ptr[j + 1]], vals[ptr[j] : ptr[j + 1]]))
+        low = rows[ptr[j + 1] - 1]
+        while low in reduced:
+            other, inv = reduced[low]
+            c = col[low] * inv % prime
+            for r, v in other.items():
+                x = (col.pop(r, 0) - c * v) % prime
+                if x:
+                    col[r] = x
+            if not col:
+                break
+            low = max(col)
+        if col:
+            reduced[low] = col, pow(col[low], -1, prime)
+    return reduced
 
 
 def rank_mod_p(matrix, prime: int = PRIME_MAIN) -> int:

@@ -77,7 +77,7 @@ def test_reports_are_byte_identical_across_thread_caps(tmp_path):
     # The witness certificate proves both circles metric without the scan; the
     # sphere sample, read from a file, is the input that reaches it.
     sphere = gen_sphere(48).dist
-    assert not _witness_certified(sphere)
+    assert not _witness_certified(sphere, np.abs(sphere).max())
     sphere_path = tmp_path / "sphere48.csv"
     np.savetxt(sphere_path, sphere, fmt="%.17g", delimiter=",")
     cases = {

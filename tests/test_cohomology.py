@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import dense_rank_mod_p, permuted, rank_mod_p
+from oracles import dense_rank_mod_p, permuted, pivot_columns_oracle, rank_mod_p
+from nlhodge.covers import _nerve_differences, default_cover
 from nlhodge.space import gen_circle, gen_interval, gen_sphere, gen_two_components
 from nlhodge.neighborhoods import hausdorff_system, rips_system
 from nlhodge.kernels import constant_kernel, fractional_kernel
@@ -19,7 +20,10 @@ import nlhodge.cohomology as cohomology
 from nlhodge.cohomology import (
     PRIME_FALLBACK,
     PRIME_MAIN,
+    PRIMES,
     _cleared_rank,
+    _component_tops,
+    _pivot_columns,
     compare_numeric_exact,
     exact_betti,
     rank_exact,
@@ -159,6 +163,166 @@ def test_clearing_leaves_every_rank_unchanged(name):
     report = exact_betti(complex_)
     assert report.ranks == unclear
     assert not any(report.uncertain)
+
+
+# --- apparent pivots and degree-0 clearing -------------------------------------
+
+
+@st.composite
+def reductions(draw):
+    """A matrix with few rows, so columns collide on their pivot rows and
+    reduce, some columns to skip, and a prime."""
+    entries = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    values = draw(st.lists(entries, min_size=m * n, max_size=m * n))
+    skip = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    A = np.array(values, dtype=np.int64).reshape(m, n)
+    return A, frozenset(skip), draw(st.sampled_from(PRIMES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reductions(), st.booleans())
+def test_pivot_rows_match_the_eager_reduction(case, as_csr):
+    A, skip, prime = case
+    M = sp.csr_matrix(A) if as_csr else A
+    assert set(_pivot_columns(M, prime, skip)) == set(pivot_columns_oracle(A, prime, skip))
+
+
+def test_a_prime_divisor_entry_decides_which_pivot_is_read():
+    # the main prime sees column 1's entry 2^31 - 1 as zero, so its pivot row
+    # is row 0, still free; over the fallback prime it is row 1, the pivot of
+    # the apparent column 0, which column 1 then reads and reduces against
+    A = np.array([[1, 3, 0], [1, PRIME_MAIN, 5], [0, 0, 7]])
+    main, fallback = (_pivot_columns(A, prime) for prime in PRIMES)
+    assert main == {1: 0, 0: 1, 2: 2}
+    assert fallback[1] == ({0: 1, 1: 1}, 1) and fallback[2] == 2
+    for prime in PRIMES:
+        assert set(_pivot_columns(A, prime)) == set(pivot_columns_oracle(A, prime))
+
+
+def _cleared_pivot_rows(differences, prime):
+    """Pivot rows of D_0, D_1, ... as `_betti` reduces them (D_0 seeded with its
+    components' tops) and as the eager oracle does with no seed on D_0."""
+    got, want = [], []
+    cleared, oracle_cleared = _component_tops(differences[0]), frozenset()
+    for D in differences:
+        got.append(set(_pivot_columns(D, prime, cleared)))
+        want.append(set(pivot_columns_oracle(D, prime, oracle_cleared)))
+        cleared, oracle_cleared = got[-1], want[-1]
+    return got, want
+
+
+_GLUING = {
+    "circle32": lambda: (gen_circle(32), hausdorff_system(0.5)),
+    "interval32": lambda: (gen_interval(32), hausdorff_system(0.2)),
+}
+
+
+def _suite_differences(name):
+    """D_0, D_1, ... of a suite complex, a cover complex or ("... nerve") its Cech nerve."""
+    if name.endswith(" nerve"):
+        return _nerve_differences(default_cover(*_GLUING[name.removesuffix(" nerve")]()), 2)
+    args = (*_GLUING[name](), _KERNEL, 2) if name in _GLUING else _SUITE_COMPLEXES[name]()
+    return [D.matrix for D in build_weighted_complex(*args).coboundaries]
+
+
+@pytest.fixture(scope="module")
+def scale_probe_b0_b1():
+    n = 1024
+    complex_ = build_weighted_complex(
+        gen_circle(n), rips_system(7 * 2 * np.pi / n), _KERNEL, 1
+    )
+    return [D.matrix for D in complex_.coboundaries]
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(_SUITE_COMPLEXES), *_GLUING, *(f"{name} nerve" for name in _GLUING)]
+)
+def test_every_suite_complex_keeps_its_pivot_rows(name):
+    differences = _suite_differences(name)
+    assert _component_tops(differences[0])
+    for prime in PRIMES:
+        got, want = _cleared_pivot_rows(differences, prime)
+        assert got == want
+
+
+def test_the_scale_probe_keeps_its_pivot_rows(scale_probe_b0_b1):
+    for prime in PRIMES:
+        got, want = _cleared_pivot_rows(scale_probe_b0_b1, prime)
+        assert got == want
+        assert [len(rows) for rows in got] == [1023, 5120]
+
+
+def test_no_apparent_pivot_of_the_circle_b0_is_read(scale_probe_b0_b1):
+    # every vertex but the seeded last one has a free pivot row when it is
+    # reached, so B_0 reduces no column and keeps every pivot as an index
+    B0 = scale_probe_b0_b1[0]
+    assert _component_tops(B0) == {1023}
+    for prime in PRIMES:
+        reduced = _pivot_columns(B0, prime, _component_tops(B0))
+        assert len(reduced) == 1023
+        assert all(isinstance(column, int) for column in reduced.values())
+
+
+def _random_graph_d0(rng, n, components):
+    """A signed incidence matrix, one row per edge (each row -1 at its lower
+    vertex and +1 at its higher one, or the reverse) of a random graph on n
+    shuffled vertices: `components` random trees plus extra edges inside
+    them, and a few isolated points."""
+    label = rng.permutation(n)
+    isolated = rng.integers(0, 3)
+    groups = np.array_split(np.arange(n - isolated), components)
+    edges = []
+    for group in groups:
+        for k in range(1, group.size):
+            edges.append((group[rng.integers(0, k)], group[k]))  # a random tree
+        for _ in range(group.size // 2):
+            a, b = rng.choice(group, 2, replace=group.size < 2)
+            if a != b:
+                edges.append((a, b))
+    rng.shuffle(edges)
+    D = sp.lil_matrix((len(edges), n), dtype=np.int64)
+    for r, (a, b) in enumerate(edges):
+        sign = rng.choice([-1, 1])
+        D[r, label[a]], D[r, label[b]] = sign, -sign
+    return D.tocsr()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_seeded_columns_are_the_columns_that_reduce_to_zero(seed):
+    rng = np.random.default_rng(seed)
+    D = _random_graph_d0(rng, int(rng.integers(6, 30)), int(rng.integers(1, 5)))
+    dense = D.toarray()
+    zero = {
+        j for j in range(D.shape[1])
+        if dense_rank_mod_p(dense[:, : j + 1]) == dense_rank_mod_p(dense[:, :j])
+    }
+    assert _component_tops(D) == zero
+    for prime in PRIMES:
+        assert set(_pivot_columns(D, prime, zero)) == set(pivot_columns_oracle(D, prime))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, -1, 0], [0, 1, 0]],  # a one-entry row
+        [[1, -1, 0], [0, 2, -1]],  # an entry 2
+        [[1, -1, 0], [0, -2, 1]],  # an entry -2
+        [[1, -1, 0], [1, -1, 1]],  # a three-entry row
+        [[1, 1, 0], [0, 1, -1]],  # a row of one sign
+        [[PRIME_MAIN]],
+    ],
+)
+def test_a_d0_that_is_not_a_signed_incidence_matrix_gets_no_seed(rows):
+    assert _component_tops(np.array(rows, dtype=np.int64)) == frozenset()
+    assert _component_tops(sp.csr_matrix(np.array(rows, dtype=np.int64))) == frozenset()
+
+
+def test_a_d0_without_edges_seeds_every_point():
+    assert _component_tops(sp.csr_matrix((0, 3), dtype=np.int64)) == {0, 1, 2}
+    # one stored edge whose two entries cancel is no longer an incidence row
+    cancelled = sp.csr_matrix((np.array([1, -1]), np.array([1, 1]), np.array([0, 2])), shape=(1, 3))
+    assert _component_tops(cancelled) == frozenset()
 
 
 # --- Betti numbers of known spaces ---------------------------------------------

@@ -12,8 +12,8 @@ from scipy.sparse.csgraph import connected_components
 
 import nlhodge.hodge as hodge
 
-from nlhodge.space import MetricMeasureSpace, gen_circle, gen_sphere, gen_two_components
-from nlhodge.neighborhoods import full_system, rips_system
+from nlhodge.space import MetricMeasureSpace, gen_circle, gen_interval, gen_sphere, gen_two_components
+from nlhodge.neighborhoods import full_system, hausdorff_system, rips_system
 from nlhodge.kernels import constant_kernel, fractional_kernel, kernel_matrix
 from nlhodge.cochains import Cochain
 from nlhodge.cohomology import compare_numeric_exact, exact_betti
@@ -29,7 +29,7 @@ from nlhodge.hodge import (
     multiplier_bound_check,
     multiplier_constant,
 )
-from oracles import dense_low_spectrum, rescaled, weighted_laplacian
+from oracles import dense_low_spectrum, laplacian_oracle, rescaled, weighted_laplacian
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +396,36 @@ def test_a_residual_above_the_threshold_leaves_a_clear_count(monkeypatch):
     assert count.harmonic_dim == 2 and count.threshold == tau
     full = np.linalg.eigvalsh(S.toarray())
     assert np.abs(count.eigenvalues - full[:3]).max() <= 1e-10 * gersh
+
+
+_LAPLACIAN_COMPLEXES = {
+    # the sweep's sphere grid, the scale probe and the interval cover complex
+    **{
+        f"sphere eps {eps} alpha {alpha}": lambda eps=eps, alpha=alpha: build_weighted_complex(
+            gen_sphere(200), rips_system(eps), fractional_kernel(2.0, alpha), 2
+        )
+        for eps in (0.35, 0.45, 0.5)
+        for alpha in (0.5, 1.0, 1.5)
+    },
+    "circle 1024": lambda: build_weighted_complex(
+        gen_circle(1024), rips_system(7 * 2 * np.pi / 1024), fractional_kernel(1.0, 0.5), 1
+    ),
+    "interval 32": lambda: build_weighted_complex(
+        gen_interval(32), hausdorff_system(0.2), fractional_kernel(1.0, 0.5), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAPLACIAN_COMPLEXES))
+def test_laplacian_has_the_bits_of_the_chained_products(name):
+    # each term is one product A X^T with the chain's factors folded into A;
+    # products with +-1 are exact and every sum keeps its order, so the CSR
+    # arrays are bit for bit the chain's
+    cx = _LAPLACIAN_COMPLEXES[name]()
+    for p in range(cx.p_max + 1):
+        S, want = hodge._laplacian_csr(cx, p), laplacian_oracle(cx, p)
+        for got, ref in ((S.data, want.data), (S.indices, want.indices), (S.indptr, want.indptr)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])

@@ -203,12 +203,16 @@ def _traced_peak(fn, *args):
 
 
 def test_the_finiteness_test_forms_no_n_by_n_mask():
-    # at n = 2048 an n x n boolean mask (4.2 MB) would outgrow the witness
-    # sweep (3.2 MB), the largest allocation validation makes on a circle
+    # at n = 2048 an n x n boolean mask (4.2 MB) would outgrow the asymmetry
+    # sweep (3.1 MB) and the witness sweep (2.3 MB), the largest allocations
+    # validation makes on a circle
     d = gen_circle(2048).dist
-    witness = _traced_peak(space_module._witness_certified, d)
-    assert witness < d.size
-    assert _traced_peak(_check_metric, d) < 1.01 * witness
+    sweeps = max(
+        _traced_peak(space_module._asymmetry, d),
+        _traced_peak(space_module._witness_certified, d, np.abs(d).max()),
+    )
+    assert sweeps < d.size
+    assert _traced_peak(_check_metric, d) < 1.01 * sweeps
 
 
 def test_zero_off_diagonal_rejected():
@@ -693,6 +697,11 @@ def _path_graph_metric(n, step, rng):
     return dijkstra(graph, directed=True)
 
 
+def _certified(d):
+    """The witness verdict, given max |d| as `_check_metric` passes it."""
+    return space_module._witness_certified(d, np.abs(d).max())
+
+
 def _near_bound_sample(shape, n, scale, rng):
     """A relabelled sample whose witness bound before any misfit, about 8u max d,
     is near `scale` * METRIC_TOL: equally spaced circle and interval points,
@@ -741,7 +750,7 @@ def test_a_certified_matrix_passes_the_per_j_oracle(case):
     elif edit != "none":
         c = _edge(d, a, b)
         d[a, b] = d[b, a] = {"at": c, "past": _past(d, c), "big": 2 * c + 1}[edit]
-    if space_module._witness_certified(d):
+    if _certified(d):
         assert _oracle(d)[0] is None
 
 
@@ -749,15 +758,15 @@ def test_a_certified_matrix_passes_the_per_j_oracle(case):
 def test_samples_under_the_bound_are_certified_and_past_it_declined(shape):
     # the property above has teeth: both answers occur on its samples
     rng = np.random.default_rng(7)
-    assert space_module._witness_certified(_near_bound_sample(shape, 96, 0.3, rng))
-    assert not space_module._witness_certified(_near_bound_sample(shape, 96, 3.0, rng))
+    assert _certified(_near_bound_sample(shape, 96, 0.3, rng))
+    assert not _certified(_near_bound_sample(shape, 96, 3.0, rng))
 
 
 def test_line_data_past_the_bound_is_left_to_the_scan(monkeypatch):
     # the cycle reads a line's own metric but bounds it by about 8u max d: past
     # METRIC_TOL/(8u) the witness declines, and the scan accepts the matrix
     d = _near_bound_sample("interval", 96, 1.3, np.random.default_rng(7))
-    assert not space_module._witness_certified(d)
+    assert not _certified(d)
     scan, verdicts = space_module._triangle_holds, []
 
     def spy(*args, **kwargs):
@@ -789,14 +798,14 @@ def test_a_cycle_that_rounds_past_the_tolerance_is_declined(seed, monkeypatch):
     # only the rounding term of delta sees it
     d = _exact_cycle(32, seed)
     assert _oracle(d)[0] is not None
-    assert not space_module._witness_certified(d)
+    assert not _certified(d)
     fits = space_module._witness_fits
 
     def no_rounding(dist, coords, wrap, rounding, top):
         return fits(dist, coords, wrap, Fraction(0), top)
 
     monkeypatch.setattr(space_module, "_witness_fits", no_rounding)
-    assert space_module._witness_certified(d)
+    assert _certified(d)
 
 
 def test_three_pairs_off_by_under_half_the_tolerance_are_declined():
@@ -807,7 +816,7 @@ def test_three_pairs_off_by_under_half_the_tolerance_are_declined():
     for a, b, sign in ((10, 20, -1), (20, 30, -1), (10, 30, 1)):
         d[a, b] = d[b, a] = d[a, b] + sign * 0.4 * METRIC_TOL
     assert _oracle(d)[0] is not None
-    assert not space_module._witness_certified(d)
+    assert not _certified(d)
 
 
 def _no_scan(*args):
@@ -833,7 +842,7 @@ def test_one_dimensional_spaces_are_certified_without_the_scan(name, monkeypatch
     space = ONE_DIMENSIONAL[name]()
     perm = np.random.default_rng(5).permutation(space.n)
     for d in (space.dist, np.ascontiguousarray(space.dist[np.ix_(perm, perm)])):
-        assert space_module._witness_certified(d)
+        assert _certified(d)
         assert _outcome(_check_metric, d) == (None, [])
 
 
@@ -858,7 +867,7 @@ def test_sphere_200_declines_without_importing_csgraph():
         "import sys\n"
         "from nlhodge import space\n"
         "d = space.gen_sphere(200).dist\n"
-        "assert not space._witness_certified(d)\n"
+        "assert not space._witness_certified(d, abs(d).max())\n"
         "assert 'scipy.sparse.csgraph' not in sys.modules, 'csgraph imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
