@@ -10,12 +10,24 @@ highest column of each connected component is minus the sum of the
 component's other columns, which all lie to its left, so it reduces to zero
 over every field. A column whose pivot row is still free is an apparent
 pivot (Bauer, "Ripser", 2021): it is kept as its column index and read from
-the matrix only if a later column reduces against it, which on a sample of
-a circle or a sphere almost none does. Each rank is reduced over both
-primes; a rank on which they disagree, and that is too large to settle over
-the rationals, makes the degrees that read it uncertain. Weights never
-enter, so this is the weight-independent oracle the spectral counts are
-checked against.
+the matrix only if a later column reduces against it. Each rank is reduced
+over both primes; a rank on which they disagree, and that is too large to
+settle over the rationals, makes the degrees that read it uncertain. Weights
+never enter, so this is the weight-independent oracle the spectral counts
+are checked against.
+
+How many pivots are apparent depends on the order of rows and columns, and
+the stored order is the order of the point labels. So `exact_betti` reduces
+in one locality order per degree, taken from the complex: the points in the
+reverse Cuthill-McKee order of the 1-skeleton (Cuthill & McKee, 1969), and
+the tuples of degree p >= 1 in the lexicographic order of their members'
+new positions. On a sample of a circle or a sphere almost every pivot is
+then apparent, however the points are labelled. Each order is both the row
+order of B_{p-1} and the column order of B_p, so the pivot rows that clear
+B_p are read in the order B_p is reduced in, and the components' highest
+columns are taken in the new order of the points. Ranks over a field, and
+the rational fallback, do not see a permutation of rows or columns, so
+every rank and flag is that of the stored order.
 """
 
 from __future__ import annotations
@@ -88,6 +100,31 @@ def _pivot_columns(matrix, prime: int, cleared=frozenset()) -> dict:
     return reduced
 
 
+def _incidence_graph(D0):
+    """The graph on D_0's columns with one edge per row, or None when some row
+    of D_0 is not one -1 and one +1."""
+    A = sp.csr_matrix(D0, dtype=np.int64, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    signs, n = A.data, A.shape[1]
+    if np.any(np.diff(A.indptr) != 2) or np.any(signs[::2] + signs[1::2]) or np.any(abs(signs) != 1):
+        return None
+    ends = A.indices.reshape(-1, 2)
+    return sp.csr_matrix((np.ones(len(ends), dtype=bool), (ends[:, 0], ends[:, 1])), shape=(n, n))
+
+
+def _tops(graph, order) -> frozenset:
+    """The highest position in each connected component of `graph` once its
+    vertices take the positions 0, 1, ... in `order`."""
+    # scipy.sparse does not load csgraph: importing it here keeps its ~1 MB
+    # out of every process that only imports this module
+    from scipy.sparse.csgraph import connected_components
+
+    labels = connected_components(graph, directed=False)[1][order]
+    last = np.unique(labels[::-1], return_index=True)[1]
+    return frozenset((len(labels) - 1 - last).tolist())
+
+
 def _component_tops(D0) -> frozenset:
     """The highest column of each connected component of D_0's graph, or
     nothing when some row of D_0 is not one -1 and one +1.
@@ -95,21 +132,34 @@ def _component_tops(D0) -> frozenset:
     On a signed incidence matrix the columns of a component sum to zero, so
     its highest column reduces to zero in `_pivot_columns` over every field.
     """
-    # scipy.sparse does not load csgraph: importing it here keeps its ~1 MB
-    # out of every process that only imports this module
-    from scipy.sparse.csgraph import connected_components
+    graph = _incidence_graph(D0)
+    return frozenset() if graph is None else _tops(graph, np.arange(graph.shape[0]))
 
-    A = sp.csr_matrix(D0, dtype=np.int64, copy=True)
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    signs, n = A.data, A.shape[1]
-    if np.any(np.diff(A.indptr) != 2) or np.any(signs[::2] + signs[1::2]) or np.any(abs(signs) != 1):
-        return frozenset()
-    ends = A.indices.reshape(-1, 2)
-    graph = sp.csr_matrix((np.ones(len(ends), dtype=bool), (ends[:, 0], ends[:, 1])), shape=(n, n))
-    labels = connected_components(graph, directed=False)[1]
-    last = np.unique(labels[::-1], return_index=True)[1]
-    return frozenset((n - 1 - last).tolist())
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    """The position of each index in `order`, the inverse permutation."""
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size, dtype=order.dtype)
+    return position
+
+
+def _tuple_order(tuples: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """The rows of `tuples` in the lexicographic order of their members'
+    positions, each tuple's positions sorted."""
+    members = position[tuples.T]  # row i: the i-th member of every tuple
+    k, n = members.shape[0], position.size
+    for i in range(k):  # odd-even transposition sort, a row pair at a time
+        for j in range(i % 2, k - 1, 2):
+            low = np.minimum(members[j], members[j + 1])
+            np.maximum(members[j], members[j + 1], out=members[j + 1])
+            members[j] = low
+    if n**k > 2**63:  # no room for one int64 key
+        return np.lexsort(members[::-1])
+    key = members[0].astype(np.int64)
+    for column in members[1:]:
+        key *= n
+        key += column
+    return np.argsort(key)
 
 
 def rank_exact_rational(matrix) -> int:
@@ -188,25 +238,53 @@ class BettiReport:
         }
 
 
-def _betti(differences: list, parameters: dict) -> BettiReport:
+def _betti(differences: list, parameters: dict, tops: frozenset | None = None) -> BettiReport:
     """Betti numbers of the cochain complex with differences D_0, D_1, ...
 
     dim_q is D_q.shape[1], and beta_q = dim_q - rank D_q - rank D_{q-1}. Each
     rank is reduced over both primes, with clearing across degrees; D_0's
-    cleared columns are its components' highest columns.
+    cleared columns are `tops`, by default its components' highest columns.
     """
-    cleared = dict.fromkeys(PRIMES, _component_tops(differences[0]))
+    cleared = dict.fromkeys(PRIMES, _component_tops(differences[0]) if tops is None else tops)
     ranks, certain = zip(*(_cleared_rank(D, cleared) for D in differences))
     dims = tuple(D.shape[1] for D in differences)
     betti = tuple(dims[q] - ranks[q] - (ranks[q - 1] if q else 0) for q in range(len(dims)))
     return BettiReport(betti, dims, ranks, certain, parameters)
 
 
+def _reindexed(D: sp.csr_matrix, rows: np.ndarray, position: np.ndarray, k: int) -> sp.csc_matrix:
+    """D, whose rows each hold k entries, with its rows taken in the order
+    `rows` and its column j moved to position[j]: gathered row by row, then
+    converted to CSC once, the form `_pivot_columns` copies for each prime."""
+    data = D.data.reshape(-1, k).take(rows, axis=0).ravel()
+    indices = position.take(D.indices.reshape(-1, k).take(rows, axis=0).ravel())
+    return sp.csr_matrix((data, indices, D.indptr), shape=D.shape).tocsc()
+
+
 def exact_betti(complex_, parameters: dict | None = None) -> BettiReport:
     """Betti numbers for degrees 0..p_max of a weighted complex, each rank
-    over two primes."""
+    over two primes.
+
+    Each B_p is reduced in the locality order of the module docstring, rows
+    in the degree-(p+1) order and columns in the degree-p order. The stored
+    order is kept when B_0 is not a signed incidence matrix or some B_p has
+    a row without p + 2 entries, which no built coboundary has.
+    """
+    parameters = dict(parameters or {})
     differences = [complex_.coboundary(p).matrix for p in range(complex_.p_max + 1)]
-    return _betti(differences, dict(parameters or {}))
+    graph = _incidence_graph(differences[0])
+    if graph is None or any(np.any(np.diff(D.indptr) != p + 2) for p, D in enumerate(differences)):
+        return _betti(differences, parameters)
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    order = reverse_cuthill_mckee(graph, symmetric_mode=False)
+    vertex = position = _positions(order)
+    reordered = []
+    for p, D in enumerate(differences):
+        rows = _tuple_order(complex_.coboundary(p).target.tuples, vertex)
+        reordered.append(_reindexed(D, rows, position, p + 2))
+        position = _positions(rows)
+    return _betti(reordered, parameters, _tops(graph, order))
 
 
 @dataclass(frozen=True)

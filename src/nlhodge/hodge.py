@@ -197,9 +197,11 @@ def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
                 # S is positive semidefinite and sigma < 0, so S - sigma I is
                 # symmetric positive definite: diagonal pivots are safe without
                 # a threshold, and a minimum-degree ordering of A^T + A keeps
-                # L and U symmetric in pattern (scipy has no sparse Cholesky)
+                # L and U symmetric in pattern (scipy has no sparse Cholesky).
+                # S is bitwise symmetric, so S - sigma I is its own transpose,
+                # and the transpose's CSC arrays are its CSR arrays, not a copy
                 lu = spla.splu(
-                    (S - sigma * sp.identity(m, format="csr")).tocsc(),
+                    (S - sigma * sp.identity(m, format="csr")).T,
                     permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True},

@@ -12,7 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from oracles import dense_rank_mod_p, permuted, pivot_columns_oracle, rank_mod_p
 from nlhodge.covers import _nerve_differences, default_cover
-from nlhodge.space import gen_circle, gen_interval, gen_sphere, gen_two_components
+from nlhodge.space import MetricMeasureSpace, gen_circle, gen_interval, gen_sphere, gen_two_components
 from nlhodge.neighborhoods import hausdorff_system, rips_system
 from nlhodge.kernels import constant_kernel, fractional_kernel
 from nlhodge.hodge import build_weighted_complex
@@ -21,9 +21,11 @@ from nlhodge.cohomology import (
     PRIME_FALLBACK,
     PRIME_MAIN,
     PRIMES,
+    _betti,
     _cleared_rank,
     _component_tops,
     _pivot_columns,
+    _tuple_order,
     compare_numeric_exact,
     exact_betti,
     rank_exact,
@@ -323,6 +325,123 @@ def test_a_d0_without_edges_seeds_every_point():
     # one stored edge whose two entries cancel is no longer an incidence row
     cancelled = sp.csr_matrix((np.array([1, -1]), np.array([1, 1]), np.array([0, 2])), shape=(1, 3))
     assert _component_tops(cancelled) == frozenset()
+
+
+# --- the locality order -------------------------------------------------------
+
+
+def _line(points):
+    """Points on a line with unit weights."""
+    x = np.asarray(points, dtype=float)
+    return MetricMeasureSpace(np.abs(x[:, None] - x[None, :]), np.ones(x.size))
+
+
+# rips 0.15 leaves components {0, 1, 2}, {3}, {4, 5} and {6}: two isolated points
+_LABELLED_COMPLEXES = {
+    **_SUITE_COMPLEXES,
+    "isolated points": lambda: (_line([0, 0.1, 0.2, 1, 2, 2.1, 5]), rips_system(0.15), _KERNEL, 1),
+}
+
+
+def _reduced(complex_, monkeypatch):
+    """(differences and D_0's seed as `exact_betti` hands them to `_betti`,
+    the number of pivots each `_pivot_columns` call keeps in reduced form)."""
+    betti, pivots = cohomology._betti, cohomology._pivot_columns
+    handed, counts = [], []
+
+    def spy_betti(differences, parameters, tops=None):
+        handed.append((differences, tops))
+        return betti(differences, parameters, tops)
+
+    def spy_pivots(matrix, prime, cleared=frozenset()):
+        reduced = pivots(matrix, prime, cleared)
+        counts.append(sum(not isinstance(column, int) for column in reduced.values()))
+        return reduced
+
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "_betti", spy_betti)
+        m.setattr(cohomology, "_pivot_columns", spy_pivots)
+        exact_betti(complex_)
+    return handed[0], counts
+
+
+@pytest.mark.parametrize("name", sorted(_LABELLED_COMPLEXES))
+def test_the_report_does_not_see_the_labels(name):
+    space, *rest = _LABELLED_COMPLEXES[name]()
+    complex_ = build_weighted_complex(space, *rest)
+    report = exact_betti(complex_)
+    unclear = tuple(rank_mod_p(D.matrix) for D in complex_.coboundaries)
+    assert report.ranks == unclear and all(report.certain)
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        relabelled = build_weighted_complex(permuted(space, rng.permutation(space.n)), *rest)
+        assert exact_betti(relabelled) == report
+
+
+@pytest.mark.parametrize("name", sorted(_LABELLED_COMPLEXES))
+def test_both_differences_at_a_degree_share_its_order(name, monkeypatch):
+    # the reordered differences still compose to zero, so a pivot row of D_p
+    # names a column of D_{p+1} that reduces to zero; D_0's seed is the
+    # highest new column of each component; both primes keep the eager
+    # reduction's pivot rows
+    space, *rest = _LABELLED_COMPLEXES[name]()
+    rng = np.random.default_rng(5)
+    for perm in (np.arange(space.n), rng.permutation(space.n)):
+        complex_ = build_weighted_complex(permuted(space, perm), *rest)
+        (differences, tops), _ = _reduced(complex_, monkeypatch)
+        for D, R in zip(complex_.coboundaries, differences):
+            assert R.shape == D.matrix.shape and R.nnz == D.matrix.nnz
+        for lower, upper in zip(differences, differences[1:]):
+            assert not np.any((upper @ lower).data)
+        assert tops == _component_tops(differences[0])
+        for prime in PRIMES:
+            got, want = _cleared_pivot_rows(differences, prime)
+            assert got == want
+
+
+@pytest.fixture(scope="module")
+def scale_probe_relabelled():
+    n = 1024
+    space = permuted(gen_circle(n), np.random.default_rng(11).permutation(n))
+    return build_weighted_complex(space, rips_system(7 * 2 * np.pi / n), _KERNEL, 1)
+
+
+def test_a_relabelled_scale_probe_keeps_its_pivots_apparent(scale_probe_relabelled, monkeypatch):
+    # in its stored order the relabelled circle's B_0 reduces 558 columns and
+    # B_1 282; in the locality order as few as the generator's labels leave
+    _, counts = _reduced(scale_probe_relabelled, monkeypatch)
+    assert len(counts) == 4  # B_0 then B_1, each over both primes
+    assert all(got <= most for got, most in zip(counts, [0, 0, 20, 20]))
+
+
+def test_the_natural_scale_probe_keeps_its_counts(monkeypatch):
+    n = 1024
+    complex_ = build_weighted_complex(gen_circle(n), rips_system(7 * 2 * np.pi / n), _KERNEL, 1)
+    _, counts = _reduced(complex_, monkeypatch)
+    assert counts == [0, 0, 20, 20]
+
+
+@pytest.mark.parametrize("n", [1000, 7000])
+def test_tuples_sort_by_their_members_positions(n):
+    # 1000**5 fits one int64 key and 7000**5 does not, which lexsort then sorts
+    rng = np.random.default_rng(n)
+    tuples = np.array(sorted(np.sort(rng.choice(n, 5, replace=False)).tolist() for _ in range(60)))
+    position = rng.permutation(n)
+    want = sorted(range(len(tuples)), key=lambda r: sorted(position[tuples[r]].tolist()))
+    assert _tuple_order(tuples, position).tolist() == want
+
+
+def test_a_b1_row_with_a_stored_zero_keeps_the_stored_order():
+    # a triangle: B_0 is a signed incidence matrix, but B_1's one row holds an
+    # explicit zero beside its three entries, so no row is gathered
+    D0 = sp.csr_matrix(np.array([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]))
+    D1 = sp.csr_matrix((np.array([1, -1, 1, 0]), np.array([0, 1, 2, 2]), np.array([0, 4])), shape=(1, 3))
+    triangle = SimpleNamespace(
+        p_max=1, coboundary=lambda p: SimpleNamespace(matrix=(D0, D1)[p])
+    )
+    report = exact_betti(triangle)
+    assert report == _betti([D0, D1], {})
+    assert report.betti == (1, 0) and all(report.certain)
 
 
 # --- Betti numbers of known spaces ---------------------------------------------

@@ -428,6 +428,31 @@ def test_laplacian_has_the_bits_of_the_chained_products(name):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("name", ["circle 1024", "sphere eps 0.35 alpha 0.5"])
+def test_splu_reads_the_arrays_tocsc_would_give(name, monkeypatch):
+    # S is bitwise symmetric, so the CSR arrays of S - sigma I that splu reads
+    # as CSC are bit for bit those of its CSC copy
+    cx = _LAPLACIAN_COMPLEXES[name]()
+    factored = []
+
+    def stop(A, **kwargs):
+        factored.append(A)
+        raise RuntimeError("stopped after the factor's input")
+
+    monkeypatch.setattr(hodge.spla, "splu", stop)
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    for p in range(cx.p_max + 1):
+        S = hodge._laplacian_csr(cx, p)
+        with pytest.raises(hodge.NumericalError, match="stopped"):
+            hodge._low_spectrum(S)
+        sigma = hodge.EIGSH_SHIFT * float(abs(S).sum(axis=1).max())
+        want = (S - sigma * sp.identity(S.shape[0], format="csr")).tocsc()
+        got = factored[-1]
+        assert got.format == "csc" and got.shape == want.shape
+        for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_dense_eigensolve_matches_the_eigvalsh_oracle(circle_complex, sphere_complex, p):
     # LAPACK's dsyevd on the array itself gives the bits of numpy's eigvalsh on a
