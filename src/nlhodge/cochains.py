@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .neighborhoods import TupleSet, faces
+from .neighborhoods import TupleSet, _member_product, faces
 
 
 class CochainError(ValueError):
@@ -186,7 +186,7 @@ def multiply_power(chi, F: Cochain) -> Cochain:
     chi = np.asarray(chi, dtype=float)
     if F.tuple_set.size == 0:
         return Cochain(F.degree, F.tuple_set, F.values.copy())
-    factor = np.prod(chi[F.tuple_set.tuples], axis=1)
+    factor = _member_product(chi, F.tuple_set.tuples)
     return Cochain(F.degree, F.tuple_set, factor * F.values)
 
 

@@ -211,7 +211,7 @@ def _low_spectrum(S: sp.csr_matrix) -> tuple[np.ndarray, float]:
         except RuntimeError as exc:  # a singular factorization or no convergence
             raise NumericalError(f"eigsh failed: {exc}") from exc
         # an eigenvalue of S lies within ||S v - theta v|| of each Ritz value theta
-        residual = np.array([np.linalg.norm(S @ v - t * v) for t, v in zip(vals, V.T)])
+        residual = np.linalg.norm(S @ V - V * vals, axis=0)
         drift = float(np.abs(V.T @ V - np.eye(k)).max())
         if (np.abs(vals - tau) <= residual).any() or drift > RITZ_ORTH_TOL:
             raise NumericalError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .space import MetricMeasureSpace
-from .neighborhoods import TupleSet
+from .neighborhoods import TupleSet, _member_product
 
 
 class KernelError(ValueError):
@@ -139,7 +139,7 @@ def _pair_kernel(model: KernelModel, space: MetricMeasureSpace, i, j) -> np.ndar
         if model.table.shape[0] != space.n:
             raise KernelError("custom kernel table size does not match the space")
         return model.table[i, j]
-    d = space.dist[i, j]
+    d = space.dist.reshape(-1)[i * space.n + j]  # one flat gather; dist is C-contiguous
     with np.errstate(divide="ignore", over="ignore"):
         k = model.scale * d ** (-(model.d + model.alpha))
     if model.kind == "truncated_fractional":
@@ -161,18 +161,18 @@ def assemble_weights(
     elif t.shape[0] == 0:
         masses = np.empty(0)
     else:
-        m = t.shape[0]
-        density = np.zeros(m)
+        density = np.zeros(t.shape[0])
         for k in range(p + 1):
-            prod = np.ones(m)
-            for l in range(p + 1):
-                if l != k:
-                    prod = prod * _pair_kernel(model, space, t[:, k], t[:, l])
+            others = [l for l in range(p + 1) if l != k]
+            # from the first factor on: a product started at 1.0 has the same bits
+            prod = _pair_kernel(model, space, t[:, k], t[:, others[0]])
+            for l in others[1:]:
+                prod = prod * _pair_kernel(model, space, t[:, k], t[:, l])
             density += prod
         density /= p + 1
-        masses = math.factorial(p + 1) * density * np.prod(space.weights[t], axis=1)
+        masses = math.factorial(p + 1) * density * _member_product(space.weights, t)
         if not np.isfinite(masses).all():
-            bad = int(np.argwhere(~np.isfinite(masses))[0])
+            bad = int(np.flatnonzero(~np.isfinite(masses))[0])
             raise KernelError(f"non-finite mass for tuple {tuple(t[bad].tolist())}")
         if masses.min() <= 0.0:
             bad = int(np.argmin(masses))

@@ -8,6 +8,7 @@ so repeated-index tuples are excluded by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -62,7 +63,9 @@ def hausdorff_system(eps: float) -> NeighborhoodSystem:
 class TupleSet:
     """Strictly increasing (p+1)-tuples of point indices in lexicographic order.
 
-    `locate` is the one batched map from tuple rows to row indices.
+    `locate` is the one batched map from tuple rows to row indices. Its search
+    keys are built on the first `locate` and kept; a set that is never searched
+    never builds them.
     """
 
     degree: int
@@ -77,14 +80,22 @@ class TupleSet:
         # neighbours compared directly: np.diff overflows on wide int64 rows
         if not (t[:, 1:] > t[:, :-1]).all():
             raise AdmissibilityError("tuples must be strictly increasing")
-        keys = _sort_keys(t)
-        if not (keys[1:] > keys[:-1]).all():
-            if (keys[1:] < keys[:-1]).any():
+        # each row above the one before it, decided from the last column to
+        # the first: a column settles the rows it does not tie
+        above = np.zeros(t[1:].shape[0], dtype=bool)
+        for c in range(t.shape[1] - 1, -1, -1):
+            a, b = t[1:, c], t[:-1, c]
+            above = (a > b) | ((a == b) & above)
+        if not above.all():
+            if (~above & (t[1:] != t[:-1]).any(axis=1)).any():
                 raise AdmissibilityError("tuples must be lexicographically sorted")
             raise AdmissibilityError("duplicate tuples")
         t.setflags(write=False)
         object.__setattr__(self, "tuples", t)
-        object.__setattr__(self, "_keys", keys)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _sort_keys(self.tuples)
 
     @property
     def size(self) -> int:
@@ -129,6 +140,15 @@ def _sort_keys(rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] == 1:
         return rows[:, 0]
     return (rows ^ np.int64(-(2**63))).astype(">i8").view(f"S{8 * rows.shape[1]}").ravel()
+
+
+def _member_product(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """values[rows[:, 0]] * values[rows[:, 1]] * ... for each row, multiplied left
+    to right as np.prod multiplies a row (the same bits), with no (m, k) gather."""
+    prod = values[rows[:, 0]]
+    for c in range(1, rows.shape[1]):
+        prod *= values[rows[:, c]]
+    return prod
 
 
 def faces(rows: np.ndarray) -> np.ndarray:
@@ -178,7 +198,8 @@ def _row_rounds(holds: sp.csr_matrix, set_family: bool):
     """Admissible rows of 1, 2, 3, ... members, one int64 array per round, by
     the rules of enumerate_tuples; holds[v, w] says that witness w admits item
     v. A round's witnesses are computed only when the next round is asked for.
-    The one-member row (v) has the witnesses holds[v] under both rules.
+    The one-member row (v) has the witnesses holds[v] under both rules; under
+    the clique rule the rows are every v in order, so holds itself serves.
     """
     # sets[w, v] = holds[v, w]; a sparse boolean product ORs the sets holding a row
     sets = holds.T.tocsr() if set_family else None
@@ -187,7 +208,7 @@ def _row_rounds(holds: sp.csr_matrix, set_family: bool):
     v = np.flatnonzero(holds.getnnz(axis=1)) if set_family else np.arange(holds.shape[0])
     rows = v[:, None]
     yield rows
-    witnesses = holds[v]
+    witnesses = holds[v] if set_family else holds
     while True:
         allowed = witnesses if sets is None else witnesses @ sets
         allowed.sort_indices()

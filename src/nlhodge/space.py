@@ -357,7 +357,7 @@ def _check_weights(weights: np.ndarray, n: int) -> None:
     if weights.shape != (n,):
         raise SpaceValidationError(f"weights shape {weights.shape} does not match {n} points")
     if not np.isfinite(weights).all():
-        i = int(np.argwhere(~np.isfinite(weights))[0])
+        i = int(np.flatnonzero(~np.isfinite(weights))[0])
         raise SpaceValidationError(f"non-finite weight at {i}")
     if weights.min() <= 0.0:
         i = int(np.argmin(weights))

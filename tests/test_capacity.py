@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import nlhodge.cochains
 import nlhodge.hodge
+import nlhodge.neighborhoods
 from nlhodge.space import MetricMeasureSpace, gen_circle, gen_interval, gen_sphere
 from nlhodge.neighborhoods import hausdorff_system, rips_system
 from nlhodge.kernels import fractional_kernel, truncated_fractional_kernel
@@ -275,6 +276,15 @@ def test_energy_needs_no_complex_or_coboundary(monkeypatch):
         tracemalloc.stop()
     assert peak <= 16e6  # the complex and its float B_0 took 25 MB
     assert capacity(problem).value > 0.0
+
+
+def test_a_capacity_rung_builds_no_search_keys(monkeypatch):
+    # capacity never locates a tuple, so its pair set never builds the keys
+    def refuse(rows):
+        raise AssertionError("the capacity rung built TupleSet search keys")
+
+    monkeypatch.setattr(nlhodge.neighborhoods, "_sort_keys", refuse)
+    assert capacity(interval_problem([20])).value > 0.0
 
 
 # --- monotonicity ----------------------------------------------------------------

@@ -552,6 +552,34 @@ def test_one_factor_serves_every_k_doubling(sphere_eps35, monkeypatch):
     assert compare_numeric_exact([report], exact_betti(sphere_eps35)).status == ("agree",)
 
 
+def test_the_ritz_residuals_are_the_per_vector_norms(sphere_eps35, monkeypatch):
+    # the guard's residuals come from one product S V - V diag(theta), at
+    # k = 16, 32 and 64; each equals ||S v - theta v|| within rounding
+    S = hodge._laplacian_csr(sphere_eps35, 1)
+    eigsh, norm = hodge.spla.eigsh, np.linalg.norm
+    pairs, residuals = [], []
+
+    def eigsh_spy(*args, **kwargs):
+        pairs.append(eigsh(*args, **kwargs))
+        return pairs[-1]
+
+    def norm_spy(x, *args, **kwargs):
+        out = norm(x, *args, **kwargs)
+        if kwargs.get("axis") == 0:
+            residuals.append(out)
+        return out
+
+    monkeypatch.setattr(hodge.spla, "eigsh", eigsh_spy)
+    monkeypatch.setattr(hodge.np.linalg, "norm", norm_spy)
+    monkeypatch.setattr(hodge, "DENSE_EIG_CUTOFF", 2)
+    hodge._low_spectrum(S)
+    assert [V.shape[1] for _, V in pairs] == [16, 32, 64] and len(residuals) == 3
+    for (vals, V), got in zip(pairs, residuals):
+        want = np.array([norm(S @ v - t * v) for t, v in zip(vals, V.T)])
+        assert want.min() > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_a_near_singular_shift_is_uncertain_not_a_count(sphere_eps35, monkeypatch):
     # A shift of -1e-12 (of the Gershgorin bound here; the old branch used
     # -1e-12 itself and counted 60) leaves S - sigma I numerically singular:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlhodge.space import MetricMeasureSpace, gen_circle
+from nlhodge.space import MetricMeasureSpace, gen_circle, gen_interval, gen_sphere
 from nlhodge.neighborhoods import TupleSet, enumerate_tuples, full_system, rips_system
 from nlhodge.hodge import build_weighted_complex
 from nlhodge.kernels import (
@@ -19,7 +19,7 @@ from nlhodge.kernels import (
     truncated_fractional_kernel,
 )
 
-from oracles import check_kernel_conditions, dense_masses, eval_kernel, rescaled
+from oracles import check_kernel_conditions, dense_masses, eval_kernel, permuted, rescaled
 
 
 def unit_triangle(side=1.0):
@@ -167,6 +167,16 @@ def test_masses_positive_and_finite(n, alpha, p):
     assert w.shape == (ts.size,)
     assert np.isfinite(w).all()
     assert (w > 0).all()
+
+
+def test_a_non_finite_mass_is_named_by_its_tuple():
+    # a distance of 1e-300 raised to -(d + alpha) overflows to inf
+    d = np.array([[0.0, 1e-300, 1.0], [1e-300, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.warns(RuntimeWarning, match="may overflow"):
+        space = MetricMeasureSpace(d, np.ones(3))
+    ts = enumerate_tuples(space, full_system(), 1)
+    with pytest.raises(KernelError, match=r"^non-finite mass for tuple \(0, 1\)$"):
+        assemble_weights(fractional_kernel(1.0, 0.5), space, ts)
 
 
 def test_masses_are_read_only():
@@ -374,5 +384,22 @@ def test_masses_equal_the_dense_kernel_formula_bit_for_bit(kind, p):
         "custom": custom_kernel(nearly_symmetric(rng, (table + table.T) / 2)),
     }[kind]
     ts = enumerate_tuples(space, full_system(), p)
+    got = assemble_weights(model, space, ts)
+    assert np.array_equal(got, dense_masses(model, space, ts.tuples))
+
+
+@pytest.mark.parametrize("case", ["interval200", "sphere_p2", "sphere_p3"])
+def test_masses_equal_the_dense_kernel_formula_at_workload_scale(case):
+    # the capacity ladder's relabelled pairs and the sweep's sphere simplices
+    if case == "interval200":
+        perm = np.random.default_rng(11).permutation(200)
+        space, system, model, p = (
+            permuted(gen_interval(200), perm), rips_system(0.25), fractional_kernel(1.0, 0.5), 1
+        )
+    else:
+        space, system, model = gen_sphere(200), rips_system(0.5), fractional_kernel(2.0, 0.5)
+        p = int(case[-1])
+    ts = enumerate_tuples(space, system, p)
+    assert ts.size > 500
     got = assemble_weights(model, space, ts)
     assert np.array_equal(got, dense_masses(model, space, ts.tuples))

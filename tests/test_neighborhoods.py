@@ -1,5 +1,7 @@
 import itertools
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -181,6 +183,37 @@ def test_tuple_set_rejects_duplicates():
         TupleSet(1, np.array([[0, 1], [0, 1]]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.data())
+def test_tuple_set_accepts_exactly_the_strictly_sorted_listings(degree, data):
+    # rows from a small pool of labels anywhere in int64, so that listings
+    # repeat rows and tie on leading columns; a listing that both descends
+    # and repeats a row is refused for its order
+    k = degree + 1
+    int64 = st.integers(-(2**63), 2**63 - 1)
+    labels = sorted(data.draw(st.sets(int64, min_size=k + 2, max_size=k + 2)))
+    candidates = list(itertools.combinations(labels, k))
+    rows = data.draw(st.lists(st.sampled_from(candidates), max_size=8))
+    if data.draw(st.booleans()) and len(set(rows)) >= 2:
+        rows = sorted(set(rows))
+        rows = rows + rows[:1]  # unsorted and duplicated
+    listing = np.array(rows, dtype=np.int64).reshape(-1, k)
+    if rows == sorted(set(rows)):
+        assert np.array_equal(TupleSet(degree, listing).tuples, listing)
+        return
+    message = "duplicate tuples" if rows == sorted(rows) else "lexicographically sorted"
+    with pytest.raises(AdmissibilityError, match=message):
+        TupleSet(degree, listing)
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_empty_and_single_row_listings_are_sorted(degree):
+    k = degree + 1
+    assert TupleSet(degree, np.empty((0, k), dtype=np.int64)).size == 0
+    row = np.array([[-(2**63)] + [2**63 - k + c for c in range(1, k)]], dtype=np.int64)
+    assert TupleSet(degree, row).index_of(row[0]) == 0
+
+
 def test_tuple_set_lookup():
     ts = enumerate_tuples(gen_circle(8), rips_system(1.0), 1)
     assert ts.index_of(ts.tuples[3]) == 3
@@ -209,6 +242,22 @@ def test_locate_matches_a_dict_lookup(degree, data):
     assert got.dtype == np.int64
     assert np.array_equal(got, dict_locate(ts.tuples, queries))
     assert np.array_equal(ts.locate(queries.reshape(-1, 1, k)), got.reshape(-1, 1))
+
+
+def test_threads_that_locate_first_all_get_the_rows():
+    # the keys are built on the first locate; threads that race to build them
+    # store equal arrays, so every thread finds every stored row
+    ts = enumerate_tuples(gen_circle(64), rips_system(1.0), 2)
+    queries = np.concatenate([ts.tuples[::-1], ts.tuples + 64])
+    want = dict_locate(ts.tuples, queries)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [f.result(timeout=60) for f in [pool.submit(ts.locate, queries) for _ in range(8)]]
+        finally:
+            sys.setswitchinterval(switch)
+    assert all(np.array_equal(g, want) for g in got)
 
 
 def test_eps_must_be_positive():

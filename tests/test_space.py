@@ -227,6 +227,12 @@ def test_negative_weight_rejected():
         MetricMeasureSpace(space_d, np.array([1.0, 1.0, -1.0, 1.0]))
 
 
+def test_non_finite_weight_rejected():
+    space_d = gen_interval(4).dist
+    with pytest.raises(SpaceValidationError, match="^non-finite weight at 1$"):
+        MetricMeasureSpace(space_d, np.array([1.0, np.inf, np.nan, 1.0]))
+
+
 def test_near_coincident_points_warn():
     x = np.array([0.0, 1e-12, 1.0])
     d = np.abs(x[:, None] - x[None, :])
