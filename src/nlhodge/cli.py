@@ -92,11 +92,14 @@ def _build_kernel(args, n: int, alpha):
     return kn.load_kernel_table(args.kernel_table, n)
 
 
-def _write_json(payload: dict, path: str) -> None:
+def _write(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_json(payload: dict, path: str) -> None:
+    _write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def cmd_betti(args) -> int:
@@ -204,9 +207,7 @@ def cmd_sweep(args) -> int:
             statuses += compare_numeric_exact(reports[id(k)], betti).status
     text = "\n".join(lines) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
-            fh.write(text)
+        _write(os.path.join(args.out, "sweep.csv"), text)
     print(text, end="")
     return _agreement_exit(statuses)
 
@@ -349,7 +350,7 @@ def _suite_capacity():
         ("removability-alpha-0.5", rep.verdict_for(0.5) == "removable", rep.verdict_for(0.5)),
         ("removability-alpha-1.5", rep.verdict_for(1.5) == "non-removable", rep.verdict_for(1.5)),
     ]
-    return checks, rep
+    return checks, rep.to_csv()
 
 
 def _suite_recovery():
@@ -382,7 +383,7 @@ def _suite_recovery():
 
 def cmd_verify(args) -> int:
     checks = []
-    artifacts = {}
+    removability_csv = None
     if args.suite in ("identity", "all"):
         checks += _suite_identity()
     if args.suite in ("poincare", "all"):
@@ -390,9 +391,8 @@ def cmd_verify(args) -> int:
     if args.suite in ("mv", "all"):
         checks += _suite_mv()
     if args.suite in ("capacity", "all"):
-        cap_checks, rep = _suite_capacity()
+        cap_checks, removability_csv = _suite_capacity()
         checks += cap_checks
-        artifacts["removability_csv"] = rep.to_csv()
     if args.suite in ("recovery", "all"):
         checks += _suite_recovery()
     if args.dist:
@@ -418,9 +418,8 @@ def cmd_verify(args) -> int:
             "failed": len(failed),
         }
         _write_json(payload, os.path.join(args.out, "verify.json"))
-        if "removability_csv" in artifacts:
-            with open(os.path.join(args.out, "removability.csv"), "w") as fh:
-                fh.write(artifacts["removability_csv"])
+        if removability_csv is not None:
+            _write(os.path.join(args.out, "removability.csv"), removability_csv)
     return VERIFY_EXIT if failed else 0
 
 

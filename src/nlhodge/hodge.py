@@ -65,16 +65,13 @@ class WeightedComplex:
     def dim(self, p: int) -> int:
         return self.tuple_sets[p].size if 0 <= p <= self.p_max + 1 else 0
 
-    def mass_vector(self, p: int) -> np.ndarray:
-        return self.weights[p]
-
     def coboundary(self, p: int) -> CoboundaryOperator:
         if not (0 <= p <= self.p_max):
             raise HodgeError(f"no coboundary stored for degree {p}")
         return self.coboundaries[p]
 
     def inner(self, p: int, F: np.ndarray, G: np.ndarray) -> float:
-        return float(np.sum(self.mass_vector(p) * F * G))
+        return float(np.sum(self.weights[p] * F * G))
 
 
 def build_weighted_complex(
@@ -103,8 +100,8 @@ def build_weighted_complex(
 def adjoint_matrix(complex_: WeightedComplex, p: int) -> sp.csr_matrix:
     """Adjoint of B_p in the weighted inner products: W_p^{-1} B_p^T W_{p+1}."""
     B = complex_.coboundary(p).matrix
-    wp = complex_.mass_vector(p)
-    wq = complex_.mass_vector(p + 1)
+    wp = complex_.weights[p]
+    wq = complex_.weights[p + 1]
     return sp.diags(1.0 / wp) @ B.T.astype(float) @ sp.diags(wq)
 
 
@@ -127,15 +124,15 @@ def _laplacian_csr(complex_: WeightedComplex, p: int) -> sp.csr_matrix:
     """W_p^{1/2} L_p W_p^{-1/2} as CSR in canonical form (no explicit zeros, sorted indices)."""
     m = complex_.dim(p)
     out = sp.csr_matrix((m, m))
-    wp = complex_.mass_vector(p)
+    wp = complex_.weights[p]
     if m == 0:
         return out
     if p >= 1 and complex_.dim(p - 1) > 0:
         out = out + _laplacian_term(np.sqrt(wp), complex_.coboundary(p - 1).matrix,
-                                    1.0 / complex_.mass_vector(p - 1))
+                                    1.0 / complex_.weights[p - 1])
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
         out = out + _laplacian_term(1.0 / np.sqrt(wp), complex_.coboundary(p).matrix.T.tocsr(),
-                                    complex_.mass_vector(p + 1))
+                                    complex_.weights[p + 1])
     T = out.T.tocsr()
     skew = abs(out - T).max()
     scale = max(abs(out).max(), 1.0)
@@ -249,9 +246,7 @@ class HodgeReport:
         }
 
 
-def harmonic_dimension(
-    complex_: WeightedComplex, p: int, oracle: int | None = None
-) -> HodgeReport:
+def hodge_report(complex_: WeightedComplex, p: int, oracle: int | None = None) -> HodgeReport:
     """Count eigenvalues of the symmetrized Laplacian below the tiny-eigenvalue cut.
 
     The threshold is dim * max_eig * 2^-45. A spectral gap of less than 10^3
@@ -282,15 +277,7 @@ def harmonic_dimension(
     return HodgeReport(p, m, count, eigs, tau, flagged, oracle, oracle_used)
 
 
-def hodge_report(complex_: WeightedComplex, p: int, oracle: int | None = None) -> HodgeReport:
-    """The degree-p report, the very object `harmonic_dimension` returns.
-
-    The two names stay apart only because perfbench/tracing.py times them as
-    separate spans (`hodge.eigensolve_s`, `hodge.report_s`) and counts the
-    eigensolve's branch and `.flagged` on the inner one; ROADMAP item 3 folds
-    them into one once the package records its own trace.
-    """
-    return harmonic_dimension(complex_, p, oracle=oracle)
+harmonic_dimension = hodge_report  # perfbench/tracing.py times each name as a span
 
 
 def _cgnr(A: sp.spmatrix, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, float]:
@@ -347,7 +334,7 @@ def hodge_decompose(complex_: WeightedComplex, p: int, F: Cochain) -> HodgeDecom
     if F.degree != p:
         raise HodgeError("cochain degree mismatch")
     m = complex_.dim(p)
-    wp = complex_.mass_vector(p)
+    wp = complex_.weights[p]
     sq = np.sqrt(wp)
     f = F.values
     norm_f = float(np.sqrt(np.sum(wp * f * f)))
@@ -356,10 +343,10 @@ def hodge_decompose(complex_: WeightedComplex, p: int, F: Cochain) -> HodgeDecom
     solves = []  # (part, l, X, r) of each potential's operator diag(l) X diag(r)
     if p >= 1 and complex_.dim(p - 1) > 0:
         solves.append(("exact", sq, complex_.coboundary(p - 1).matrix,
-                       1.0 / np.sqrt(complex_.mass_vector(p - 1))))
+                       1.0 / np.sqrt(complex_.weights[p - 1])))
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
         solves.append(("coexact", 1.0 / sq, complex_.coboundary(p).matrix.T,
-                       np.sqrt(complex_.mass_vector(p + 1))))
+                       np.sqrt(complex_.weights[p + 1])))
     for part, l, X, r in solves:
         A = sp.diags(l) @ X.astype(float) @ sp.diags(r)
         z, res = _cgnr(A, sq * f, CG_RTOL, maxiter)
@@ -386,12 +373,12 @@ def hodge_decompose(complex_: WeightedComplex, p: int, F: Cochain) -> HodgeDecom
 
 def energy_norms(complex_: WeightedComplex, p: int, F: Cochain) -> tuple[float, float, float]:
     """(||F||^2, ||delta F||^2, their sum) in the weighted inner products."""
-    wp = complex_.mass_vector(p)
+    wp = complex_.weights[p]
     l2 = float(np.sum(wp * F.values**2))
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
         B = complex_.coboundary(p).matrix
         dF = B @ F.values
-        q = float(np.sum(complex_.mass_vector(p + 1) * dF**2))
+        q = float(np.sum(complex_.weights[p + 1] * dF**2))
     else:
         q = 0.0
     return l2, q, l2 + q

@@ -80,8 +80,6 @@ def truncated_fractional_kernel(
 
 
 def constant_kernel(value: float) -> KernelModel:
-    if value <= 0:
-        raise KernelError("constant kernel must be positive")
     return KernelModel("constant", scale=value)
 
 

@@ -72,7 +72,9 @@ class TupleSet:
     tuples: np.ndarray  # shape (m, degree+1), int64
 
     def __post_init__(self):
-        t = np.ascontiguousarray(np.asarray(self.tuples, dtype=np.int64))
+        # a view, frozen here: a C-contiguous int64 input shares its buffer
+        # uncopied and stays writable, and its owner must not write to it
+        t = np.ascontiguousarray(np.asarray(self.tuples, dtype=np.int64)).view()
         if t.ndim != 2 or t.shape[1] != self.degree + 1:
             raise AdmissibilityError(
                 f"tuple array shape {t.shape} does not match degree {self.degree}"

@@ -427,16 +427,18 @@ def gen_circle(n: int, radius: float = 1.0) -> MetricMeasureSpace:
     return MetricMeasureSpace(dist, weights, {"generator": "circle", "n": n, "radius": radius, "dim": 1})
 
 
+def _line(x: np.ndarray, weights: np.ndarray, **metadata) -> MetricMeasureSpace:
+    """The points x on the real line with distances |x_i - x_j|."""
+    return MetricMeasureSpace(
+        np.abs(x[:, None] - x[None, :]), weights, {**metadata, "dim": 1, "points": x}
+    )
+
+
 def gen_interval(n: int) -> MetricMeasureSpace:
     """n equally spaced points on [0, 1], weight 1/n each (total mass 1)."""
     if n < 2:
         raise SpaceValidationError("interval needs at least 2 points")
-    x = np.linspace(0.0, 1.0, n)
-    dist = np.abs(x[:, None] - x[None, :])
-    weights = np.full(n, 1.0 / n)
-    return MetricMeasureSpace(
-        dist, weights, {"generator": "interval", "n": n, "dim": 1, "points": x}
-    )
+    return _line(np.linspace(0.0, 1.0, n), np.full(n, 1.0 / n), generator="interval", n=n)
 
 
 def gen_two_components(n_each: int, gap: float) -> MetricMeasureSpace:
@@ -447,13 +449,9 @@ def gen_two_components(n_each: int, gap: float) -> MetricMeasureSpace:
         raise SpaceValidationError("gap must be positive")
     left = np.linspace(0.0, 1.0, n_each)
     right = np.linspace(1.0 + gap, 2.0 + gap, n_each)
-    x = np.concatenate([left, right])
-    dist = np.abs(x[:, None] - x[None, :])
-    weights = np.full(2 * n_each, 1.0 / n_each)
-    return MetricMeasureSpace(
-        dist,
-        weights,
-        {"generator": "two_components", "n_each": n_each, "gap": gap, "dim": 1, "points": x},
+    return _line(
+        np.concatenate([left, right]), np.full(2 * n_each, 1.0 / n_each),
+        generator="two_components", n_each=n_each, gap=gap,
     )
 
 
@@ -474,19 +472,9 @@ def gen_punctured_interval(n: int, hole_center: float, hole_radius: float) -> Me
     x = x[keep]
     if x.size < 2:
         raise SpaceValidationError("hole removes too many points")
-    dist = np.abs(x[:, None] - x[None, :])
-    weights = np.full(x.size, 1.0 / n)
-    return MetricMeasureSpace(
-        dist,
-        weights,
-        {
-            "generator": "punctured_interval",
-            "n": n,
-            "hole_center": hole_center,
-            "hole_radius": hole_radius,
-            "dim": 1,
-            "points": x,
-        },
+    return _line(
+        x, np.full(x.size, 1.0 / n), generator="punctured_interval", n=n,
+        hole_center=hole_center, hole_radius=hole_radius,
     )
 
 

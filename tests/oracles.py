@@ -597,13 +597,13 @@ def weighted_laplacian(complex_, p: int) -> np.ndarray:
     out = sp.csr_matrix((m, m))
     if m == 0:
         return out.toarray()
-    wp = complex_.mass_vector(p)
+    wp = complex_.weights[p]
     if p >= 1 and complex_.dim(p - 1) > 0:
         Bdn = complex_.coboundary(p - 1).matrix.astype(float)
-        out = out + Bdn @ sp.diags(1.0 / complex_.mass_vector(p - 1)) @ Bdn.T @ sp.diags(wp)
+        out = out + Bdn @ sp.diags(1.0 / complex_.weights[p - 1]) @ Bdn.T @ sp.diags(wp)
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
         Bup = complex_.coboundary(p).matrix.astype(float)
-        out = out + sp.diags(1.0 / wp) @ Bup.T @ sp.diags(complex_.mass_vector(p + 1)) @ Bup
+        out = out + sp.diags(1.0 / wp) @ Bup.T @ sp.diags(complex_.weights[p + 1]) @ Bup
     return out.toarray()
 
 
@@ -611,16 +611,16 @@ def laplacian_oracle(complex_, p: int) -> sp.csr_matrix:
     """W_p^{1/2} L_p W_p^{-1/2} in canonical CSR, term by term as a chain of products."""
     m = complex_.dim(p)
     out = sp.csr_matrix((m, m))
-    wp = complex_.mass_vector(p)
+    wp = complex_.weights[p]
     if m == 0:
         return out
     terms = []  # (d, X, w) of each term D X diag(w) X^T D, D = diag(d)
     if p >= 1 and complex_.dim(p - 1) > 0:
         terms.append((np.sqrt(wp), complex_.coboundary(p - 1).matrix,
-                      1.0 / complex_.mass_vector(p - 1)))
+                      1.0 / complex_.weights[p - 1]))
     if p <= complex_.p_max and complex_.dim(p + 1) > 0:
         terms.append((1.0 / np.sqrt(wp), complex_.coboundary(p).matrix.T,
-                      complex_.mass_vector(p + 1)))
+                      complex_.weights[p + 1]))
     for d, X, w in terms:
         D, X = sp.diags(d), X.astype(float)
         out = out + D @ X @ sp.diags(w) @ X.T @ D
@@ -801,8 +801,8 @@ def capacity_energy(space, system, kernel) -> sp.csr_matrix:
     """W_0 + B_0^T W_1 B_0 through a degree-0 complex and sparse products."""
     cx = build_weighted_complex(space, system, kernel, 0)
     B0 = cx.coboundary(0).matrix.astype(float)
-    W0 = sp.diags(cx.mass_vector(0))
-    W1 = sp.diags(cx.mass_vector(1))
+    W0 = sp.diags(cx.weights[0])
+    W1 = sp.diags(cx.weights[1])
     return (W0 + B0.T @ W1 @ B0).tocsr()
 
 

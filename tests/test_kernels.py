@@ -181,7 +181,7 @@ def test_a_non_finite_mass_is_named_by_its_tuple():
 
 def test_masses_are_read_only():
     # Masses are plain arrays that nothing may write, whatever the degree, for
-    # an empty set, and through a complex's mass_vector; degree-0 masses are a
+    # an empty set, and through a complex's weights; degree-0 masses are a
     # copy of the point weights, never a view of them.
     space = random_space(np.random.default_rng(5), 6)
     model = fractional_kernel(1.0, 0.5)
@@ -196,7 +196,7 @@ def test_masses_are_read_only():
     cx = build_weighted_complex(space, full_system(), model, 1)
     for p in range(3):
         with pytest.raises(ValueError, match="read-only"):
-            cx.mass_vector(p)[0] = 1.0
+            cx.weights[p][0] = 1.0
 
 
 # --- custom tables ----------------------------------------------------------

@@ -183,6 +183,14 @@ def test_tuple_set_rejects_duplicates():
         TupleSet(1, np.array([[0, 1], [0, 1]]))
 
 
+def test_tuple_set_freezes_a_view_of_the_callers_array():
+    # no copy of the listing is made, and the caller's own array stays writable
+    a = np.array([[0, 1], [0, 2]], dtype=np.int64)
+    ts = TupleSet(1, a)
+    assert a.flags.writeable and not ts.tuples.flags.writeable
+    assert np.shares_memory(a, ts.tuples)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=4), st.data())
 def test_tuple_set_accepts_exactly_the_strictly_sorted_listings(degree, data):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -246,6 +247,38 @@ def test_arrays_are_read_only():
         space.dist[0, 1] = 7.0
     with pytest.raises(ValueError):
         space.weights[0] = 7.0
+
+
+@pytest.mark.parametrize(
+    "make, dist_digest, metadata",
+    [
+        (lambda: gen_interval(33),
+         "6b5dfc21925ca981887a0e054a74cdccffc3b8d28e27ef8a973548571b7562be",
+         [("generator", "interval"), ("n", 33), ("dim", 1),
+          ("points", "2270be3a84c8072f1ca8c6eff5dfe2d94244e3cd89b8655210ec9ca689eecaf2")]),
+        (lambda: gen_two_components(8, 0.5),
+         "100f9a12ec83da90e619bb2c66113d874fae1e0e92ea857f7469daebbd02b63c",
+         [("generator", "two_components"), ("n_each", 8), ("gap", 0.5), ("dim", 1),
+          ("points", "be1e7e2b64e594072712913e4b578a34b1cfbb0b3dd6a4242665644b3772e47f")]),
+        (lambda: gen_punctured_interval(40, 0.5, 0.1),
+         "4434ddec5d5acf0948188cf8be5c45e6d60c44b54cc38930cd1e3351151a9a33",
+         [("generator", "punctured_interval"), ("n", 40), ("hole_center", 0.5),
+          ("hole_radius", 0.1), ("dim", 1),
+          ("points", "f696ecd0655be559e12fbaba04490d7c4937732da57e3979c39bd2f62b2c9d99")]),
+    ],
+    ids=["interval", "two_components", "punctured_interval"],
+)
+def test_line_samples_keep_their_bits(make, dist_digest, metadata):
+    # sha256 of each distance matrix and of its points, and the metadata in
+    # order, as the line generators have always produced them
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    space = make()
+    assert space.dist.dtype == np.float64 and digest(space.dist) == dist_digest
+    assert [
+        (k, digest(v) if isinstance(v, np.ndarray) else v) for k, v in space.metadata.items()
+    ] == metadata
 
 
 def test_callers_arrays_stay_writable_and_are_shared():

@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nlhodge"
 
 # Bound by name only for perfbench/tracing.py; each leaves src/ once the
-# package records its own trace (ROADMAP item 3).
+# package records its own trace (ROADMAP item 3). So does the second name
+# hodge.harmonic_dimension, an assignment and not a definition, so not listed.
 TRACER_ONLY = {
     "rank_exact",
     "kernel_matrix",
