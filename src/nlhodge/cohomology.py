@@ -10,7 +10,10 @@ highest column of each connected component is minus the sum of the
 component's other columns, which all lie to its left, so it reduces to zero
 over every field. A column whose pivot row is still free is an apparent
 pivot (Bauer, "Ripser", 2021): it is kept as its column index and read from
-the matrix only if a later column reduces against it. Each rank is reduced
+the matrix only if a later column reduces against it. One array pass over
+the columns' lowest rows settles them before Python reduces the few other
+columns, as Bauer, Kerber & Reininghaus ("Clear and compress", 2014) settle
+local pivots before a short sequential phase. Each rank is reduced
 over both primes; a rank on which they disagree, and that is too large to
 settle over the rationals, makes the degrees that read it uncertain. Weights
 never enter, so this is the weight-independent oracle the spectral counts
@@ -59,34 +62,54 @@ def _pivot_columns(matrix, prime: int, cleared=frozenset()) -> dict:
     """Column reduction mod prime, left to right, skipping the columns in `cleared`.
 
     A column's pivot is its largest nonzero row. Returns the pivot columns
-    keyed by pivot row; their number is the rank. An apparent pivot, a column
-    whose pivot row was free when it was reached, is stored as its column
-    index; the first column that reduces against it reads it as
+    keyed by pivot row; their number is the rank. One array pass finds the
+    apparent pivots: the first live column of each lowest row holds that
+    row, kept as its column index. Only the other live columns are reduced,
+    in column order; one that lands on a row held by such a column to its
+    right takes the row, as it would reaching it first, and that column is
+    reduced in turn. So the pivots are those of the left-to-right reduction.
+    The first column that reduces against an apparent pivot reads it as
     ({row: value}, inverse of its pivot entry), the form every reduced column
     is stored in. Columns are kept unscaled: the multiple that clears a pivot
     is taken through the stored inverse instead.
     """
+    from heapq import heappop, heappush  # cohomology loads only numpy and scipy at import
+
     if not sp.issparse(matrix):
         matrix = _to_int_array(matrix)
-    A = sp.csc_matrix(matrix, dtype=np.int64, copy=True)
-    A.sum_duplicates()
-    A.data %= prime
-    A.eliminate_zeros()
-    ptr, rows, vals = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
-    reduced: dict = {}
-    for j in range(A.shape[1]):
-        if j in cleared or ptr[j] == ptr[j + 1]:
-            continue
-        low = rows[ptr[j + 1] - 1]  # sum_duplicates sorted each column's rows
-        if low not in reduced:
-            reduced[low] = j
-            continue
-        col = dict(zip(rows[ptr[j] : ptr[j + 1]], vals[ptr[j] : ptr[j + 1]]))
+    A = sp.csc_matrix(matrix, dtype=np.int64)  # an int64 CSC is shared, not copied
+    vals = A.data % prime
+    if not (vals.all() and A.has_canonical_format):  # zeros mod prime, or duplicates
+        A = sp.csc_matrix((vals, A.indices, A.indptr), shape=A.shape, copy=True)
+        A.sum_duplicates()
+        A.data %= prime
+        A.eliminate_zeros()
+        vals = A.data
+    ptr, rows = A.indptr, A.indices
+    live = ptr[1:] > ptr[:-1]
+    live[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
+    columns = np.flatnonzero(live)
+    lows, first = np.unique(rows[ptr[columns + 1] - 1], return_index=True)
+    reduced = dict(zip(lows.tolist(), columns[first].tolist()))
+    live[columns[first]] = False
+    pending = np.flatnonzero(live).tolist()  # ascending, so already a heap
+
+    def read(j):
+        r = rows[ptr[j] : ptr[j + 1]].tolist()
+        return dict(zip(r, vals[ptr[j] : ptr[j + 1]].tolist())), r[-1]
+
+    while pending:
+        j = heappop(pending)
+        col, low = read(j)
         while low in reduced:
-            if isinstance(reduced[low], int):  # an apparent pivot, read once
-                a, b = ptr[reduced[low]], ptr[reduced[low] + 1]
-                reduced[low] = dict(zip(rows[a:b], vals[a:b])), pow(vals[b - 1], -1, prime)
-            other, inv = reduced[low]
+            pivot = reduced[low]
+            if isinstance(pivot, int):
+                if pivot > j:  # apparent to the right: column j reaches the row first
+                    heappush(pending, pivot)
+                    break
+                other, _ = read(pivot)  # an apparent pivot, read once
+                pivot = reduced[low] = other, pow(other[low], -1, prime)
+            other, inv = pivot
             c = col[low] * inv % prime
             for r, v in other.items():
                 x = (col.pop(r, 0) - c * v) % prime
@@ -147,19 +170,15 @@ def _tuple_order(tuples: np.ndarray, position: np.ndarray) -> np.ndarray:
     """The rows of `tuples` in the lexicographic order of their members'
     positions, each tuple's positions sorted."""
     members = position[tuples.T]  # row i: the i-th member of every tuple
-    k, n = members.shape[0], position.size
+    k = members.shape[0]
     for i in range(k):  # odd-even transposition sort, a row pair at a time
         for j in range(i % 2, k - 1, 2):
             low = np.minimum(members[j], members[j + 1])
             np.maximum(members[j], members[j + 1], out=members[j + 1])
             members[j] = low
-    if n**k > 2**63:  # no room for one int64 key
-        return np.lexsort(members[::-1])
-    key = members[0].astype(np.int64)
-    for column in members[1:]:
-        key *= n
-        key += column
-    return np.argsort(key)
+    from .neighborhoods import _sort_keys  # the package's one tuple key
+
+    return np.argsort(_sort_keys(members.T, position.size))
 
 
 def rank_exact_rational(matrix) -> int:
@@ -189,14 +208,15 @@ def rank_exact_rational(matrix) -> int:
 
 def _cleared_rank(matrix, cleared: dict) -> tuple[int, bool]:
     """(rank, certain) over both primes, skipping the columns in `cleared[prime]`,
-    whose pivot rows it then stores there.
+    where it then stores the pivots it finds, keyed by pivot row.
 
     Primes that disagree are settled by rational elimination when the matrix
     has at most RATIONAL_RANK_CAP entries; above it the main prime's rank is
     returned as uncertain, and nothing is densified.
     """
+    A = sp.csc_matrix(matrix, dtype=np.int64)  # one CSC for both primes
     for prime in PRIMES:
-        cleared[prime] = set(_pivot_columns(matrix, prime, cleared.get(prime, frozenset())))
+        cleared[prime] = _pivot_columns(A, prime, cleared.get(prime, frozenset()))
     ranks = [len(cleared[prime]) for prime in PRIMES]
     if ranks[0] == ranks[1]:
         return ranks[0], True
@@ -255,7 +275,7 @@ def _betti(differences: list, parameters: dict, tops: frozenset | None = None) -
 def _reindexed(D: sp.csr_matrix, rows: np.ndarray, position: np.ndarray, k: int) -> sp.csc_matrix:
     """D, whose rows each hold k entries, with its rows taken in the order
     `rows` and its column j moved to position[j]: gathered row by row, then
-    converted to CSC once, the form `_pivot_columns` copies for each prime."""
+    converted to CSC once, the form `_pivot_columns` reads for each prime."""
     data = D.data.reshape(-1, k).take(rows, axis=0).ravel()
     indices = position.take(D.indices.reshape(-1, k).take(rows, axis=0).ravel())
     return sp.csr_matrix((data, indices, D.indptr), shape=D.shape).tocsc()

@@ -96,8 +96,11 @@ class TupleSet:
         object.__setattr__(self, "tuples", t)
 
     @cached_property
-    def _keys(self) -> np.ndarray:
-        return _sort_keys(self.tuples)
+    def _keys(self) -> tuple[np.ndarray, int]:
+        """(search keys, radix): the largest member + 1, or 0 if one is negative."""
+        t = self.tuples
+        radix = int(t[:, -1].max()) + 1 if t[:, 0].min() >= 0 else 0
+        return _sort_keys(t, radix), radix
 
     @property
     def size(self) -> int:
@@ -108,16 +111,21 @@ class TupleSet:
 
         rows has shape (..., degree+1); the result has shape rows.shape[:-1].
         Rows are searched as keys that sort like the rows themselves (see
-        _sort_keys), so one binary search answers every query.
+        _sort_keys), so one binary search answers every query. A row with a
+        member outside [0, radix), whose int64 key may wrap, is absent.
         """
         q = np.asarray(rows, dtype=np.int64)
         k = self.degree + 1
         if q.shape[-1:] != (k,) or self.size == 0:
             return np.full(q.shape[:-1], -1, dtype=np.int64)
         flat = q.reshape(-1, k)
-        pos = np.searchsorted(self._keys, _sort_keys(flat))
+        keys, radix = self._keys
+        want = _sort_keys(flat, radix)
+        pos = np.searchsorted(keys, want)
         np.minimum(pos, self.size - 1, out=pos)
-        found = (self.tuples[pos] == flat).all(axis=1)
+        found = keys[pos] == want
+        for c in range(k if radix else 0):  # as uint64 a negative member is huge
+            found &= flat[:, c].view(np.uint64) < radix
         return np.where(found, pos, -1).reshape(q.shape[:-1])
 
     def index_of(self, sorted_tuple) -> int:
@@ -131,17 +139,24 @@ class TupleSet:
         return bool(self.locate(sorted_tuple) >= 0)
 
 
-def _sort_keys(rows: np.ndarray) -> np.ndarray:
-    """(m, k) int64 rows as m keys in the rows' lexicographic order.
+def _sort_keys(rows: np.ndarray, radix: int) -> np.ndarray:
+    """(m, k) integer rows as m keys in the rows' lexicographic order.
 
-    A single column is its own key. Wider rows become byte strings whose
-    bytewise order is the rows' order: sign bit flipped, then big-endian.
-    Unlike a mixed-radix key these cannot overflow, and numpy compares them
-    natively (memcmp).
+    When every member lies in [0, radix) and radix**k <= 2**63, the key is
+    the row read as a k-digit number in base radix, an int64; a single
+    column is its own key. Otherwise (radix 0 stands for members of any
+    sign) the rows become byte strings whose bytewise order is the rows'
+    order: sign bit flipped, then big-endian. These cannot overflow, and
+    numpy compares them natively (memcmp), but slower than int64.
     """
-    if rows.shape[1] == 1:
-        return rows[:, 0]
-    return (rows ^ np.int64(-(2**63))).astype(">i8").view(f"S{8 * rows.shape[1]}").ravel()
+    k = rows.shape[1]
+    if radix and radix**k <= 2**63:
+        key = rows[:, 0].astype(np.int64)
+        for c in range(1, k):
+            key *= radix
+            key += rows[:, c]
+        return key
+    return np.ascontiguousarray(rows ^ np.int64(-(2**63)), dtype=">i8").view(f"S{8 * k}").ravel()
 
 
 def _member_product(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -183,23 +198,30 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
     # full: every pair; hausdorff: balls around sample points, see NeighborhoodSystem
     eps = np.inf if system.kind == "full" else system.eps
     admits = np.less if system.kind == "rips" and system.strict else np.less_equal
+    set_family = system.kind == "hausdorff"
     # the CSR of holds, a block of rows at a time: no n x n temporary
     indices, counts = [], []
     for r0 in range(0, n, _SWEEP_ROWS):
         block = admits(space.dist[r0 : r0 + _SWEEP_ROWS], eps)
-        indices.append((np.flatnonzero(block) % n).astype(np.int32))
-        counts.append(np.count_nonzero(block, axis=1))
+        rows, cols = np.divmod(np.flatnonzero(block), n)
+        if not set_family:  # a clique row grows only by points above its members
+            above = cols > rows + r0
+            rows, cols = rows[above], cols[above]
+        indices.append(cols.astype(np.int32))
+        counts.append(np.bincount(rows, minlength=block.shape[0]))
     indices = np.concatenate(indices)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     holds = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n))
-    rounds = _row_rounds(holds, set_family=system.kind == "hausdorff")
+    rounds = _row_rounds(holds, set_family)
     return TupleSet(p, next(islice(rounds, p, None)))
 
 
 def _row_rounds(holds: sp.csr_matrix, set_family: bool):
     """Admissible rows of 1, 2, 3, ... members, one int64 array per round, by
     the rules of enumerate_tuples; holds[v, w] says that witness w admits item
-    v. A round's witnesses are computed only when the next round is asked for.
+    v. Under the clique rule holds keeps only the w > v entries, so a row's
+    witnesses are the points above its members and every one extends it. A
+    round's witnesses are computed only when the next round is asked for.
     The one-member row (v) has the witnesses holds[v] under both rules; under
     the clique rule the rows are every v in order, so holds itself serves.
     """
@@ -215,8 +237,9 @@ def _row_rounds(holds: sp.csr_matrix, set_family: bool):
         allowed = witnesses if sets is None else witnesses @ sets
         allowed.sort_indices()
         r, v = allowed.nonzero()
-        above = v > rows[r, -1]
-        r, v = r[above], v[above]
+        if set_family:  # a set may also hold items below a row's last member
+            above = v > rows[r, -1]
+            r, v = r[above], v[above]
         rows = np.column_stack([rows[r], v])
         yield rows
         witnesses = witnesses[r].multiply(holds[v])

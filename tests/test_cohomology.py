@@ -202,6 +202,46 @@ def test_a_prime_divisor_entry_decides_which_pivot_is_read():
         assert set(_pivot_columns(A, prime)) == set(pivot_columns_oracle(A, prime))
 
 
+def _read_apparent(reduced, A, prime):
+    """`_pivot_columns`' dict with each apparent pivot j, kept as its column
+    index, read as the eager oracle stores every pivot: (column j mod prime,
+    inverse of its pivot entry)."""
+    out = {}
+    for row, pivot in reduced.items():
+        if isinstance(pivot, int):
+            column = {r: int(v) % prime for r, v in enumerate(A[:, pivot]) if int(v) % prime}
+            pivot = column, pow(column[row], -1, prime)
+        out[row] = pivot
+    return out
+
+
+def test_a_reduced_column_displaces_a_later_provisional_pivot():
+    # column 2 shares its lowest row 2 with column 1 and reduces against it
+    # onto row 1, which column 3, the first column whose lowest row is 1,
+    # holds provisionally: column 2 reaches row 1 first and takes it, and
+    # column 3 then reduces against column 2 onto row 0
+    A = np.array([[0, 1, 0, 0], [0, 0, 3, 5], [0, 1, 2, 0], [1, 0, 0, 0]])
+    # A again, column 2 stored unsorted and its entry 3 split in two
+    indices = [3, 0, 2, 2, 1, 1, 1]
+    split = sp.csc_matrix(([1, 1, 1, 2, 1, 2, 5], indices, [0, 1, 3, 6, 7]), shape=(4, 4))
+    for prime in PRIMES:
+        for cleared in (frozenset(), frozenset({0})):
+            got = _pivot_columns(A, prime, cleared)
+            want = pivot_columns_oracle(A, prime, cleared)
+            assert set(got) == set(want) == {0, 1, 2, 3} - ({3} if cleared else set())
+            assert not isinstance(got[1], int) and not isinstance(got[0], int)
+            assert _read_apparent(got, A, prime) == want
+            assert _read_apparent(_pivot_columns(split, prime, cleared), A, prime) == want
+            assert split.indices.tolist() == indices  # summed on a copy
+
+
+@settings(max_examples=300, deadline=None)
+@given(reductions())
+def test_every_pivot_column_is_the_eager_reductions(case):
+    A, skip, prime = case
+    assert _read_apparent(_pivot_columns(A, prime, skip), A, prime) == pivot_columns_oracle(A, prime, skip)
+
+
 def _cleared_pivot_rows(differences, prime):
     """Pivot rows of D_0, D_1, ... as `_betti` reduces them (D_0 seeded with its
     components' tops) and as the eager oracle does with no seed on D_0."""

@@ -268,6 +268,30 @@ def test_threads_that_locate_first_all_get_the_rows():
     assert all(np.array_equal(g, want) for g in got)
 
 
+@pytest.mark.parametrize(
+    "base, k, keys",
+    [(0, 2, "i"), (2**40, 2, "S"), (2**21 - 9, 3, "i"), (2**21 - 8, 3, "S"), (2**63 - 9, 1, "i")],
+)
+def test_locate_answers_rows_outside_the_radix_on_both_key_paths(base, k, keys):
+    # members lie in [base, base + 8]; the keys are int64 when (largest + 1)**k
+    # <= 2**63, byte strings otherwise. Queries: stored and absent rows, rows
+    # with a negative member or one at or above the radix, and rows whose
+    # int64 key would alias a stored row's
+    stored = [list(row) for row in itertools.combinations(range(base, base + 9), k)][::2]
+    ts = TupleSet(k - 1, np.array(stored, dtype=np.int64))
+    radix = max(row[-1] for row in stored) + 1
+    queries = [*stored, *itertools.combinations(range(base, base + 9), k)]
+    for row in stored:
+        queries += [[-1, *row[1:]], [*row[:-1], radix], [*row[:-1], -(2**63)]]
+        if k > 1:
+            queries += [[row[0] - 1, row[1] + radix, *row[2:]], [row[0] + 1, row[1] - radix, *row[2:]]]
+    queries = np.array([q for q in queries if all(-(2**63) <= v < 2**63 for v in q)], dtype=np.int64)
+    got = ts.locate(queries)
+    assert ts._keys[0].dtype.kind == keys
+    assert np.array_equal(got, dict_locate(ts.tuples, queries))
+    assert (got >= 0).sum() == 2 * len(stored)  # each stored row is queried twice
+
+
 def test_eps_must_be_positive():
     with pytest.raises(AdmissibilityError):
         rips_system(0.0)
