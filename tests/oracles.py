@@ -23,8 +23,9 @@ insertion-built Psi, which the local coboundary entries replaced.
 the package did before the residual was summed from entries; `dense_levels`
 is the dense AND that built each nerve level's inside before the sparse
 products of `_nerve_levels`. `residual_oracle` is `homotopy_identity_residual`
-for one operator before intersections were grouped: Gustavson products by
-`_join`, summed into a dense accumulator RESIDUAL_BLOCK entries at a time.
+for one operator at one degree, before intersections and degrees were
+grouped: Gustavson products by `_join`, summed into a dense accumulator
+RESIDUAL_BLOCK entries at a time.
 `triangle_scan` is the one-intermediate-point-per-pass triangle check that
 the blocked min-plus scan of `_check_metric` replaced, and `full_asymmetry`
 the symmetry check over the whole square before it read only the blocks on

@@ -617,7 +617,7 @@ def test_homotopy_identity_on_single_balls(circle_setup):
     assert op.W.size > 0
     assert np.isin(op.W, op.local.global_rows[0]).all()
     assert 0.0 < slice_mass(op) <= float(cover.space.weights[op.local.global_rows[0]].sum())
-    assert homotopy_identity_residual([op], 1)[0] <= 1e-12
+    assert homotopy_identity_residual([op])[0][0] <= 1e-12
 
 
 def test_poincare_suite_of_depth_zero_is_empty(circle_setup):
@@ -667,8 +667,7 @@ def test_poincare_residuals_match_the_oracle(any_setup, p_check):
             continue
         op = build_slice_and_psi(cover, complex_, combo, level)
         assert op.W.size == ref[0], combo
-        assert_close_to_oracle([homotopy_identity_residual([op], p)[0] for p in range(1, level)],
-                               ref[1], ref[0])
+        assert_close_to_oracle(list(homotopy_identity_residual([op])[0]), ref[1], ref[0])
     for max_depth in (1, 2):
         expect = [c for c in combos if len(c) <= max_depth]
         if any(want[c] is None for c in expect):
@@ -700,7 +699,46 @@ def test_grouped_residuals_keep_the_per_operator_bits(request, name, p_check):
         op = build_slice_and_psi(cover, complex_, check.alphas, level)
         want = _hex(residual_oracle(op, p) for p in range(1, level))
         assert _hex(check.residuals) == want, check.alphas
-        assert _hex(homotopy_identity_residual([op], p)[0] for p in range(1, level)) == want
+        assert _hex(homotopy_identity_residual([op])[0][p - 1] for p in range(1, level)) == want
+
+
+def test_one_call_builds_each_block_factor_once(monkeypatch, circle_setup):
+    # A level-3 group lays out delta_0..delta_2 and Psi_1..Psi_3 once each:
+    # six block factors, where a call per degree builds Psi_2 and delta_1
+    # twice (eight). Every residual keeps the per-operator oracle's bits.
+    _, _, complex_, cover = circle_setup
+    ops = [build_slice_and_psi(cover, complex_, c, 3) for c in nerve_combos(cover, 1)[:3]]
+    ops.append(build_slice_and_psi(cover, complex_, (5,), 3))
+    assert all(op.local.dim(2) > 0 for op in ops)
+    built = []
+    block = nlhodge.covers._block_csr
+    monkeypatch.setattr(nlhodge.covers, "_block_csr", lambda *a: built.append(a) or block(*a))
+    got = homotopy_identity_residual(ops)
+    assert len(built) == 6
+    assert [_hex(r) for r in got] == [_hex(residual_oracle(op, p) for p in (1, 2)) for op in ops]
+
+
+def test_a_row_with_no_diagonal_entry_counts_as_one(circle_setup):
+    # With every Psi value zero, Psi delta + delta Psi has no entries, so no
+    # diagonal one: lhs - id holds -1 there, and the residual is exactly 1.0
+    # at each degree that has rows, beside an untouched operator of the same
+    # group. The sparse interval has no degree-2 tuples, so its degree 2
+    # reads 0.0. A level-1 group checks no degree.
+    _, _, complex_, cover = circle_setup
+    space, system = gen_interval(12), rips_system(0.1)
+    sparse = build_weighted_complex(space, system, fractional_kernel(1.0, 0.5), 2)
+    sparse_cover = CoverSystem(space, system, eps=0.1, eta=0.01, centers=np.arange(12))
+    ops = [build_slice_and_psi(cover, complex_, (0,), 3),
+           build_slice_and_psi(cover, complex_, (1,), 3),
+           build_slice_and_psi(sparse_cover, sparse, (3, 4), 3)]
+    assert ops[0].local.dim(2) > 0 and ops[2].local.dim(2) == 0
+    for op in ops[::2]:
+        op.psi = [(row, col, value * 0.0) for row, col, value in op.psi]
+    got = homotopy_identity_residual(ops)
+    assert got[0] == (1.0, 1.0) and got[2] == (1.0, 0.0)
+    assert [_hex(r) for r in got] == [_hex(residual_oracle(op, p) for p in (1, 2)) for op in ops]
+    single = build_slice_and_psi(cover, complex_, (0,), 1)
+    assert homotopy_identity_residual([single, single]) == [(), ()]
 
 
 def test_psi_matches_the_insertion_oracle(any_setup):
@@ -759,17 +797,18 @@ def test_slices_read_coboundary_entries_only(monkeypatch):
     ops = []
     for combo in combos:
         op = build_slice_and_psi(cover, complex_, combo, 2)
-        got = (op.W.size, homotopy_identity_residual([op], 1))
+        got = (op.W.size, [homotopy_identity_residual([op])[0][0]])
         assert want[combo] == got, combo
         ops.append(op)
     # one group of them all, with m = 0 at (0, 2), gives each one's own bits
     assert [op.local.dim(1) for op in ops[12:14]] == [1, 0]
-    assert _hex(homotopy_identity_residual(ops, 1)) == _hex([residual_oracle(op, 1) for op in ops])
-    assert homotopy_identity_residual(ops[13:14], 1) == [0.0]
+    want = _hex(residual_oracle(op, 1) for op in ops)
+    assert _hex(r[0] for r in homotopy_identity_residual(ops)) == want
+    assert homotopy_identity_residual(ops[13:14]) == [(0.0,)]
     op = build_slice_and_psi(cover, complex_, (3, 4), 2)
     assert [op.local.dim(p) for p in range(3)] == [2, 1, 0]
     assert op.psi_matrix(2).shape == (1, 0)
-    assert _hex(homotopy_identity_residual([op], 1)) == _hex([residual_oracle(op, 1)])
+    assert _hex(homotopy_identity_residual([op])[0]) == _hex([residual_oracle(op, 1)])
     with pytest.raises(SliceEmptyError) as err:
         build_slice_and_psi(wide_cover, wide_complex, (15,), 2)
     assert str(err.value) == "slice set empty for intersection (15,) at level 2"
@@ -814,11 +853,10 @@ def _mutated_suite(monkeypatch, setup, mutate):
         dims[op.alphas] = [op.local.dim(p) for p in range(op.level + 1)]
         return op
 
-    def grouped(ops, p):
-        if p == 1:
-            group = len({g for g, _ in place.values()})
-            place.update((op.alphas, (group, k)) for k, op in enumerate(ops))
-        return residual(ops, p)
+    def grouped(ops):
+        group = len({g for g, _ in place.values()})
+        place.update((op.alphas, (group, k)) for k, op in enumerate(ops))
+        return residual(ops)
 
     monkeypatch.setattr(nlhodge.covers, "build_slice_and_psi", mutated)
     monkeypatch.setattr(nlhodge.covers, "homotopy_identity_residual", grouped)
@@ -890,8 +928,8 @@ def test_slice_guards(circle_setup):
     op = build_slice_and_psi(cover, complex_, (0,), 2)
     with pytest.raises(CoverError, match="degrees"):
         op.psi_matrix(3)
-    with pytest.raises(CoverError, match="degrees"):
-        homotopy_identity_residual([op], 2)
+    with pytest.raises(CoverError, match="one level"):
+        homotopy_identity_residual([op, build_slice_and_psi(cover, complex_, (0,), 3)])
     far = (0, 16)  # opposite sides of the circle with tight balls
     if not (cover.big_masks[far[0]] & cover.big_masks[far[1]]).any():
         with pytest.raises(CoverError, match="empty"):
