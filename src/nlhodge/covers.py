@@ -72,8 +72,10 @@ class CoverSystem:
         outside = centers[(centers < 0) | (centers >= self.space.n)]
         if outside.size:
             raise CoverError(f"centers {outside.tolist()} outside 0..{self.space.n - 1}")
-        if self.eta <= 0 or self.eps <= 0:
-            raise CoverError("eps and eta must be positive")
+        if not (self.eps > 0 and 0 < self.eta < np.inf):  # NaN fails every comparison
+            raise CoverError(
+                f"eps and eta must be positive, eta finite: eps={self.eps}, eta={self.eta}"
+            )
         d = self.space.dist[centers]  # (n_balls, n)
         covered = (d < self.eta).any(axis=0)
         if not covered.all():
@@ -158,6 +160,8 @@ def restrict_complex(cover: CoverSystem, complex_: WeightedComplex, alphas,
     """Restrict a complex to the tuples supported inside an intersection: those
     that every ball of the intersection holds, an AND of membership rows."""
     alphas = tuple(sorted(int(a) for a in alphas))
+    if not alphas:
+        raise CoverError("an intersection needs at least one ball")
     outside = [a for a in alphas if not 0 <= a < cover.n_balls]
     if outside:
         raise CoverError(f"ball indices {outside} outside 0..{cover.n_balls - 1}")
@@ -185,16 +189,12 @@ def partition_of_unity(cover: CoverSystem, tuples: np.ndarray) -> np.ndarray:
     return chi
 
 
-def _nerve(cover: CoverSystem, depth: int) -> list[np.ndarray]:
-    """Nonempty big-ball intersections, levels 0..depth.
-
-    Level q is the (K, q+1) int64 array of sorted center-index combos, in
-    lexicographic order: the admissible (q+1)-tuples of balls under the
-    set-family rule whose sets are the sample points, each holding the balls
-    that contain it.
-    """
-    rounds = _row_rounds(sp.csr_matrix(cover.big_masks), set_family=True)
-    return list(islice(rounds, max(depth + 1, 0)))
+def _levels(masks: np.ndarray):
+    """Cech levels 0, 1, 2, ... of the balls' (n_balls, m) item masks: the
+    set-family rounds (combos, inside), inside[c, j] saying that every ball
+    of combo c holds item j; only combos whose intersection holds an item."""
+    holds = sp.csr_matrix(masks)
+    return _row_rounds(holds, holds.T.tocsr())
 
 
 # ---------------------------------------------------------------------------
@@ -246,42 +246,6 @@ def _cech_differences(levels) -> list[sp.csr_matrix]:
     return deltas
 
 
-def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (i, k) with start[i] <= k < stop[i], ordered by i, then k."""
-    n = stop - start
-    i = np.repeat(np.arange(n.size), n)
-    return i, np.arange(i.size) + np.repeat(start - (np.cumsum(n) - n), n)
-
-
-def _nerve_levels(masks: sp.csr_matrix, nerve) -> list[tuple]:
-    """(combos, inside) per nerve level: inside[c, j] says that every ball of
-    combo c holds item j.
-
-    Level 0's rows are the mask rows of its balls. An entry (c, j) extends to
-    the next level by each ball b after c's last that holds j, a range of j's
-    sorted holders; the combo c + b is found by one `np.searchsorted` of the
-    keys prefix row * n_balls + last ball, which sort like the level's
-    combos. Work and memory follow the entries: no level is ever dense.
-    """
-    n_balls, m = masks.shape
-    holders = sp.csr_matrix(masks.T)  # item j -> the sorted balls holding it
-    held_items, balls = holders.nonzero()
-    held = held_items.astype(np.int64) * n_balls + balls  # sorted
-    levels = [(nerve[0], masks[nerve[0][:, 0]])] if nerve else []
-    for combos in nerve[1:]:
-        lo_combos, lo_inside = levels[-1]
-        prefix = TupleSet(lo_combos.shape[1] - 1, lo_combos).locate(combos[:, :-1])
-        rows, items = (x.astype(np.int64) for x in lo_inside.nonzero())
-        after = np.searchsorted(held, items * n_balls + lo_combos[rows, -1], side="right")
-        e, k = _ranges(after, holders.indptr[items + 1])
-        found = np.searchsorted(prefix * n_balls + combos[:, -1], rows[e] * n_balls + balls[k])
-        inside = sp.csr_matrix(
-            (np.ones(e.size, dtype=bool), (found, items[e])), shape=(len(combos), m)
-        )
-        levels.append((combos, inside))
-    return levels
-
-
 def _tuple_ball_membership(complex_: WeightedComplex, cover: CoverSystem, p: int) -> np.ndarray:
     """(n_balls, m) bool, read-only: tuple row fully inside the big ball.
 
@@ -296,19 +260,19 @@ def _tuple_ball_membership(complex_: WeightedComplex, cover: CoverSystem, p: int
     return cover._membership[id(ts)][1]
 
 
-def _enumerate_blocks(membership: np.ndarray, cover: CoverSystem,
-                      depth: int) -> tuple[list[tuple], list[sp.csr_matrix]]:
-    """Restriction row through nerve level `depth`: (levels, differences).
+def _enumerate_blocks(membership: np.ndarray, depth: int) -> tuple[list, list[sp.csr_matrix]]:
+    """Restriction row through level `depth`: (levels, differences).
 
     membership is `_tuple_ball_membership` of the row's degree. levels[0] is
     level -1, the global cochains: one combo of width 0 holding every tuple.
-    levels[q + 1] is level q, whose inside[c, t] says that global tuple t lies
+    levels[q + 1] is level q of `_levels(membership)`: the combos whose
+    intersection holds a tuple, inside[c, t] saying that global tuple t lies
     in intersection c. differences[0] is the restriction R, differences[q + 1]
     the Cech difference from level q to level q+1.
     """
     everything = sp.csr_matrix(np.ones((1, membership.shape[1]), dtype=bool))
     levels = [(np.empty((1, 0), dtype=np.int64), everything)]
-    levels += _nerve_levels(sp.csr_matrix(membership), _nerve(cover, depth))
+    levels += islice(_levels(membership), depth + 1)
     return levels, _cech_differences(levels)
 
 
@@ -330,6 +294,8 @@ def mayer_vietoris_check(
     holds by construction and the crosscheck is the independent witness: when
     the assembled matrices hold at most MV_CROSSCHECK_CUTOFF rows they are
     eliminated as a whole over both primes and must reproduce both sums.
+    The levels are `_levels` of the tuple membership: only the combos whose
+    intersection holds a degree-p tuple, the others having no coordinate.
     Preimages are reconstructed through the partition of unity and checked
     numerically, on seeded random cochains.
     """
@@ -347,7 +313,7 @@ def mayer_vietoris_check(
     exact = injective and all(row["exact"] for row in rows)
 
     run_crosscheck = sum(dims) + m_global <= MV_CROSSCHECK_CUTOFF
-    levels, deltas = _enumerate_blocks(membership, cover, q_max + run_crosscheck)
+    levels, deltas = _enumerate_blocks(membership, q_max + run_crosscheck)
     chi = partition_of_unity(cover, complex_.tuple_sets[p].tuples)
     recon_ok = _check_reconstructions(chi, levels, deltas[: q_max + 1], np.random.default_rng(0))
 
@@ -408,7 +374,7 @@ def _nerve_differences(cover: CoverSystem, q_max: int) -> list[sp.csr_matrix]:
     from scipy.sparse.csgraph import connected_components
 
     near = sp.csr_matrix(cover.space.dist < cover.eps)
-    levels = _nerve_levels(sp.csr_matrix(cover.big_masks), _nerve(cover, q_max + 1))
+    levels = list(islice(_levels(cover.big_masks), q_max + 2))
     components = []
     for _, inside in levels:
         r, x = inside.nonzero()
@@ -630,7 +596,8 @@ def poincare_suite(
 
     The tuple membership of each ball is formed once per degree (memoized on
     the cover), and every intersection's restriction ANDs its balls' rows.
-    Slices are built one intersection at a time, in nerve order. Once the
+    Slices are built one intersection at a time, in nerve order: the combos
+    of `_levels` on the big-ball masks, levels 0..max_depth-1. Once the
     operators built since the last group hold RESIDUAL_GROUP_BYTES, their
     residuals at every degree are formed by one `homotopy_identity_residual`
     call and the operators are dropped, so no more than one group of them is
@@ -644,7 +611,7 @@ def poincare_suite(
         out.extend(PoincareCheck(op.alphas, level, r) for op, r in zip(group, residuals))
         group.clear()
 
-    for combos in _nerve(cover, max_depth - 1):
+    for combos, _ in islice(_levels(cover.big_masks), max(max_depth, 0)):
         for combo in combos.tolist():
             group.append(build_slice_and_psi(cover, complex_, combo, level))
             size += _operator_bytes(group[-1])

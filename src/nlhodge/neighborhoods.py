@@ -186,7 +186,8 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
     holds it. Witnesses are sparse boolean rows, so memory follows their
     count. Admissibility is closed under faces, so every tuple grows from its
     own prefix, and the row-major nonzero order of the sorted candidate matrix
-    keeps the rows in lexicographic order.
+    keeps the rows in lexicographic order. Round p-1 of `_row_rounds` grows
+    once more by `_grow`, so the returned round's witnesses are never formed.
     """
     if p < 0:
         raise AdmissibilityError("degree must be nonnegative")
@@ -212,35 +213,64 @@ def enumerate_tuples(space: MetricMeasureSpace, system: NeighborhoodSystem, p: i
     indices = np.concatenate(indices)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     holds = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n))
-    rounds = _row_rounds(holds, set_family)
-    return TupleSet(p, next(islice(rounds, p, None)))
+    sets = holds.T.tocsr() if set_family else None
+    rows, witnesses = next(islice(_row_rounds(holds, sets), p - 1, None))
+    return TupleSet(p, _grow(rows, witnesses, sets)[0])
 
 
-def _row_rounds(holds: sp.csr_matrix, set_family: bool):
-    """Admissible rows of 1, 2, 3, ... members, one int64 array per round, by
-    the rules of enumerate_tuples; holds[v, w] says that witness w admits item
-    v. Under the clique rule holds keeps only the w > v entries, so a row's
-    witnesses are the points above its members and every one extends it. A
-    round's witnesses are computed only when the next round is asked for.
+def _row_rounds(holds: sp.csr_matrix, sets: sp.csr_matrix | None):
+    """(rows, witnesses) of 1, 2, 3, ... members, one pair per round, by the
+    rules of enumerate_tuples; holds[v, w] says that witness w admits item v,
+    and sets is holds transposed, or None for the clique rule. Under that rule
+    holds keeps only the w > v entries, so a row's witnesses are the points
+    above its members and every one extends it. Under the set-family rule the
+    rows are the item combos that some witness admits in full, and a row's
+    witnesses are those admitting all its members, in canonical CSR: on a
+    cover's (ball x point) or (ball x tuple) masks, the Cech levels. Rows are
+    (K, round) int64 arrays; a round is computed only when it is asked for.
     The one-member row (v) has the witnesses holds[v] under both rules; under
     the clique rule the rows are every v in order, so holds itself serves.
+    A set-family entry (c, j) extends to row c + b for each item b after c's
+    last member that j admits, a range of sets[j], found by one searchsorted
+    of the sorted keys r * n + v; work and memory follow the entries, where
+    the clique rule's product would gather every parent row.
     """
-    # sets[w, v] = holds[v, w]; a sparse boolean product ORs the sets holding a row
-    sets = holds.T.tocsr() if set_family else None
     # the empty row allows every point under the clique rule, and under the
     # set-family rule every item that some set holds
-    v = np.flatnonzero(holds.getnnz(axis=1)) if set_family else np.arange(holds.shape[0])
-    rows = v[:, None]
-    yield rows
-    witnesses = holds[v] if set_family else holds
+    v = np.arange(holds.shape[0]) if sets is None else np.flatnonzero(holds.getnnz(axis=1))
+    rows, witnesses = v[:, None], holds if sets is None else holds[v]
+    if sets is not None:  # the sorted keys w * n + v of the witness-item pairs
+        n = sets.shape[1]
+        held = np.repeat(np.arange(sets.shape[0]) * n, np.diff(sets.indptr)) + sets.indices
     while True:
-        allowed = witnesses if sets is None else witnesses @ sets
-        allowed.sort_indices()
-        r, v = allowed.nonzero()
-        if set_family:  # a set may also hold items below a row's last member
-            above = v > rows[r, -1]
-            r, v = r[above], v[above]
-        rows = np.column_stack([rows[r], v])
-        yield rows
-        witnesses = witnesses[r].multiply(holds[v])
+        yield rows, witnesses
+        grown, r, v = _grow(rows, witnesses, sets)
+        if sets is None:
+            witnesses = witnesses[r].multiply(holds[v])
+        else:
+            c, j = (x.astype(np.int64) for x in witnesses.nonzero())
+            after = np.searchsorted(held, j * n + rows[c, -1], side="right")
+            e, k = _ranges(after, sets.indptr[j + 1])
+            found = np.searchsorted(r.astype(np.int64) * n + v, c[e] * n + sets.indices[k])
+            witnesses = sp.csr_matrix((np.ones(e.size, dtype=bool), (found, j[e])),
+                                      shape=(r.size, witnesses.shape[1]))
+        rows = grown
 
+
+def _grow(rows: np.ndarray, witnesses: sp.csr_matrix, sets: sp.csr_matrix | None):
+    """(next round's rows, r, v): rows[r] extended by v, in lexicographic
+    order. Under the set-family rule a boolean product ORs a row's sets."""
+    allowed = witnesses if sets is None else witnesses @ sets
+    allowed.sort_indices()
+    r, v = allowed.nonzero()
+    if sets is not None:  # a set may also hold items below a row's last member
+        above = v > rows[r, -1]
+        r, v = r[above], v[above]
+    return np.column_stack([rows[r], v]), r, v
+
+
+def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, k) with start[i] <= k < stop[i], ordered by i, then k."""
+    n = stop - start
+    i = np.repeat(np.arange(n.size), n)
+    return i, np.arange(i.size) + np.repeat(start - (np.cumsum(n) - n), n)

@@ -9,8 +9,8 @@ closed form. `intersection_mask` is the AND of an intersection's big-ball
 masks, which the package reads as the degree-0 rows of `restrict_complex`.
 `assembled_matrices` and `loop_nerve_differences` are
 per-intersection Cech builders, one block and one face lookup at a time; the
-package builds each level at once instead (combos from the tuple
-enumerator's rounds, faces by one `TupleSet.locate`, nerve components from
+package builds each level at once instead (combos and their insides from the
+tuple enumerator's rounds, faces by one `TupleSet.locate`, nerve components from
 one `connected_components` call per level). `nerve_combos` lists the nerve
 by brute force, and `cech_sign` is the sign rule of the partition-of-unity
 preimage.
@@ -21,10 +21,11 @@ homotopy on it that the global-row slices of `restrict_complex` replaced;
 insertion-built Psi, which the local coboundary entries replaced.
 `dense_coboundary` and `dense_psi` densify a local coboundary and a Psi, as
 the package did before the residual was summed from entries; `dense_levels`
-is the dense AND that built each nerve level's inside before the sparse
-products of `_nerve_levels`. `residual_oracle` is `homotopy_identity_residual`
-for one operator at one degree, before intersections and degrees were
-grouped: Gustavson products by `_join`, summed into a dense accumulator
+is the dense AND that built each nerve level's inside before the levels were
+read from the witnesses of the set-family rounds (`_row_rounds`).
+`residual_oracle` is `homotopy_identity_residual` for one operator at one
+degree, before intersections and degrees were grouped: Gustavson products by
+`_join` (on the package's `_ranges`), summed into a dense accumulator
 RESIDUAL_BLOCK entries at a time.
 `triangle_scan` is the one-intermediate-point-per-pass triangle check that
 the blocked min-plus scan of `_check_metric` replaced, and `full_asymmetry`
@@ -82,10 +83,10 @@ from scipy.sparse.csgraph import connected_components
 from nlhodge.capacity import build_capacity_problem, capacity
 from nlhodge.cochains import Cochain, CochainError, build_coboundary
 from nlhodge.cohomology import PRIME_MAIN, _pivot_columns
-from nlhodge.covers import _ranges, build_slice_and_psi
+from nlhodge.covers import build_slice_and_psi
 from nlhodge.hodge import HodgeError, build_weighted_complex
 from nlhodge.kernels import KernelError, KernelModel, fractional_kernel, kernel_matrix
-from nlhodge.neighborhoods import TupleSet, _row_rounds, enumerate_tuples, rips_system
+from nlhodge.neighborhoods import TupleSet, _ranges, _row_rounds, enumerate_tuples, rips_system
 from nlhodge.space import METRIC_TOL, MetricMeasureSpace, SpaceValidationError, gen_interval
 
 _CHUNK_ROWS = 1024
@@ -548,7 +549,8 @@ def admissible_tuples(space, system, p: int) -> TupleSet:
     holds = np.zeros((space.n, len(system.sets)), dtype=bool)
     for i, s in enumerate(system.sets):
         holds[sorted(s), i] = True
-    return TupleSet(p, next(islice(_row_rounds(sp.csr_matrix(holds), set_family=True), p, None)))
+    holds = sp.csr_matrix(holds)
+    return TupleSet(p, next(islice(_row_rounds(holds, holds.T.tocsr()), p, None))[0])
 
 
 def system_dominates(finer, coarser, space, p_max: int) -> tuple[bool, tuple | None]:

@@ -1,9 +1,12 @@
 import json
 import tracemalloc
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import nlhodge.cochains
@@ -19,9 +22,8 @@ from nlhodge.covers import (
     SliceEmptyError,
     _check_reconstructions,
     _enumerate_blocks,
-    _nerve,
+    _levels,
     _nerve_differences,
-    _nerve_levels,
     _tuple_ball_membership,
     build_slice_and_psi,
     cech_nerve_betti,
@@ -173,6 +175,30 @@ def test_restriction_needs_ball_indices(circle_setup):
         build_slice_and_psi(cover, complex_, (-1, 0), 2)
     with pytest.raises(CoverError, match=r"\[32\] outside 0\.\.31"):
         restrict_complex(cover, complex_, (0, 32), 1)
+
+
+def test_an_intersection_of_no_balls_is_rejected(circle_setup):
+    _, _, complex_, cover = circle_setup
+    for alphas in ([], ()):
+        with pytest.raises(CoverError, match="at least one ball"):
+            restrict_complex(cover, complex_, alphas, 1)
+        with pytest.raises(CoverError, match="at least one ball"):
+            build_slice_and_psi(cover, complex_, alphas, 2)
+
+
+def test_cover_sizes_must_be_positive_and_finite():
+    # NaN fails every comparison, so it would pass a test for `<= 0` and
+    # leave all-False masks and NaN bumps
+    space = gen_interval(8)
+    system = rips_system(0.2)
+    for eps, eta in ((np.nan, 0.5), (0.2, np.nan), (0.2, np.inf), (0.0, 0.5), (0.2, -1.0)):
+        with pytest.raises(CoverError, match="eps and eta must be positive, eta finite"):
+            CoverSystem(space, system, eps=eps, eta=eta, centers=np.arange(8))
+    with pytest.raises(CoverError, match="eps=nan"):
+        default_cover(space, system, eps=np.nan)
+    # an infinite eps makes every ball hold every point, with finite bumps
+    cover = CoverSystem(space, system, eps=np.inf, eta=0.5, centers=np.arange(8))
+    assert cover.big_masks.all() and (cover.bumps == 1.0).all()
 
 
 def test_default_cover_needs_a_positive_stride():
@@ -376,7 +402,7 @@ def test_reconstruction_negative_control(circle_setup):
     _, _, complex_, cover = circle_setup
     rng = np.random.default_rng(5)
     tuples = complex_.tuple_sets[1].tuples
-    levels, deltas = _enumerate_blocks(_tuple_ball_membership(complex_, cover, 1), cover, 1)
+    levels, deltas = _enumerate_blocks(_tuple_ball_membership(complex_, cover, 1), 1)
     assert _check_reconstructions(partition_of_unity(cover, tuples), levels, deltas, rng)
     assert not _check_reconstructions(
         np.ones((cover.n_balls, len(tuples))), levels, deltas, np.random.default_rng(5)
@@ -389,7 +415,7 @@ def test_reconstruction_negative_control_at_q_max_two(circle_setup, p):
     # without it, also on the top level alone (levels 1 and 2).
     _, _, complex_, cover = circle_setup
     tuples = complex_.tuple_sets[p].tuples
-    levels, deltas = _enumerate_blocks(_tuple_ball_membership(complex_, cover, p), cover, 2)
+    levels, deltas = _enumerate_blocks(_tuple_ball_membership(complex_, cover, p), 2)
     assert len(deltas) == 3 and min(deltas[2].shape) > 0
     chi = partition_of_unity(cover, tuples)
     ones = np.ones_like(chi)
@@ -404,14 +430,15 @@ def test_restriction_row_matches_the_assembled_oracle(any_setup):
     (_, _, complex_, cover), depth = any_setup
     for p in range(3):
         membership = _tuple_ball_membership(complex_, cover, p)
-        levels, deltas = _enumerate_blocks(membership, cover, depth)
+        levels, deltas = _enumerate_blocks(membership, depth)
         want = assembled_matrices(complex_, cover, p, depth)
         assert len(deltas) == len(want) == depth + 1
         for got, ref in zip(deltas, want):
             assert_same_csr(got, ref)
         # level -1 holds the global cochains: one combo of width 0 holding
-        # every tuple; each level q lists the nerve's combos, and the row of
-        # a combo marks the global tuples inside its intersection
+        # every tuple; each level q lists the nerve's combos whose
+        # intersection holds a degree-p tuple, and the row of a combo marks
+        # the global tuples inside its intersection
         tuples = complex_.tuple_sets[p].tuples
         combos, inside = levels[0]
         assert combos.shape == (1, 0) and combos.dtype == np.int64
@@ -419,7 +446,9 @@ def test_restriction_row_matches_the_assembled_oracle(any_setup):
         assert len(levels) == depth + 2
         for q, (combos, inside) in enumerate(levels[1:]):
             assert combos.dtype == np.int64 and combos.shape[1] == q + 1
-            assert list(map(tuple, combos.tolist())) == nerve_combos(cover, q)
+            holding = [c for c in nerve_combos(cover, q)
+                       if intersection_mask(cover, c)[tuples].all(axis=1).any()]
+            assert list(map(tuple, combos.tolist())) == holding
             assert inside.format == "csr" and inside.dtype == bool
             assert inside.shape == (len(combos), len(tuples))
             for combo, row in zip(combos.tolist(), inside.toarray()):
@@ -437,32 +466,52 @@ def test_nerve_differences_match_the_loop_oracle(any_setup):
 
 
 def test_nerve_levels_match_brute_force(any_setup):
-    # Level q is a (K, q+1) int64 array of the nonempty intersections' combos
-    # in lexicographic order, also when it is empty (K = 0).
+    # Level q of the nerve is a (K, q+1) int64 array of the nonempty
+    # intersections' combos in lexicographic order, also when it is empty (K = 0).
     (_, _, _, cover), depth = any_setup
-    for d in range(depth + 2):
-        levels = _nerve(cover, d)
-        assert len(levels) == d + 1
-        for q, combos in enumerate(levels):
-            assert combos.dtype == np.int64 and combos.shape == (combos.shape[0], q + 1)
-            assert list(map(tuple, combos.tolist())) == nerve_combos(cover, q)
-    assert _nerve(cover, -1) == []
-    assert _nerve(cover, -2) == []
+    for q, (combos, _) in enumerate(islice(_levels(cover.big_masks), depth + 2)):
+        assert combos.dtype == np.int64 and combos.shape == (combos.shape[0], q + 1)
+        assert list(map(tuple, combos.tolist())) == nerve_combos(cover, q)
 
 
 def test_nerve_levels_match_the_dense_oracle(any_setup):
-    # Each level's inside, built from the level below, equals the dense AND
-    # of its combos' mask rows byte for byte: for the tuple membership of
-    # every degree and for the point masks of the nerve.
+    # Each level's inside equals the dense AND of its combos' mask rows byte
+    # for byte: for the tuple membership of every degree and for the point
+    # masks of the nerve.
     (_, _, complex_, cover), depth = any_setup
-    nerve = _nerve(cover, depth + 1)
     masks = [_tuple_ball_membership(complex_, cover, p) for p in range(3)] + [cover.big_masks]
     for mask in masks:
-        got, want = _nerve_levels(sp.csr_matrix(mask), nerve), dense_levels(mask, nerve)
+        got = list(islice(_levels(mask), depth + 2))
+        want = dense_levels(mask, [combos for combos, _ in got])
         assert len(got) == len(want) == depth + 2
-        for (got_combos, got_inside), (want_combos, want_inside) in zip(got, want):
-            assert got_combos is want_combos
+        for (_, got_inside), (_, want_inside) in zip(got, want):
             assert_same_csr(got_inside, want_inside)
+
+
+def _masks(n_balls, m):
+    return st.lists(st.booleans(), min_size=n_balls * m, max_size=n_balls * m).map(
+        lambda bits: np.array(bits, dtype=bool).reshape(n_balls, m)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.integers(0, 8).flatmap(lambda m: _masks(k, m))))
+@example(np.zeros((3, 4), dtype=bool))
+@example(np.array([[1, 0, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0]], dtype=bool))
+@example(np.ones((4, 0), dtype=bool))
+def test_levels_are_the_combos_and_their_shared_items(masks):
+    # Every round of the set-family generator, on random masks with empty
+    # rows and columns: the rows are the combos of balls whose mask rows
+    # share an item, in lexicographic order, and the witnesses are the dense
+    # AND of the members' rows in canonical CSR, whose row-major nonzero
+    # order `_cech_differences` reads as the coordinates.
+    n_balls = masks.shape[0]
+    for q, (combos, inside) in enumerate(islice(_levels(masks), n_balls + 1)):
+        want = [c for c in combinations(range(n_balls), q + 1) if masks[list(c)].all(axis=0).any()]
+        assert combos.dtype == np.int64 and combos.shape == (len(want), q + 1)
+        assert list(map(tuple, combos.tolist())) == want
+        assert inside.has_canonical_format
+        assert_same_csr(inside, sp.csr_matrix(masks[combos].all(axis=1)))
 
 
 def _traced_peak(fn, *args):
@@ -481,11 +530,11 @@ def test_restriction_row_is_never_dense(interval_setup):
     # levels alone below 60 %.
     _, _, complex_, cover = interval_setup
     membership = _tuple_ball_membership(complex_, cover, 2)
-    nerve = _nerve(cover, 2)
+    nerve = [combos for combos, _ in islice(_levels(cover.big_masks), 3)]
     dense_level = nerve[2].shape[0] * 3 * membership.shape[1]
     assert dense_level > 9e6
-    row = _traced_peak(_enumerate_blocks, membership, cover, 2)
-    sparse = _traced_peak(_nerve_levels, sp.csr_matrix(membership), nerve)
+    row = _traced_peak(_enumerate_blocks, membership, 2)
+    sparse = _traced_peak(lambda: list(islice(_levels(membership), 3)))
     dense = _traced_peak(dense_levels, membership, nerve)
     assert row < 0.7 * dense_level
     assert sparse < 0.6 * dense_level < dense
